@@ -15,7 +15,7 @@ Usage::
     python -m repro gplace design.json --polish-iters 20000  # analytic warm start + SA
     python -m repro route design.json --congestion-weight 0.5  # congestion/timing report
     python -m repro trace summarize trace.json  # render a saved trace
-    python -m repro lint src benchmarks --format github  # static analysis
+    python -m repro lint src benchmarks perfbench --format github  # static analysis
     python -m repro report [-n 2000] [-o EXPERIMENTS.md]  # all experiments
 """
 
@@ -288,12 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to check (default: src)",
     )
     p_lint.add_argument(
-        "--select", default=None, metavar="IDS",
+        "--select", type=_rule_patterns, default=None, metavar="IDS",
         help="comma-separated rule ids or family prefixes to run "
         "(e.g. DET003 or DET,PAR)",
     )
     p_lint.add_argument(
-        "--ignore", default=None, metavar="IDS",
+        "--ignore", type=_rule_patterns, default=None, metavar="IDS",
         help="comma-separated rule ids or family prefixes to skip",
     )
     p_lint.add_argument(
@@ -302,40 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lint.add_argument(
         "--statistics", nargs="?", const="-", default=None, metavar="PATH",
-        help="print the per-rule count table, or write it as JSON to PATH",
+        help="print the per-rule count table, or write it as JSON to PATH "
+        "(to stderr under --format json, whose document already holds it)",
     )
     p_lint.add_argument(
         "--list-rules", action="store_true",
         help="print the rule pack and exit",
-    )
-    p_lint.add_argument(
-        "--exclude", action="append", default=None, metavar="GLOB",
-        help="glob of paths/directories to skip (repeatable; matches "
-        "whole paths and single path components, e.g. '.venv')",
-    )
-    p_lint.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="enable the incremental cache: only changed files and their "
-        "call-graph dependents are re-analyzed",
-    )
-    p_lint.add_argument(
-        "--fix", action="store_true",
-        help="apply the mechanically safe autofixes (DET003, DET005, "
-        "stale suppressions)",
-    )
-    p_lint.add_argument(
-        "--diff", action="store_true",
-        help="with --fix: print the unified diff instead of writing files",
-    )
-    p_lint.add_argument(
-        "--check-clean", action="store_true",
-        help="with --fix --diff: exit non-zero when the autofixer would "
-        "change anything (the CI guard)",
-    )
-    p_lint.add_argument(
-        "--contract", default=None, metavar="PATH",
-        help="span-contract JSON to check SPAN rules against "
-        "(default: the built-in docs/span_contract.json table)",
     )
 
     p_trace = sub.add_parser("trace", help="inspect a saved span trace")
@@ -815,11 +787,27 @@ def _find_git_root(start: Path) -> Path | None:
     return None
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    import difflib
+def _rule_patterns(value: str) -> list[str]:
+    """Parse ``--select``/``--ignore``: every pattern must name a rule.
 
+    A pattern is a rule id or a family prefix; one that matches no id
+    (a typo, or a rule that no longer exists) would silently switch the
+    gate off, so it is a usage error instead.
+    """
+    from repro.lint import rule_ids
+
+    ids = rule_ids()
+    patterns = [p.strip() for p in value.split(",") if p.strip()]
+    for pattern in patterns:
+        if not any(rid.startswith(pattern) for rid in ids):
+            raise argparse.ArgumentTypeError(
+                f"{pattern!r} matches no rule id (see --list-rules)"
+            )
+    return patterns
+
+
+def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.lint import (
-        apply_fixes,
         lint_paths,
         render,
         render_rule_table,
@@ -831,82 +819,17 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(render_rule_table())
         return 0
 
-    def split(s: str | None) -> list[str] | None:
-        return [p.strip() for p in s.split(",") if p.strip()] if s else None
-
-    contract = None
-    if args.contract:
-        from repro.lint.dataflow import load_contract
-
-        contract = load_contract(args.contract)
-
-    result = lint_paths(
-        args.paths,
-        select=split(args.select),
-        ignore=split(args.ignore),
-        exclude=args.exclude,
-        cache_dir=args.cache_dir,
-        contract=contract,
-    )
-
-    if args.fix:
-        by_path: dict[str, list] = {}
-        for v in result.violations:
-            if v.fixable:
-                by_path.setdefault(v.path, []).append(v)
-        changed = 0
-        fixed = 0
-        for path in sorted(by_path):
-            try:
-                original = Path(path).read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError):
-                continue
-            outcome = apply_fixes(original, by_path[path])
-            if not outcome.changed:
-                continue
-            changed += 1
-            fixed += len(outcome.fixed)
-            if args.diff:
-                print(
-                    "".join(
-                        difflib.unified_diff(
-                            original.splitlines(keepends=True),
-                            outcome.source.splitlines(keepends=True),
-                            fromfile=f"a/{path}",
-                            tofile=f"b/{path}",
-                        )
-                    ),
-                    end="",
-                )
-            else:
-                Path(path).write_text(outcome.source, encoding="utf-8")
-        if args.diff:
-            if args.check_clean and changed:
-                print(
-                    f"--check-clean: {fixed} fixable violation(s) in "
-                    f"{changed} file(s); run `repro lint --fix`"
-                )
-                return 1
-            print(f"{fixed} fixable violation(s) in {changed} file(s) (dry run)")
-            return 0
-        print(f"fixed {fixed} violation(s) in {changed} file(s)")
-        # Re-lint so the report and exit code reflect the fixed tree.
-        result = lint_paths(
-            args.paths,
-            select=split(args.select),
-            ignore=split(args.ignore),
-            exclude=args.exclude,
-            cache_dir=args.cache_dir,
-            contract=contract,
-        )
+    result = lint_paths(args.paths, select=args.select, ignore=args.ignore)
 
     root = _find_git_root(Path.cwd()) if args.fmt == "github" else None
     print(render(result, args.fmt, root=root))
+    # Keep a json stdout one parseable document: notes go to stderr.
+    notes = sys.stderr if args.fmt == "json" else sys.stdout
     if args.statistics == "-":
-        print(render_statistics(result))
+        print(render_statistics(result), file=notes)
     elif args.statistics:
         Path(args.statistics).write_text(statistics_json(result) + "\n")
-        print(f"statistics written to {args.statistics}")
+        print(f"statistics written to {args.statistics}", file=notes)
     return 0 if result.ok else 1
 
 

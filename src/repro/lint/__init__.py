@@ -9,33 +9,29 @@ their sanctioned shapes.
 
 Two rule tiers share one engine: per-module visitor rules (families
 ``DET`` / ``PAR`` / ``OBS``) and whole-program rules (``FLOW`` /
-``SPAN`` / ``RED``) that run over a project-wide call graph, so an RNG
-or a span handle crossing a ``FanOut`` boundary two calls away is still
-traced to its sink.
+``RED``) that run over a project-wide call graph, so an RNG crossing a
+``FanOut`` boundary two calls away, or a set returned by a helper in
+another file, is still traced to its sink.
 
 * :mod:`repro.lint.rules` — the visitor framework, rule metadata and
   both registries;
 * :mod:`repro.lint.callgraph` — the project symbol table / call graph
   (alias and re-export resolution across files);
 * :mod:`repro.lint.dataflow` — the abstract value-flow (RNG streams,
-  tracer handles, wall-clock values) plus the FLOW/SPAN/RED pack and
-  the span contract loader;
+  set-valued and completion-ordered iterables) plus the FLOW/RED pack;
 * :mod:`repro.lint.engine` — file discovery, rule execution and
   suppression filtering (:func:`lint_paths` / :func:`lint_sources`);
-* :mod:`repro.lint.fixes` — the ``--fix`` autofixer for mechanically
-  safe rewrites;
-* :mod:`repro.lint.baseline` — the ``--cache-dir`` incremental cache
-  with call-graph invalidation;
 * :mod:`repro.lint.suppressions` — tokenizer-based
   ``# repro: noqa[RULE-ID] reason`` parsing (reasons are mandatory,
   markers apply per logical statement);
 * :mod:`repro.lint.report` — text / json / github reporters and the
-  statistics artifact (schema v2).
+  statistics artifact (schema v3).
 
-The rule pack, suppression syntax and span-contract format are
-documented in ``docs/api.md`` ("Static analysis"); the CI gate requires
-``repro lint src/ benchmarks/`` to exit zero and the autofixer to have
-nothing left to do.
+The rule pack and suppression syntax are documented in ``docs/api.md``
+("Static analysis"); the CI gate requires
+``repro lint src benchmarks perfbench`` to exit zero.  Span nesting is
+not a lint rule: the test suite checks every trace it records against
+the span-naming contract at runtime.
 """
 
 from repro.lint.engine import (
@@ -45,7 +41,6 @@ from repro.lint.engine import (
     lint_source,
     lint_sources,
 )
-from repro.lint.fixes import FixOutcome, apply_fixes
 from repro.lint.rules import (
     ProjectRule,
     Rule,
@@ -66,7 +61,6 @@ from repro.lint.suppressions import Suppression, SuppressionScan, scan_suppressi
 
 __all__ = [
     "FORMATS",
-    "FixOutcome",
     "LintResult",
     "ProjectRule",
     "Rule",
@@ -76,7 +70,6 @@ __all__ = [
     "Violation",
     "all_project_rules",
     "all_rules",
-    "apply_fixes",
     "iter_python_files",
     "lint_paths",
     "lint_source",

@@ -10,12 +10,8 @@ name (``repro.flow.fanout.FanOut.run``), and every call site is resolved
 ``repro.flow.fanout``) — back to the definition it invokes, when that
 definition is inside the project.
 
-Two consumers:
-
-* :mod:`repro.lint.dataflow` runs its abstract value-flow over the
-  resolved graph (FLOW/SPAN/RED rules);
-* :mod:`repro.lint.baseline` uses the module-level edge set to decide
-  which cached results a one-file change invalidates.
+:mod:`repro.lint.dataflow` runs its abstract value-flow over the
+resolved graph (the FLOW/RED rules).
 
 Resolution is deliberately conservative: a call that cannot be resolved
 syntactically stays ``None`` and the dataflow rules treat it as opaque
@@ -27,7 +23,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.lint.context import ModuleContext
 
@@ -78,9 +74,6 @@ class CallSite:
     node: ast.Call
     #: Qname of the enclosing function ("" for module-level code).
     caller: str
-    #: Name of the innermost enclosing ``with <x>.span("...")`` constant,
-    #: or None when the call happens outside any local span.
-    span_parent: str | None = None
 
 
 @dataclass
@@ -132,12 +125,6 @@ class ProjectIndex:
             self.modules[mod.name] = mod
         for mod in self.modules.values():
             self._resolve_calls(mod)
-        #: callee qname -> call sites that invoke it (reverse edges).
-        self.callers: dict[str, list[tuple[ModuleInfo, CallSite]]] = {}
-        for mod in self.modules.values():
-            for site in self._all_sites(mod):
-                if site.callee is not None:
-                    self.callers.setdefault(site.callee, []).append((mod, site))
 
     # -------------------------------------------------------------- indexing
 
@@ -235,7 +222,6 @@ class ProjectIndex:
 
     def _resolve_calls(self, mod: ModuleInfo) -> None:
         ctx = mod.ctx
-        span_stack = _SpanContextMap(ctx)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -247,7 +233,6 @@ class ProjectIndex:
                 callee=self.resolve_call(ctx, mod.name, node),
                 node=node,
                 caller=caller,
-                span_parent=span_stack.parent_of(node),
             )
             if caller and caller in mod.functions:
                 mod.functions[caller].calls.append(site)
@@ -267,85 +252,3 @@ class ProjectIndex:
         else:
             return None  # nested functions are opaque to the call graph
         return q if q in mod.functions else None
-
-    # ------------------------------------------------------------- traversal
-
-    def _all_sites(self, mod: ModuleInfo) -> Iterator[CallSite]:
-        yield from mod.toplevel_calls
-        for fn in mod.functions.values():
-            yield from fn.calls
-
-    def call_sites(self) -> Iterator[tuple[ModuleInfo, CallSite]]:
-        """Every resolved-or-not call site in the project."""
-        for mod in self.modules.values():
-            for site in self._all_sites(mod):
-                yield mod, site
-
-    def callers_of(self, qname: str) -> list[tuple[ModuleInfo, CallSite]]:
-        """Call sites that invoke ``qname`` (empty when unreferenced)."""
-        return self.callers.get(qname, [])
-
-    def module_edges(self) -> dict[str, set[str]]:
-        """Undirected module-level call/import adjacency.
-
-        The baseline cache uses this to invalidate conservatively: a
-        changed module dirties every module it touches in either
-        direction, transitively.
-        """
-        edges: dict[str, set[str]] = {m: set() for m in self.modules}
-        module_names = set(self.modules)
-
-        def link(a: str, b: str) -> None:
-            if a != b and b in module_names:
-                edges[a].add(b)
-                edges[b].add(a)
-
-        for mod in self.modules.values():
-            for target in mod.ctx.module_aliases.values():
-                link(mod.name, target)
-            for target in mod.ctx.from_imports.values():
-                head = target.rpartition(".")[0]
-                link(mod.name, target if target in module_names else head)
-            for site in self._all_sites(mod):
-                if site.callee and site.callee in self.functions:
-                    link(mod.name, self.functions[site.callee].module)
-        return edges
-
-
-class _SpanContextMap:
-    """Innermost ``with <x>.span("name")`` constant for any node."""
-
-    def __init__(self, ctx: ModuleContext) -> None:
-        self.ctx = ctx
-
-    def parent_of(self, node: ast.AST) -> str | None:
-        for anc in self.ctx.ancestors(node):
-            if isinstance(anc, (ast.With, ast.AsyncWith)):
-                # A `with t.span("x"):` is not its *own* parent: ignore
-                # the statement when `node` sits in its context expressions.
-                in_header = any(
-                    node is sub or any(node is s for s in ast.walk(item.context_expr))
-                    for item in anc.items
-                    for sub in [item.context_expr]
-                )
-                name = self._span_name(anc)
-                if name is not None and not in_header:
-                    return name
-            if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                break  # span context does not leak across def boundaries
-        return None
-
-    @staticmethod
-    def _span_name(stmt: ast.With | ast.AsyncWith) -> str | None:
-        for item in stmt.items:
-            expr = item.context_expr
-            if (
-                isinstance(expr, ast.Call)
-                and isinstance(expr.func, ast.Attribute)
-                and expr.func.attr == "span"
-                and expr.args
-                and isinstance(expr.args[0], ast.Constant)
-                and isinstance(expr.args[0].value, str)
-            ):
-                return expr.args[0].value
-        return None

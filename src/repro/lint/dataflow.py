@@ -2,29 +2,25 @@
 
 The abstract domain is tiny and purpose-built: a value is interesting
 only if it is an **RNG stream** (``rng``, with the refinement
-``rng.ambient`` for OS-entropy/unseeded generators), a **wall-clock
-reading** (``clock``), a **set-valued or completion-ordered iterable**
-(``set`` / ``unordered``), a **kernel object** (``kernel``) or a
-tracer/span handle.  Tags are produced at syntactic sources
-(``np.random.default_rng()`` with no seed, ``time.time()``, a set
-display, ``as_completed``), propagated through local assignments, and
-carried across function boundaries by per-function summaries:
+``rng.ambient`` for OS-entropy/unseeded generators) or a **set-valued
+or completion-ordered iterable** (``set`` / ``unordered``).  Tags are
+produced at syntactic sources (``np.random.default_rng()`` with no
+seed, a set display, ``as_completed``), propagated through local
+assignments, and carried across function boundaries by per-function
+summaries:
 
 * which parameters the function *draws* randomness from,
-* which parameters it *grafts* (tracer merge) or forwards into a
-  pool/:class:`~repro.flow.fanout.FanOut` dispatch or a cache-key sink,
+* which parameters it forwards into a pool or
+  :class:`~repro.flow.fanout.FanOut` dispatch,
 * which tags its return value carries.
 
 Summaries are closed under a fixpoint over the
 :class:`~repro.lint.callgraph.ProjectIndex`, so a hazard two calls away
 — precisely what a per-module pass cannot see — still reaches its sink.
 
-Three rule families consume the analysis:
+Two rule families consume the analysis:
 
-* ``FLOW`` — RNG / wall-clock values crossing the wrong boundary;
-* ``SPAN`` — tracer spans opened under contract-violating parents and
-  worker traces grafted more than once (contract:
-  ``docs/span_contract.json``, mirrored in :data:`DEFAULT_SPAN_CONTRACT`);
+* ``FLOW`` — RNG values crossing a fan-out boundary unseeded or shared;
 * ``RED`` — float reductions over iterables with no reproducible order
   (the non-associativity hazard behind every bitwise-equality claim).
 """
@@ -32,28 +28,19 @@ Three rule families consume the analysis:
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.lint.callgraph import CallSite, FunctionInfo, ModuleInfo, ProjectIndex
 from repro.lint.rules import ProjectRule, RuleMeta, register_project
 
-__all__ = [
-    "DEFAULT_SPAN_CONTRACT",
-    "DataflowAnalysis",
-    "SpanContract",
-    "load_contract",
-]
+__all__ = ["DataflowAnalysis"]
 
 # ------------------------------------------------------------------ tags
 
 TAG_RNG = "rng"
 TAG_AMBIENT = "rng.ambient"
-TAG_CLOCK = "clock"
 TAG_SET = "set"
 TAG_UNORDERED = "unordered"
-TAG_KERNEL = "kernel"
 
 #: Generator methods that consume the stream's state.
 _DRAW_METHODS = frozenset(
@@ -81,17 +68,6 @@ _RNG_CONSTRUCTORS = frozenset(
     {"numpy.random.default_rng", "random.Random", "numpy.random.RandomState"}
 )
 
-_CLOCK_SOURCES = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-    }
-)
-
 _POOL_FACTORIES = frozenset(
     {
         "concurrent.futures.ProcessPoolExecutor",
@@ -104,126 +80,8 @@ _POOL_FACTORIES = frozenset(
 _SUBMIT_METHODS = frozenset({"submit", "map", "imap", "apply_async"})
 _UNORDERED_METHODS = frozenset({"imap_unordered"})
 
-#: Methods that look like cache-key/value insertion or lookup when the
-#: receiver's name says "cache".
-_CACHE_METHODS = frozenset({"get", "put", "add", "set", "store", "insert", "lookup"})
-
 #: Builtins whose result forgets the argument's iteration-order hazard.
 _ORDER_RESTORING = frozenset({"sorted", "list", "tuple", "min", "max", "len", "sum"})
-
-
-# ------------------------------------------------------------- span contract
-
-
-@dataclass(frozen=True)
-class SpanContract:
-    """The machine-readable form of the docs span-naming table.
-
-    ``tree`` maps a parent span name to the child names it may directly
-    contain; ``roots`` are the spans that may be opened with no parent
-    (CLI entry points drive placers standalone).  A span name absent
-    from the table is outside the contract and never checked.
-    """
-
-    roots: frozenset[str]
-    tree: dict[str, frozenset[str]]
-
-    @property
-    def known(self) -> frozenset[str]:
-        names = set(self.roots) | set(self.tree)
-        for children in self.tree.values():
-            names |= children
-        return frozenset(names)
-
-    def allowed_parents(self, child: str) -> frozenset[str]:
-        return frozenset(
-            parent for parent, kids in self.tree.items() if child in kids
-        )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SpanContract":
-        return cls(
-            roots=frozenset(data.get("roots", ())),
-            tree={
-                parent: frozenset(children)
-                for parent, children in data.get("tree", {}).items()
-            },
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "roots": sorted(self.roots),
-            "tree": {p: sorted(c) for p, c in sorted(self.tree.items())},
-        }
-
-
-#: The repo's own contract — the docs/api.md span table, kept in sync
-#: with ``docs/span_contract.json`` by a pinned test.
-DEFAULT_SPAN_CONTRACT = SpanContract.from_dict(
-    {
-        "roots": [
-            "flow",
-            "stitch",
-            "evolve",
-            "tempering",
-            "gplace",
-            "preimpl",
-            "dataset",
-            "dse.evaluate",
-            "stitch.restarts",
-            "evolve.restarts",
-            "tempering.restarts",
-        ],
-        "tree": {
-            "flow": [
-                "preimpl",
-                "stitch",
-                "evolve",
-                "tempering",
-                "gplace",
-                "stitch.restarts",
-                "evolve.restarts",
-                "tempering.restarts",
-            ],
-            "stitch": ["stitch.setup", "stitch.initial", "stitch.anneal", "stitch.fill"],
-            "stitch.restarts": ["stitch"],
-            "evolve": ["evolve.init", "evolve.generations", "evolve.repair"],
-            "evolve.restarts": ["evolve"],
-            "tempering": [
-                "tempering.init",
-                "tempering.rounds",
-                "tempering.exchange",
-            ],
-            "tempering.restarts": ["tempering"],
-            "gplace": ["gplace.init", "gplace.descent", "gplace.legalize"],
-            "preimpl": ["preimpl.cache", "preimpl.implement"],
-            "preimpl.implement": ["preimpl.module"],
-            "dataset": [
-                "dataset.cache",
-                "dataset.sweep",
-                "dataset.label",
-                "dataset.store",
-            ],
-            "dataset.label": ["dataset.module"],
-            "dse.evaluate": [
-                "stitch",
-                "evolve",
-                "tempering",
-                "gplace",
-                "stitch.restarts",
-                "evolve.restarts",
-                "tempering.restarts",
-            ],
-        },
-    }
-)
-
-
-def load_contract(path: str | Path) -> SpanContract:
-    """Load a span contract from its JSON file (``docs/span_contract.json``)."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return SpanContract.from_dict(data)
 
 
 # ---------------------------------------------------------------- summaries
@@ -235,9 +93,7 @@ class Summary:
 
     fn: FunctionInfo
     draws_from: set[int] = field(default_factory=set)
-    grafts: set[int] = field(default_factory=set)
     dispatches: set[int] = field(default_factory=set)
-    sinks: set[int] = field(default_factory=set)
     returns: set[str] = field(default_factory=set)
     return_calls: set[str] = field(default_factory=set)
 
@@ -265,13 +121,9 @@ class _FunctionFlow:
         self.analysis = analysis
         self.mod = mod
         self.fn = fn
-        self.body: list[ast.stmt] = (
-            list(fn.node.body) if fn is not None else list(mod.ctx.tree.body)
-        )
-        self.params: tuple[str, ...] = fn.params if fn is not None else ()
         #: name -> union of tags over every assignment to it.
         self.tags: dict[str, set[str]] = {}
-        #: name -> constructor leaf ("FanOut", "ProcessPoolExecutor", ...).
+        #: name -> dispatching constructor ("FanOut" or "Pool").
         self.ctor_of: dict[str, str] = {}
         #: names assigned a float-literal zero-ish accumulator seed.
         self.float_names: set[str] = set()
@@ -314,8 +166,7 @@ class _FunctionFlow:
             return None
         if resolved in _POOL_FACTORIES:
             return "Pool"
-        leaf = resolved.rpartition(".")[2]
-        return leaf if leaf in {"FanOut"} or leaf.endswith("Kernel") else None
+        return "FanOut" if resolved.rpartition(".")[2] == "FanOut" else None
 
     # ----------------------------------------------------------------- tags
 
@@ -356,13 +207,8 @@ class _FunctionFlow:
                 return {TAG_RNG} if seeded else {TAG_RNG, TAG_AMBIENT}
             if resolved == "random.SystemRandom":
                 return {TAG_RNG, TAG_AMBIENT}
-            if resolved in _CLOCK_SOURCES:
-                return {TAG_CLOCK}
             if resolved == "concurrent.futures.as_completed":
                 return {TAG_UNORDERED}
-            leaf = resolved.rpartition(".")[2]
-            if leaf.endswith("Kernel"):
-                return {TAG_KERNEL}
             summary = self.analysis.summaries.get(resolved)
             if summary is not None:
                 return set(summary.returns)
@@ -374,7 +220,7 @@ class _FunctionFlow:
                 return {TAG_SET}
             if name in _ORDER_RESTORING and ctx.is_builtin_call(call, name):
                 # sorted()/list()/... restore or erase iteration order but
-                # keep value-tags like rng/clock of the elements.
+                # keep value-tags like rng of the elements.
                 inner = set()
                 for arg in call.args:
                     inner |= self.tags_of(arg)
@@ -416,17 +262,14 @@ class _FunctionFlow:
 
 
 class DataflowAnalysis:
-    """Whole-program analysis shared by every FLOW/SPAN/RED rule."""
+    """Whole-program analysis shared by every FLOW/RED rule."""
 
     #: Fixpoint iteration cap; summaries grow monotonically, so this is
     #: a depth bound on call chains, not a correctness knob.
     MAX_ROUNDS = 12
 
-    def __init__(
-        self, project: ProjectIndex, contract: SpanContract | None = None
-    ) -> None:
+    def __init__(self, project: ProjectIndex) -> None:
         self.project = project
-        self.contract = contract if contract is not None else DEFAULT_SPAN_CONTRACT
         self.summaries: dict[str, Summary] = {}
         self.flows: dict[tuple[str, str], _FunctionFlow] = {}
         self.dispatches: dict[str, list[DispatchSite]] = {}
@@ -517,17 +360,6 @@ class DataflowAnalysis:
                 idx = fn.param_index(call.func.value.id)
                 if idx is not None and call.func.attr in _DRAW_METHODS:
                     summary.draws_from.add(idx)
-            # graft(arg) / graft of loop variable over a parameter.
-            if (
-                isinstance(call.func, ast.Attribute)
-                and call.func.attr == "graft"
-                and call.args
-            ):
-                src = self._graft_source(mod, fn, call.args[0])
-                if src is not None:
-                    idx = fn.param_index(src)
-                    if idx is not None:
-                        summary.grafts.add(idx)
         # Dispatch/job params: parameters appearing in job expressions.
         for disp in self.dispatches[mod.name]:
             if disp.caller != fn.qname:
@@ -538,14 +370,6 @@ class DataflowAnalysis:
                         idx = fn.param_index(name_node.id)
                         if idx is not None:
                             summary.dispatches.add(idx)
-        # Cache sinks: parameters inside sink-call arguments.
-        for call, args in self.cache_sinks(mod, fn.qname):
-            for arg in args:
-                for name_node in ast.walk(arg):
-                    if isinstance(name_node, ast.Name):
-                        idx = fn.param_index(name_node.id)
-                        if idx is not None:
-                            summary.sinks.add(idx)
         # Returns: tags of returned expressions, plus returned call targets.
         for node in ast.walk(fn.node):
             if isinstance(node, ast.Return) and node.value is not None:
@@ -572,21 +396,6 @@ class DataflowAnalysis:
             return base.value.split("[", 1)[0] in {"set", "frozenset"}
         return False
 
-    def _graft_source(
-        self, mod: ModuleInfo, fn: FunctionInfo, arg: ast.expr
-    ) -> str | None:
-        """The name a grafted value is drawn from (loop-aware)."""
-        if not isinstance(arg, ast.Name):
-            return None
-        # Grafting the target of `for t in xs:` counts as grafting `xs`.
-        for anc in mod.ctx.ancestors(arg):
-            if isinstance(anc, ast.For) and isinstance(anc.target, ast.Name):
-                if anc.target.id == arg.id and isinstance(anc.iter, ast.Name):
-                    return anc.iter.id
-            if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                break
-        return arg.id
-
     def _fixpoint(self) -> None:
         for _ in range(self.MAX_ROUNDS):
             changed = False
@@ -607,7 +416,7 @@ class DataflowAnalysis:
                 idx = fn.param_index(arg.id) if isinstance(arg, ast.Name) else None
                 if idx is None:
                     continue
-                for prop in ("draws_from", "grafts", "dispatches", "sinks"):
+                for prop in ("draws_from", "dispatches"):
                     if pos in getattr(callee, prop) and idx not in getattr(
                         summary, prop
                     ):
@@ -622,81 +431,6 @@ class DataflowAnalysis:
                 summary.returns |= fresh
                 changed = True
         return changed
-
-    # --------------------------------------------------------------- sinks
-
-    def cache_sinks(
-        self, mod: ModuleInfo, caller: str
-    ) -> list[tuple[ast.Call, list[ast.expr]]]:
-        """Cache-key sink calls in ``caller``: ``(call, key_args)``."""
-        out: list[tuple[ast.Call, list[ast.expr]]] = []
-        sites = (
-            mod.functions[caller].calls if caller else mod.toplevel_calls
-        )
-        for site in sites:
-            call = site.node
-            args = [*call.args, *(kw.value for kw in call.keywords)]
-            if not args:
-                continue
-            if isinstance(call.func, ast.Attribute):
-                recv = call.func.value
-                recv_name = ""
-                if isinstance(recv, ast.Name):
-                    recv_name = recv.id
-                elif isinstance(recv, ast.Attribute):
-                    recv_name = recv.attr
-                if (
-                    call.func.attr in _CACHE_METHODS
-                    and "cache" in recv_name.lower()
-                ):
-                    out.append((call, args))
-            elif site.callee is not None:
-                leaf = site.callee.rpartition(".")[2]
-                if "cache_key" in leaf or leaf == "make_key":
-                    out.append((call, args))
-        return out
-
-    # ----------------------------------------------------------- span data
-
-    def span_opens(
-        self, mod: ModuleInfo, caller: str
-    ) -> list[tuple[CallSite, str]]:
-        """``.span("const")`` sites in ``caller`` with their names."""
-        out: list[tuple[CallSite, str]] = []
-        sites = mod.functions[caller].calls if caller else mod.toplevel_calls
-        for site in sites:
-            call = site.node
-            if (
-                isinstance(call.func, ast.Attribute)
-                and call.func.attr == "span"
-                and call.args
-                and isinstance(call.args[0], ast.Constant)
-                and isinstance(call.args[0].value, str)
-            ):
-                out.append((site, call.args[0].value))
-        return out
-
-    def span_parents_of(
-        self, qname: str, _seen: frozenset[str] = frozenset()
-    ) -> set[tuple[str, str]]:
-        """Known span contexts a call to ``qname`` may execute under.
-
-        Returns ``(parent_span_name, "path:line caller")`` pairs; the
-        chain walks the reverse call graph until a ``with span(...)`` is
-        found.  Unresolvable contexts (no callers, module-level calls)
-        contribute nothing — the rules only fire on *proven* parents.
-        """
-        if qname in _seen:
-            return set()
-        out: set[tuple[str, str]] = set()
-        for mod, site in self.project.callers_of(qname):
-            where = f"{mod.ctx.path}:{site.node.lineno} {site.caller or '<module>'}"
-            if site.span_parent is not None:
-                out.add((site.span_parent, where))
-            elif site.caller:
-                out |= self.span_parents_of(site.caller, _seen | {qname})
-        return out
-
 
 # -------------------------------------------------------------- FLOW rules
 
@@ -932,242 +666,6 @@ class SharedRngAcrossJobsRule(ProjectRule):
                 if leaf in {"default_rng", "stream", "spawn", "SeedSequence"}:
                     return True
         return False
-
-
-@register_project
-class ClockIntoCacheKeyRule(ProjectRule):
-    """FLOW003: a wall-clock value flowing into a cache key or entry."""
-
-    meta = RuleMeta(
-        id="FLOW003",
-        name="clock-into-cache-key",
-        family="FLOW",
-        severity="error",
-        summary="wall-clock value flows into a cache key or cached result",
-        rationale=(
-            "A key or payload derived from `time.time()` is unique per run, "
-            "so the cache never hits (or worse, hits across runs that should "
-            "differ). Content hashes and injected timestamps keep cache "
-            "behaviour reproducible; the wall clock never belongs in them — "
-            "even when it arrives laundered through a helper's return value."
-        ),
-        fix_hint=(
-            "key caches on content hashes/config digests; inject timestamps "
-            "at the CLI boundary if a result must carry one"
-        ),
-        example_bad=(
-            "import time\n\n"
-            "def store(cache, module, value):\n"
-            "    cache.put((module, time.time()), value)"
-        ),
-        example_good=(
-            "def store(cache, module, digest, value):\n"
-            "    cache.put((module, digest), value)"
-        ),
-    )
-
-    def check(self, analysis: DataflowAnalysis) -> None:  # type: ignore[override]
-        for mod in analysis.project.modules.values():
-            for qname, _sites in analysis._site_groups(mod):
-                flow = analysis.flow_of(mod, qname)
-                for call, args in analysis.cache_sinks(mod, qname):
-                    for arg in args:
-                        if TAG_CLOCK in flow.tags_of(arg):
-                            self.report(
-                                mod.ctx.path,
-                                call,
-                                "wall-clock value used in a cache "
-                                "key/entry",
-                            )
-                            break
-            self._check_forwarding(analysis, mod)
-
-    def _check_forwarding(
-        self, analysis: DataflowAnalysis, mod: ModuleInfo
-    ) -> None:
-        for qname, sites in analysis._site_groups(mod):
-            flow = analysis.flow_of(mod, qname)
-            for site in sites:
-                callee = analysis.summaries.get(site.callee or "")
-                if callee is None or not callee.sinks:
-                    continue
-                for pos, arg in enumerate(site.node.args):
-                    if pos in callee.sinks and TAG_CLOCK in flow.tags_of(arg):
-                        target = callee.fn
-                        self.report(
-                            mod.ctx.path,
-                            site.node,
-                            f"wall-clock value passed to `{target.name}`, "
-                            "which feeds it into a cache key "
-                            f"(parameter `{target.params[pos]}`)",
-                            trace=(
-                                f"{mod.ctx.path}:{site.node.lineno} "
-                                f"{qname or '<module>'}",
-                                f"{analysis.project.modules[target.module].ctx.path}"
-                                f":{target.node.lineno} {target.qname} keys a "
-                                f"cache on `{target.params[pos]}`",
-                            ),
-                        )
-
-
-# -------------------------------------------------------------- SPAN rules
-
-
-@register_project
-class SpanContractRule(ProjectRule):
-    """SPAN001: a span opened under a contract-violating parent."""
-
-    meta = RuleMeta(
-        id="SPAN001",
-        name="span-contract-parent",
-        family="SPAN",
-        severity="error",
-        summary=(
-            "span opened under a parent the span-naming contract forbids"
-        ),
-        rationale=(
-            "The docs span table (docs/span_contract.json) is what makes "
-            "traces comparable across runs and what the phase-tiling checks "
-            "assume. A span grafted under the wrong parent — often via a "
-            "helper called from an unexpected stage — breaks every consumer "
-            "of the trace, silently. The call-graph pass proves the parent "
-            "even when the `with span(...)` sits in another file."
-        ),
-        fix_hint=(
-            "open the span under a parent the contract allows (see "
-            "docs/span_contract.json), or extend the contract deliberately"
-        ),
-        example_bad=(
-            "def polish(tracer):\n"
-            "    with tracer.span('evolve'):\n"
-            "        with tracer.span('stitch.anneal'):\n"
-            "            pass"
-        ),
-        example_good=(
-            "def polish(tracer):\n"
-            "    with tracer.span('stitch'):\n"
-            "        with tracer.span('stitch.anneal'):\n"
-            "            pass"
-        ),
-    )
-
-    def check(self, analysis: DataflowAnalysis) -> None:  # type: ignore[override]
-        contract = analysis.contract
-        for mod in analysis.project.modules.values():
-            for qname, _sites in analysis._site_groups(mod):
-                for site, name in analysis.span_opens(mod, qname):
-                    if name not in contract.known:
-                        continue
-                    allowed = contract.allowed_parents(name)
-                    if site.span_parent is not None:
-                        if site.span_parent not in allowed:
-                            self.report(
-                                mod.ctx.path,
-                                site.node,
-                                f"span `{name}` opened under `"
-                                f"{site.span_parent}`; the contract allows "
-                                f"parents {sorted(allowed) or ['<root>']}",
-                            )
-                        continue
-                    if not qname:
-                        continue
-                    for parent, where in sorted(
-                        analysis.span_parents_of(qname)
-                    ):
-                        if parent in contract.known and parent not in allowed:
-                            self.report(
-                                mod.ctx.path,
-                                site.node,
-                                f"span `{name}` is reached under span "
-                                f"`{parent}` via {where}; the contract "
-                                f"allows parents {sorted(allowed) or ['<root>']}",
-                                trace=(
-                                    where,
-                                    f"{mod.ctx.path}:{site.node.lineno} "
-                                    f"{qname} opens `{name}`",
-                                ),
-                            )
-
-
-@register_project
-class DoubleGraftRule(ProjectRule):
-    """SPAN002: a worker trace grafted more than once."""
-
-    meta = RuleMeta(
-        id="SPAN002",
-        name="double-graft",
-        family="SPAN",
-        severity="error",
-        summary="the same worker trace can reach `graft()` twice",
-        rationale=(
-            "`Tracer.graft` is an exactly-once merge: grafting a worker's "
-            "span tree twice duplicates every span under the open parent "
-            "and double-counts its durations. The duplicate path is "
-            "typically split across functions — a helper grafts its "
-            "argument and the caller grafts the same list again — so only "
-            "a call-graph view can count reachability per value."
-        ),
-        fix_hint=(
-            "graft each worker trace exactly once, at the fan-out site that "
-            "shipped it; drop the redundant graft"
-        ),
-        example_bad=(
-            "def merge(tracer, traces):\n"
-            "    for t in traces:\n"
-            "        tracer.graft(t)\n"
-            "    for t in traces:\n"
-            "        tracer.graft(t)"
-        ),
-        example_good=(
-            "def merge(tracer, traces):\n"
-            "    for t in traces:\n"
-            "        tracer.graft(t)"
-        ),
-    )
-
-    def check(self, analysis: DataflowAnalysis) -> None:  # type: ignore[override]
-        for mod in analysis.project.modules.values():
-            for qname, sites in analysis._site_groups(mod):
-                fn = mod.functions.get(qname)
-                events: dict[str, list[ast.Call]] = {}
-                for site in sites:
-                    call = site.node
-                    source: str | None = None
-                    if (
-                        isinstance(call.func, ast.Attribute)
-                        and call.func.attr == "graft"
-                        and call.args
-                    ):
-                        if fn is not None:
-                            source = analysis._graft_source(
-                                mod, fn, call.args[0]
-                            )
-                        elif isinstance(call.args[0], ast.Name):
-                            source = call.args[0].id
-                    else:
-                        callee = analysis.summaries.get(site.callee or "")
-                        if callee is not None and callee.grafts:
-                            for pos, arg in enumerate(call.args):
-                                if pos in callee.grafts and isinstance(
-                                    arg, ast.Name
-                                ):
-                                    source = arg.id
-                                    break
-                    if source is not None:
-                        events.setdefault(source, []).append(call)
-                for name, calls in sorted(events.items()):
-                    if len(calls) > 1:
-                        first = min(calls, key=lambda c: (c.lineno, c.col_offset))
-                        second = sorted(
-                            calls, key=lambda c: (c.lineno, c.col_offset)
-                        )[1]
-                        self.report(
-                            mod.ctx.path,
-                            second,
-                            f"worker trace(s) `{name}` already grafted at "
-                            f"line {first.lineno}; grafting again duplicates "
-                            "their spans",
-                        )
 
 
 # --------------------------------------------------------------- RED rules

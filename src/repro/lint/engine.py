@@ -2,7 +2,7 @@
 
 :func:`lint_source` checks one in-memory module; :func:`lint_sources`
 checks a set of in-memory modules *as a project* (the whole-program
-FLOW/SPAN/RED rules see cross-file call chains); :func:`lint_paths`
+FLOW/RED rules see cross-file call chains); :func:`lint_paths`
 recursively checks files and directories and aggregates a
 :class:`LintResult`.  The engine owns three diagnostics of its own,
 reported alongside rule findings:
@@ -25,7 +25,6 @@ identically to both kinds of finding.
 from __future__ import annotations
 
 import ast
-import fnmatch
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -61,10 +60,6 @@ class LintResult:
     files_checked: int = 0
     #: Violations silenced by valid suppressions (kept for statistics).
     suppressed: list[Violation] = field(default_factory=list)
-    #: Paths whose rules actually executed this run (differs from the
-    #: full file list only under the incremental cache, which reuses
-    #: cached findings for unchanged, unaffected files).
-    analyzed: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -78,38 +73,19 @@ class LintResult:
             by_rule[v.rule] = by_rule.get(v.rule, 0) + 1
         return {
             "files_checked": self.files_checked,
-            "files_analyzed": len(self.analyzed),
             "total": len(self.violations),
-            "fixable": sum(1 for v in self.violations if v.fixable),
             "suppressed": len(self.suppressed),
             "by_rule": dict(sorted(by_rule.items())),
         }
 
     def to_json_dict(self) -> dict[str, object]:
-        """The ``--format json`` document (schema v2, round-trippable).
-
-        v2 adds per-violation ``fixable`` and ``trace`` fields plus the
-        ``fixable``/``files_analyzed`` statistics; v1 documents load via
-        :meth:`from_json_dict` with the field defaults.
-        """
+        """The ``--format json`` document (schema v3)."""
         return {
-            "version": 2,
+            "version": 3,
             "files_checked": self.files_checked,
             "violations": [v.to_json_dict() for v in self.violations],
             "statistics": self.statistics(),
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict[str, object]) -> "LintResult":
-        """Rebuild violations/counters from :meth:`to_json_dict` output."""
-        violations = [
-            Violation.from_json_dict(v)  # type: ignore[arg-type]
-            for v in data.get("violations", [])  # type: ignore[union-attr]
-        ]
-        return cls(
-            violations=violations,
-            files_checked=int(data.get("files_checked", 0)),  # type: ignore[arg-type]
-        )
 
 
 def _rule_enabled(
@@ -205,7 +181,6 @@ def _project_violations(
     entries: Sequence[_FileEntry],
     select: Sequence[str] | None,
     ignore: Sequence[str] | None,
-    contract: object | None,
 ) -> tuple[dict[str, list[Violation]], set[str]]:
     """Whole-program findings grouped by path + the project ids evaluated."""
     rules = _enabled_project_rules(select, ignore)
@@ -216,12 +191,9 @@ def _project_violations(
         return by_path, enabled_ids
     # Imported lazily: dataflow imports rules, which this module imports.
     from repro.lint.callgraph import ProjectIndex
-    from repro.lint.dataflow import DataflowAnalysis, SpanContract
+    from repro.lint.dataflow import DataflowAnalysis
 
-    analysis = DataflowAnalysis(
-        ProjectIndex(contexts),
-        contract if isinstance(contract, SpanContract) else None,
-    )
+    analysis = DataflowAnalysis(ProjectIndex(contexts))
     for rule in rules:
         for v in rule.run(analysis):
             by_path.setdefault(v.path, []).append(v)
@@ -282,7 +254,6 @@ def _finalize_file(
                             ),
                             severity="error",
                             fix_hint="delete the stale noqa (or fix its line)",
-                            fixable=True,
                         )
                     )
     return kept, suppressed
@@ -293,25 +264,20 @@ def lint_sources(
     *,
     select: Sequence[str] | None = None,
     ignore: Sequence[str] | None = None,
-    contract: object | None = None,
 ) -> LintResult:
     """Lint a set of in-memory modules as one project.
 
     ``files`` maps (posix-style) paths to source text; the paths drive
     module naming for the call graph, so a fixture package should
-    include its ``__init__.py`` entries.  ``contract`` overrides the
-    span contract (a :class:`~repro.lint.dataflow.SpanContract`).
+    include its ``__init__.py`` entries.
     """
     result = LintResult()
     entries = [
         _parse_entry(path, files[path], select, ignore) for path in sorted(files)
     ]
-    project_by_path, project_ids = _project_violations(
-        entries, select, ignore, contract
-    )
+    project_by_path, project_ids = _project_violations(entries, select, ignore)
     for entry in entries:
         result.files_checked += 1
-        result.analyzed.append(entry.path)
         if entry.ctx is None:
             if entry.parse_violation is not None:
                 result.violations.append(entry.parse_violation)
@@ -341,54 +307,30 @@ def lint_source(
 # ----------------------------------------------------------------- discovery
 
 
-def iter_python_files(
-    paths: Iterable[str | Path],
-    *,
-    exclude: Sequence[str] | None = None,
-) -> list[Path]:
+def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
     """Every ``*.py`` file under ``paths``, depth-first, sorted.
 
     Symlinked directories are never followed (a checkout's venv or a
     build tree symlinked into the repo must not be linted — and link
-    cycles must not hang the walk).  ``exclude`` holds glob patterns
-    matched against each candidate's path (as given) *and* every path
-    component, so ``--exclude '.venv'`` prunes the whole directory and
-    ``--exclude '*_pb2.py'`` skips generated files anywhere.  Files are
-    listed in sorted order so reports — and therefore CI artifacts —
-    are byte-stable across filesystems.
+    cycles must not hang the walk).  Files are listed in sorted order so
+    reports — and therefore CI artifacts — are byte-stable across
+    filesystems.
     """
-    patterns = list(exclude or ())
-
-    def excluded(p: Path) -> bool:
-        if not patterns:
-            return False
-        posix = p.as_posix()
-        return any(
-            fnmatch.fnmatch(posix, pat)
-            or any(fnmatch.fnmatch(part, pat) for part in p.parts)
-            for pat in patterns
-        )
-
     out: list[Path] = []
     for entry in paths:
         p = Path(entry)
         if p.is_dir():
-            if excluded(p):
-                continue
             for dirpath, dirnames, filenames in os.walk(p, followlinks=False):
                 base = Path(dirpath)
                 dirnames[:] = sorted(
-                    d
-                    for d in dirnames
-                    if not (base / d).is_symlink() and not excluded(base / d)
+                    d for d in dirnames if not (base / d).is_symlink()
                 )
                 for name in sorted(filenames):
                     f = base / name
-                    if name.endswith(".py") and not excluded(f) and f.is_file():
+                    if name.endswith(".py") and f.is_file():
                         out.append(f)
         elif p.suffix == ".py" and p.is_file():
-            if not excluded(p):
-                out.append(p)
+            out.append(p)
         elif not p.exists():
             raise FileNotFoundError(f"no such file or directory: {p}")
     seen: set[Path] = set()
@@ -429,35 +371,13 @@ def lint_paths(
     *,
     select: Sequence[str] | None = None,
     ignore: Sequence[str] | None = None,
-    exclude: Sequence[str] | None = None,
-    cache_dir: str | Path | None = None,
-    contract: object | None = None,
 ) -> LintResult:
-    """Lint files and directories recursively; aggregate one result.
-
-    With ``cache_dir`` set, results are cached per file keyed on content
-    hash and only changed files plus their call-graph dependents are
-    re-analyzed (see :mod:`repro.lint.baseline`).
-    """
-    files = iter_python_files(paths, exclude=exclude)
-    if cache_dir is not None:
-        from repro.lint.baseline import lint_paths_cached
-
-        return lint_paths_cached(
-            files,
-            cache_dir=Path(cache_dir),
-            select=select,
-            ignore=ignore,
-            contract=contract,
-        )
+    """Lint files and directories recursively; aggregate one result."""
     result = LintResult()
-    sources = _read_files(files, result)
-    inner = lint_sources(
-        sources, select=select, ignore=ignore, contract=contract
-    )
+    sources = _read_files(iter_python_files(paths), result)
+    inner = lint_sources(sources, select=select, ignore=ignore)
     result.violations.extend(inner.violations)
     result.suppressed.extend(inner.suppressed)
     result.files_checked += inner.files_checked
-    result.analyzed.extend(inner.analyzed)
     result.violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
     return result

@@ -5,7 +5,7 @@ Three formats, mirroring common linter conventions:
 * ``text`` — ``path:line:col: ID message`` plus an indented fix hint
   and, for whole-program findings, the cross-file call chain;
 * ``json`` — the stable machine schema (``LintResult.to_json_dict``,
-  schema v2);
+  schema v3);
 * ``github`` — ``::error`` workflow commands that annotate PR diffs
   (paths are emitted relative to the repository root when one is given,
   so annotations attach correctly from subdirectory invocations).
@@ -56,7 +56,7 @@ def render_text(result: LintResult, *, fix_hints: bool = True) -> str:
 
 
 def render_json(result: LintResult) -> str:
-    """The machine-readable document (schema version 2)."""
+    """The machine-readable document (schema version 3)."""
     return json.dumps(result.to_json_dict(), indent=2, sort_keys=True)
 
 
@@ -120,7 +120,7 @@ def render_statistics(result: LintResult) -> str:
         lines.append("(none)   {:>5}".format(0))
     lines.append(
         f"total {stats['total']} across {stats['files_checked']} file(s), "
-        f"{stats['suppressed']} suppressed, {stats['fixable']} fixable"
+        f"{stats['suppressed']} suppressed"
     )
     return "\n".join(lines)
 
@@ -133,8 +133,7 @@ def statistics_json(result: LintResult) -> str:
 def render_rule_table(rules: list[Rule] | None = None) -> str:
     """The ``--list-rules`` output: every rule with its one-line summary.
 
-    Project (whole-program) rules are listed after the per-module pack;
-    ``[fixable]`` marks rules ``--fix`` can rewrite.
+    Project (whole-program) rules are listed after the per-module pack.
     """
     packs: list = (
         rules if rules is not None else [*all_rules(), *all_project_rules()]
@@ -142,6 +141,5 @@ def render_rule_table(rules: list[Rule] | None = None) -> str:
     lines = []
     for rule in packs:
         m = rule.meta
-        fix = " [fixable]" if m.fixable else ""
-        lines.append(f"{m.id:<7}  {m.name:<26} [{m.severity}]{fix} {m.summary}")
+        lines.append(f"{m.id:<7}  {m.name:<26} [{m.severity}] {m.summary}")
     return "\n".join(lines)

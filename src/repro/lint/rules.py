@@ -12,7 +12,7 @@ Rule ids are ``<FAMILY><NNN>`` — ``DET`` (determinism), ``PAR``
 ``SUP`` (suppression hygiene) and ``LNT`` (file-level) ids that have no
 visitor class.
 
-Whole-program rules (families ``FLOW``, ``SPAN``, ``RED``) subclass
+Whole-program rules (families ``FLOW``, ``RED``) subclass
 :class:`ProjectRule` instead: they run once over the
 :class:`~repro.lint.callgraph.ProjectIndex` rather than per module, so
 they can chase a value through any cross-file call chain.  Both kinds
@@ -50,11 +50,9 @@ RULE_ID_RE = re.compile(r"^[A-Z]{3,4}\d{3}$")
 class Violation:
     """One finding: a rule fired at a source location.
 
-    ``fixable`` marks findings :mod:`repro.lint.fixes` can rewrite
-    mechanically (``repro lint --fix``).  ``trace`` is the cross-file
-    call chain of a whole-program finding, outermost frame first, each
-    entry ``"path:line function"``; single-module findings leave it
-    empty.
+    ``trace`` is the cross-file call chain of a whole-program finding,
+    outermost frame first, each entry ``"path:line function"``;
+    single-module findings leave it empty.
     """
 
     rule: str
@@ -64,11 +62,10 @@ class Violation:
     message: str
     severity: str = "error"
     fix_hint: str = ""
-    fixable: bool = False
     trace: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict[str, object]:
-        """Plain-JSON representation (the ``--format json`` schema v2)."""
+        """Plain-JSON representation (the ``--format json`` schema v3)."""
         return {
             "rule": self.rule,
             "path": self.path,
@@ -77,39 +74,13 @@ class Violation:
             "message": self.message,
             "severity": self.severity,
             "fix_hint": self.fix_hint,
-            "fixable": self.fixable,
             "trace": list(self.trace),
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict[str, object]) -> "Violation":
-        """Rebuild a violation from :meth:`to_json_dict` output.
-
-        Schema v1 documents (no ``fixable``/``trace``) load with the
-        field defaults, so old CI artifacts stay readable.
-        """
-        return cls(
-            rule=str(data["rule"]),
-            path=str(data["path"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            col=int(data["col"]),  # type: ignore[arg-type]
-            message=str(data["message"]),
-            severity=str(data.get("severity", "error")),
-            fix_hint=str(data.get("fix_hint", "")),
-            fixable=bool(data.get("fixable", False)),
-            trace=tuple(str(t) for t in data.get("trace", ())),  # type: ignore[union-attr]
-        )
 
 
 @dataclass(frozen=True)
 class RuleMeta:
-    """Identity and documentation of one rule.
-
-    ``fixable`` advertises that the autofixer handles (at least some
-    of) this rule's findings; individual violations may still opt out
-    (e.g. a ``DET003`` on ``from time import time``, which needs an
-    import rewrite no mechanical fix should attempt).
-    """
+    """Identity and documentation of one rule."""
 
     id: str
     name: str
@@ -120,7 +91,6 @@ class RuleMeta:
     fix_hint: str
     example_bad: str = ""
     example_good: str = ""
-    fixable: bool = False
 
 
 class Rule(ast.NodeVisitor):
@@ -148,15 +118,8 @@ class Rule(ast.NodeVisitor):
     def prepare(self, ctx: ModuleContext) -> None:
         """Hook for per-module precomputation before the visit pass."""
 
-    def report(
-        self, node: ast.AST, message: str, *, fixable: bool | None = None
-    ) -> None:
-        """Record one violation anchored at ``node``.
-
-        ``fixable`` overrides the rule-level default for findings the
-        autofixer cannot rewrite safely (left as the meta value when
-        omitted).
-        """
+    def report(self, node: ast.AST, message: str) -> None:
+        """Record one violation anchored at ``node``."""
         self.violations.append(
             Violation(
                 rule=self.meta.id,
@@ -166,7 +129,6 @@ class Rule(ast.NodeVisitor):
                 message=message,
                 severity=self.meta.severity,
                 fix_hint=self.meta.fix_hint,
-                fixable=self.meta.fixable if fixable is None else fixable,
             )
         )
 
@@ -194,7 +156,7 @@ def all_rules() -> list[Rule]:
 
 
 class ProjectRule:
-    """Base class of whole-program rules (``FLOW`` / ``SPAN`` / ``RED``).
+    """Base class of whole-program rules (``FLOW`` / ``RED``).
 
     A project rule runs once per lint invocation over the
     :class:`~repro.lint.callgraph.ProjectIndex`; findings may land in
@@ -234,7 +196,6 @@ class ProjectRule:
                 message=message,
                 severity=self.meta.severity,
                 fix_hint=self.meta.fix_hint,
-                fixable=self.meta.fixable,
                 trace=trace,
             )
         )
@@ -256,16 +217,25 @@ def register_project(cls: type[ProjectRule]) -> type[ProjectRule]:
 
 def all_project_rules() -> list[ProjectRule]:
     """Fresh instances of every registered project rule, in id order."""
-    from repro.lint import dataflow  # noqa: F401  (registers FLOW/SPAN/RED)
+    from repro.lint import dataflow  # noqa: F401  (registers FLOW/RED)
 
     return [_PROJECT_REGISTRY[rid]() for rid in sorted(_PROJECT_REGISTRY)]
 
 
 def rule_ids() -> list[str]:
-    """Every registered rule id (module-level and project), sorted."""
+    """Every id ``select``/``ignore`` can name, sorted: the registered
+    rules (module-level and project) plus the engine-owned diagnostics."""
     from repro.lint import dataflow, rules_det, rules_obs, rules_par  # noqa: F401
 
-    return sorted([*_REGISTRY, *_PROJECT_REGISTRY])
+    return sorted(
+        [
+            *_REGISTRY,
+            *_PROJECT_REGISTRY,
+            SUPPRESSION_RULE_ID,
+            UNUSED_SUPPRESSION_RULE_ID,
+            PARSE_ERROR_RULE_ID,
+        ]
+    )
 
 
 # Violation ids owned by the engine rather than a visitor rule:

@@ -131,7 +131,6 @@ class WallClockRule(Rule):
         ),
         example_bad="import time\nt0 = time.time()",
         example_good="import time\nt0 = time.perf_counter()",
-        fixable=True,
     )
 
     #: Always-flagged callables.
@@ -148,23 +147,14 @@ class WallClockRule(Rule):
     #: explicit about being a timestamp; argless `now()` is the reflex).
     _BANNED_ARGLESS = frozenset({"datetime.datetime.now"})
 
-    #: The only forms the autofixer rewrites: a dotted call through the
-    #: `time` module, where swapping the attribute is a pure rename.
-    _FIXABLE = frozenset({"time.time", "time.time_ns"})
-
     def visit_Call(self, node: ast.Call) -> None:
         name = self.ctx.call_name(node)
         if name in self._BANNED:
-            fixable = name in self._FIXABLE and isinstance(
-                node.func, ast.Attribute
-            )
-            self.report(node, f"wall-clock read `{name}()`", fixable=fixable)
+            self.report(node, f"wall-clock read `{name}()`")
         elif (
             name in self._BANNED_ARGLESS and not node.args and not node.keywords
         ):
-            self.report(
-                node, f"argless wall-clock read `{name}()`", fixable=False
-            )
+            self.report(node, f"argless wall-clock read `{name}()`")
         self.generic_visit(node)
 
 
@@ -328,7 +318,6 @@ class UnsortedListingRule(Rule):
         fix_hint="wrap the listing in `sorted(...)` before consuming it",
         example_bad="import os\nfiles = os.listdir(path)",
         example_good="import os\nfiles = sorted(os.listdir(path))",
-        fixable=True,
     )
 
     _MODULE_CALLS = frozenset(

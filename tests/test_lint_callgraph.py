@@ -1,7 +1,7 @@
 """Pinned-fixture tests for the project symbol table / call graph.
 
-The fixture package exercises exactly the resolution paths the FLOW/
-SPAN/RED rules depend on: module naming under a ``src/`` prefix,
+The fixture package exercises exactly the resolution paths the
+FLOW/RED rules depend on: module naming under a ``src/`` prefix,
 ``import x as y`` aliases, ``from x import y as z``, and a package
 ``__init__`` re-export chain a per-module pass cannot see through.
 """
@@ -107,77 +107,8 @@ def test_local_call_and_method_body_resolution(index):
     assert [s.callee for s in crank.calls] == ["pkg.core.engine"]
 
 
-def test_callers_reverse_map(index):
-    callers = {site.caller for _, site in index.callers_of("pkg.core.engine")}
-    assert callers == {
-        "pkg.app.direct",
-        "pkg.app.reexported",
-        "pkg.core.Machine.crank",
-    }
-
-
 def test_unresolvable_call_stays_opaque():
     index = build_index(
         {"m.py": "def f(obj):\n    return obj.method() + unknown()\n"}
     )
     assert [s.callee for s in index.functions["m.f"].calls] == [None, None]
-
-
-# -------------------------------------------------------------- module edges
-
-
-def test_module_edges_are_undirected_and_cover_imports(index):
-    edges = index.module_edges()
-    assert "pkg.core" in edges["pkg.app"]
-    assert "pkg.app" in edges["pkg.core"]
-    assert "pkg.core" in edges["pkg"]
-    # The unrelated script has no edges into the package.
-    assert edges["tool"] == set()
-
-
-# ----------------------------------------------------------------- span map
-
-
-def test_span_parent_recorded_for_calls_inside_with_span():
-    index = build_index(
-        {
-            "m.py": (
-                "def run(tracer):\n"
-                "    with tracer.span('stitch'):\n"
-                "        inner(tracer)\n"
-                "    outer(tracer)\n\n"
-                "def inner(tracer):\n    pass\n\n"
-                "def outer(tracer):\n    pass\n"
-            )
-        }
-    )
-    run = index.functions["m.run"]
-    by_line = {s.node.lineno: s.span_parent for s in run.calls}
-    # The span() call itself is not its own parent; the call inside the
-    # with-block is; the call after it is not.
-    assert by_line[2] is None
-    assert by_line[3] == "stitch"
-    assert by_line[4] is None
-
-
-def test_span_parent_stops_at_function_boundary():
-    index = build_index(
-        {
-            "m.py": (
-                "def run(tracer):\n"
-                "    with tracer.span('stitch'):\n"
-                "        def nested():\n"
-                "            leaf()\n"
-                "        nested()\n\n"
-                "def leaf():\n    pass\n"
-            )
-        }
-    )
-    # The call inside the nested def must not inherit the outer span.
-    sites = [
-        s
-        for _, s in index.call_sites()
-        if isinstance(s.node.func, ast.Name) and s.node.func.id == "leaf"
-    ]
-    assert len(sites) == 1
-    assert sites[0].span_parent is None

@@ -1,4 +1,4 @@
-"""Whole-program FLOW/SPAN/RED rules: metadata examples + cross-file cases.
+"""Whole-program FLOW/RED rules: metadata examples + cross-file cases.
 
 Every cross-file fixture is checked twice: linting the files *together*
 must fire the rule, and linting each file *individually* must stay
@@ -7,15 +7,9 @@ quiet — the proof that a single-module pass cannot catch the hazard.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 
 from repro.lint import all_project_rules, lint_sources
-from repro.lint.dataflow import DEFAULT_SPAN_CONTRACT, SpanContract, load_contract
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def rules_fired(files: dict[str, str]) -> set[str]:
@@ -128,75 +122,6 @@ def test_flow002_shared_rng_with_worker_in_another_module():
     assert not findings(fixed, "FLOW002")
 
 
-def test_flow003_clock_laundered_through_helper_sink():
-    files = {
-        **PKG_INIT,
-        "pkg/store.py": (
-            "def remember(cache, module, stamp, value):\n"
-            "    cache.put((module, stamp), value)\n"
-        ),
-        "pkg/driver.py": (
-            "import time\n\n"
-            "from pkg.store import remember\n\n"
-            "def record(cache, module, value):\n"
-            "    remember(cache, module, time.time(), value)\n"
-        ),
-    }
-    hits = assert_cross_file_only(files, "FLOW003")
-    assert hits[0].path == "pkg/driver.py"
-    assert "stamp" in hits[0].message
-    assert any("pkg/store.py" in frame for frame in hits[0].trace)
-
-
-def test_span001_helper_span_under_contract_breaking_parent():
-    files = {
-        **PKG_INIT,
-        "pkg/helper.py": (
-            "def anneal(tracer):\n"
-            "    with tracer.span('stitch.anneal'):\n"
-            "        pass\n"
-        ),
-        "pkg/driver.py": (
-            "from pkg.helper import anneal\n\n"
-            "def polish(tracer):\n"
-            "    with tracer.span('evolve'):\n"
-            "        anneal(tracer)\n"
-        ),
-    }
-    hits = assert_cross_file_only(files, "SPAN001")
-    # Reported at the span-open site, with the proving caller in the trace.
-    assert hits[0].path == "pkg/helper.py"
-    assert "`evolve`" in hits[0].message
-    assert any("pkg/driver.py" in frame for frame in hits[0].trace)
-    # The same helper under an allowed parent is fine.
-    fixed = dict(files)
-    fixed["pkg/driver.py"] = files["pkg/driver.py"].replace(
-        "span('evolve')", "span('stitch')"
-    )
-    assert not findings(fixed, "SPAN001")
-
-
-def test_span002_helper_graft_plus_caller_regraft():
-    files = {
-        **PKG_INIT,
-        "pkg/helper.py": (
-            "def merge(tracer, traces):\n"
-            "    for t in traces:\n"
-            "        tracer.graft(t)\n"
-        ),
-        "pkg/driver.py": (
-            "from pkg.helper import merge\n\n"
-            "def collect(tracer, traces):\n"
-            "    merge(tracer, traces)\n"
-            "    for t in traces:\n"
-            "        tracer.graft(t)\n"
-        ),
-    }
-    hits = assert_cross_file_only(files, "SPAN002")
-    assert hits[0].path == "pkg/driver.py"
-    assert "traces" in hits[0].message
-
-
 def test_red001_set_provenance_from_another_module():
     files = {
         **PKG_INIT,
@@ -222,55 +147,3 @@ def test_red001_set_provenance_from_another_module():
         "in pending()", "in sorted(pending())"
     )
     assert not findings(fixed, "RED001")
-
-
-# ----------------------------------------------------------- span contract
-
-
-def test_span_contract_file_matches_embedded_default():
-    on_disk = json.loads(
-        (REPO_ROOT / "docs" / "span_contract.json").read_text(encoding="utf-8")
-    )
-    assert on_disk == DEFAULT_SPAN_CONTRACT.to_dict()
-    assert SpanContract.from_dict(on_disk) == DEFAULT_SPAN_CONTRACT
-
-
-def test_load_contract_and_custom_contract_changes_findings(tmp_path):
-    src = {
-        "m.py": (
-            "def polish(tracer):\n"
-            "    with tracer.span('evolve'):\n"
-            "        with tracer.span('stitch.anneal'):\n"
-            "            pass\n"
-        )
-    }
-    assert "SPAN001" in {
-        v.rule for v in lint_sources(src).violations
-    }
-    # A contract that allows the nesting silences the finding.
-    permissive = {
-        "roots": ["evolve"],
-        "tree": {"evolve": ["stitch.anneal"]},
-    }
-    path = tmp_path / "contract.json"
-    path.write_text(json.dumps(permissive), encoding="utf-8")
-    contract = load_contract(path)
-    assert contract.allowed_parents("stitch.anneal") == frozenset({"evolve"})
-    result = lint_sources(src, contract=contract)
-    assert "SPAN001" not in {v.rule for v in result.violations}
-
-
-def test_contract_never_fires_on_unknown_child_or_unproven_parent():
-    src = {
-        "m.py": (
-            "def run(tracer):\n"
-            "    with tracer.span('totally.unknown'):\n"
-            "        pass\n\n"
-            "def solo(tracer):\n"
-            "    with tracer.span('stitch.anneal'):\n"
-            "        pass\n"
-        )
-    }
-    # 'totally.unknown' is outside the contract, and 'stitch.anneal'
-    # with no caller has no *proven* parent -> conservative silence.
-    assert "SPAN001" not in rules_fired(src)
