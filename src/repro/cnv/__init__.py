@@ -11,8 +11,11 @@ essentially the whole xc7z020.
 Block contents are synthetic (we have no FINN RTL), but each block type
 carries the right resource *signature* — MVAUs are XNOR-popcount LUT logic
 with adder-tree carry chains, weight blocks are LUTRAM/BRAM-heavy, SWUs
-are SRL line buffers — and each unique block is calibrated to a per-block
+are SRL line buffers — and each unique block is sized to a per-block
 slice budget so the design totals ~99% of the device like the paper's.
+The scale that fits each block to its budget is pinned in a table;
+:func:`repro.cnv.design.calibrate_scale` recomputes the table in the
+tests, so no process runs the bisection.
 """
 
 from repro.cnv.blocks import BLOCK_BUILDERS, build_block

@@ -2,8 +2,7 @@
 
 Each builder produces an :class:`~repro.rtlgen.base.RTLModule` whose
 resource signature matches its FINN counterpart, parameterized by a single
-``scale`` knob that the design calibrates against the block's slice
-budget:
+``scale`` knob fitted to the block's slice budget:
 
 ========== =============================================================
 kind        signature
@@ -37,7 +36,6 @@ from repro.rtlgen.constructs import (
     ShiftRegisterBank,
     SumOfSquares,
 )
-from repro.utils.validation import check_positive
 
 __all__ = ["BLOCK_BUILDERS", "build_block"]
 
@@ -212,13 +210,14 @@ def build_block(kind: str, name: str, scale: float, **extra: int) -> RTLModule:
     name:
         Instance-unique module name.
     scale:
-        Size knob (calibrated by :mod:`repro.cnv.design`).
+        Size knob, positive and finite.  The designs use pinned scales,
+        which :func:`repro.cnv.design.calibrate_scale` recomputes in the
+        tests.
     extra:
         Builder-specific extras (e.g. ``n_bram`` for weights blocks).
     """
-    check_positive(scale, "scale")
-    if math.isnan(scale):
-        raise ValueError("scale must be a number")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be a positive finite number, got {scale!r}")
     try:
         builder = BLOCK_BUILDERS[kind]
     except KeyError:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 
 from repro.cnv.blocks import build_block
-from repro.cnv.design import calibrate_scale
 from repro.cnv.partition import BlockSpec
 from repro.flow.blockdesign import BlockDesign
 
@@ -58,14 +57,43 @@ def tfc_inventory() -> list[BlockSpec]:
     return inv
 
 
+#: The scale of every unique module, in inventory order, pinned like
+#: cnvW1A1's: what :func:`repro.cnv.design.calibrate_scale` returns for
+#: its spec, recomputed by ``tests/test_cnv_scales.py``.
+_TFC_SCALES: dict[str, float] = {
+    "tfc_dma_in": 0.02,
+    "tfc_fifo_in": 1.1666675923213576,
+    "tfc_mvau_0": 1.2499977313351556,
+    "tfc_mvau_2": 0.7500004199547325,
+    "tfc_thres": 0.02,
+    "tfc_weights_0": 4.884611711995649,
+    "tfc_weights_1": 4.653847501286003,
+    "tfc_weights_2": 3.884618685760891,
+    "tfc_weights_3": 4.038464481856882,
+    "tfc_weights_4": 2.961538815598078,
+    "tfc_weights_5": 2.9230777456767205,
+    "tfc_weights_6": 2.263160034092536,
+    "tfc_weights_7": 2.11538105702139,
+    "tfc_weights_8": 1.576923250384604,
+    "tfc_weights_9": 1.576923250384604,
+    "tfc_weights_10": 1.6538464780325288,
+    "tfc_weights_11": 1.6210530086857833,
+    "tfc_fifo_01": 1.3333338114693192,
+    "tfc_fifo_12": 1.1666675923213576,
+    "tfc_label": 0.763636976378032,
+    "tfc_dma_out": 0.02,
+}
+
+
 @functools.lru_cache(maxsize=None)
 def tfc_design() -> BlockDesign:
     """The complete tfcW1A1 block design (33 instances / 21 modules)."""
     design = BlockDesign(name="tfcW1A1")
     inventory = tfc_inventory()
     for spec in inventory:
-        scale = calibrate_scale(spec)
-        design.add_module(build_block(spec.kind, spec.module, scale, **spec.extra))
+        design.add_module(
+            build_block(spec.kind, spec.module, _TFC_SCALES[spec.module], **spec.extra)
+        )
     for spec in inventory:
         for inst in spec.instance_names():
             design.add_instance(inst, spec.module)

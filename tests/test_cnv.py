@@ -27,6 +27,11 @@ class TestBlockBuilders:
         with pytest.raises(KeyError):
             build_block("nope", "x", 1.0)
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_non_positive_or_non_finite_scale(self, scale):
+        with pytest.raises(ValueError, match="positive finite"):
+            build_block("mvau", "x", scale)
+
     def test_weights_are_lutram_heavy(self):
         s = compute_stats(synthesize(build_block("weights", "w", 2.0)))
         assert s.n_lutram > 0
