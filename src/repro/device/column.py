@@ -12,12 +12,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.device.resources import (
-    BRAM36_PER_REGION_COLUMN,
-    DSP48_PER_REGION_COLUMN,
-    SLICES_PER_CLB,
-)
-
 __all__ = ["ColumnKind", "Column"]
 
 
@@ -50,23 +44,3 @@ class Column:
 
     kind: ColumnKind
     x: int
-
-    def slices_per_clb_row(self) -> int:
-        """Slices contributed per CLB row (2 for CLB columns, else 0)."""
-        return SLICES_PER_CLB if self.kind.is_clb else 0
-
-    def m_slices_per_clb_row(self) -> int:
-        """M-type slices per CLB row (1 for CLB-LM columns, else 0)."""
-        return 1 if self.kind is ColumnKind.CLBLM else 0
-
-    def bram36_in_rows(self, n_clb_rows: int) -> int:
-        """BRAM36 sites within ``n_clb_rows`` CLB rows of this column."""
-        if self.kind is not ColumnKind.BRAM:
-            return 0
-        return n_clb_rows * BRAM36_PER_REGION_COLUMN // 50
-
-    def dsp48_in_rows(self, n_clb_rows: int) -> int:
-        """DSP48 sites within ``n_clb_rows`` CLB rows of this column."""
-        if self.kind is not ColumnKind.DSP:
-            return 0
-        return n_clb_rows * DSP48_PER_REGION_COLUMN // 50

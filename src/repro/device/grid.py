@@ -11,17 +11,41 @@ slice to each of the column's two slice columns).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass, fields
+from functools import cached_property
+from itertools import accumulate
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.device.column import Column, ColumnKind
-from repro.device.resources import ResourceCaps, SLICES_PER_CLB
+from repro.device.resources import (
+    BRAM36_PER_REGION_COLUMN,
+    DSP48_PER_REGION_COLUMN,
+    FFS_PER_SLICE,
+    LUTRAM_PER_MSLICE,
+    LUTS_PER_SLICE,
+    SLICES_PER_CLB,
+    ResourceCaps,
+)
 from repro.utils.validation import check_positive
 
 __all__ = ["DeviceGrid", "CLB_PER_REGION"]
 
 #: 7-series clock regions are 50 CLBs tall.
 CLB_PER_REGION = 50
+
+
+class _ColumnTables(NamedTuple):
+    """Per-grid tables behind :meth:`DeviceGrid.find_window` and
+    :meth:`DeviceGrid.caps_in_rect`, indexed by column class ``k`` in the
+    order of ``find_window``'s minima: CLB (LL or LM), CLB-LM, BRAM, DSP."""
+
+    #: ``counts[k][x]``: columns of class ``k`` in ``[0, x)``.
+    counts: tuple[tuple[int, ...], ...]
+    #: ``positions[k]``: x of every column of class ``k``, left to right.
+    positions: tuple[tuple[int, ...], ...]
+    #: ``next_clock[x]``: the first clock spine at or after ``x``, or
+    #: ``n_cols`` when there is none.
+    next_clock: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -37,14 +61,16 @@ class DeviceGrid:
     n_regions:
         Number of clock-region rows; the grid is ``50 * n_regions`` CLB rows
         tall.
+
+    Everything else a grid holds (its column tables and query memos) is
+    derived from these three fields on first use, so it is never passed
+    to the constructor, never carried over by :func:`dataclasses.replace`
+    and never pickled.
     """
 
     name: str
     columns: tuple[Column, ...]
     n_regions: int
-    _kind_cache: dict = field(
-        default_factory=dict, repr=False, compare=False, hash=False
-    )
 
     def __post_init__(self) -> None:
         check_positive(self.n_regions, "n_regions")
@@ -56,6 +82,41 @@ class DeviceGrid:
                     f"column {i} has inconsistent x={col.x}; columns must be "
                     "numbered left to right"
                 )
+
+    def __getstate__(self) -> dict:
+        # Only the defining fields: a pickle's bytes must not depend on
+        # which queries the grid answered before it was pickled.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    # ------------------------------------------------------------------ derived
+
+    @cached_property
+    def _tables(self) -> _ColumnTables:
+        classes = [
+            (k.is_clb, k is ColumnKind.CLBLM, k is ColumnKind.BRAM, k is ColumnKind.DSP)
+            for k in self.kinds()
+        ]
+        counts = tuple(
+            tuple(accumulate((int(c[k]) for c in classes), initial=0)) for k in range(4)
+        )
+        positions = tuple(
+            tuple(x for x, c in enumerate(classes) if c[k]) for k in range(4)
+        )
+        next_clock = [self.n_cols] * self.n_cols
+        clock = self.n_cols
+        for col in reversed(self.columns):
+            if col.kind is ColumnKind.CLOCK:
+                clock = col.x
+            next_clock[col.x] = clock
+        return _ColumnTables(counts, positions, tuple(next_clock))
+
+    @cached_property
+    def _window_cache(self) -> dict[tuple[tuple[int, ...], int], tuple[int, int] | None]:
+        return {}
+
+    @cached_property
+    def _kind_cache(self) -> dict[tuple[ColumnKind, ...], list[int]]:
+        return {}
 
     # ------------------------------------------------------------------ geometry
 
@@ -101,21 +162,24 @@ class DeviceGrid:
         """Resource capacities inside a rectangle.
 
         BRAM/DSP counts use each column's 5-CLB site pitch; partial pitches
-        round down (a site must lie fully inside the rectangle).
+        round down (a site must lie fully inside the rectangle).  The
+        column counts come from the grid's prefix tables.
         """
         self._check_window(x0, width)
         self._check_rows(y0, height)
-        caps = ResourceCaps()
-        for col in self.columns[x0 : x0 + width]:
-            if col.kind.is_clb:
-                n_slices = height * SLICES_PER_CLB
-                n_m = height * col.m_slices_per_clb_row()
-                caps = caps + ResourceCaps.for_slices(n_slices, n_m)
-            elif col.kind is ColumnKind.BRAM:
-                caps = caps + ResourceCaps(bram36=col.bram36_in_rows(height))
-            elif col.kind is ColumnKind.DSP:
-                caps = caps + ResourceCaps(dsp48=col.dsp48_in_rows(height))
-        return caps
+        clb, m, bram, dsp = (c[x0 + width] - c[x0] for c in self._tables.counts)
+        n_slices = clb * height * SLICES_PER_CLB
+        n_m = m * height  # one M slice per CLB-LM row
+        return ResourceCaps(
+            slices=n_slices,
+            m_slices=n_m,
+            luts=n_slices * LUTS_PER_SLICE,
+            ffs=n_slices * FFS_PER_SLICE,
+            carry4=n_slices,
+            lutram_sites=n_m * LUTRAM_PER_MSLICE,
+            bram36=bram * (height * BRAM36_PER_REGION_COLUMN // CLB_PER_REGION),
+            dsp48=dsp * (height * DSP48_PER_REGION_COLUMN // CLB_PER_REGION),
+        )
 
     def device_caps(self) -> ResourceCaps:
         """Capacities of the full device."""
@@ -171,39 +235,36 @@ class DeviceGrid:
     ) -> tuple[int, int] | None:
         """Find the narrowest window from ``start_x`` satisfying column minima.
 
-        Returns ``(x0, width)`` of the first (leftmost, then narrowest)
-        window containing at least the requested number of CLB, CLB-LM,
-        BRAM and DSP columns, or ``None`` if the device cannot satisfy it.
-        Used by the PBlock generator to snap a resource demand to the
-        column grid.
+        Returns ``(x0, width)`` of the narrowest window (the leftmost
+        among equally narrow ones) that contains at least the requested
+        number of CLB, CLB-LM, BRAM and DSP columns and no clock spine,
+        or ``None`` if the device cannot satisfy it.  Used by the PBlock
+        generator to snap a resource demand to the column grid.  Answers
+        come from the grid's column tables and are memoized per
+        ``(minima, start_x)``: a CF sweep asks the same question at many
+        steps.
         """
-        best: tuple[int, int] | None = None
+        minima = (min_clb_cols, min_m_cols, min_bram_cols, min_dsp_cols)
+        key = (minima, start_x)
+        cache = self._window_cache
+        if key in cache:
+            return cache[key]
+        counts, positions, next_clock = self._tables
         n = self.n_cols
+        best: tuple[int, int] | None = None
         for x0 in range(start_x, n):
-            clb = m = bram = dsp = 0
-            for x1 in range(x0, n):
-                kind = self.columns[x1].kind
-                if kind is ColumnKind.CLOCK:
-                    # PBlocks cannot contain the clock spine; restart after it.
-                    break
-                if kind.is_clb:
-                    clb += 1
-                    if kind is ColumnKind.CLBLM:
-                        m += 1
-                elif kind is ColumnKind.BRAM:
-                    bram += 1
-                elif kind is ColumnKind.DSP:
-                    dsp += 1
-                if (
-                    clb >= min_clb_cols
-                    and m >= min_m_cols
-                    and bram >= min_bram_cols
-                    and dsp >= min_dsp_cols
-                ):
-                    width = x1 - x0 + 1
-                    if best is None or width < best[1]:
-                        best = (x0, width)
-                    break
+            # The narrowest window from x0 ends at the column that meets
+            # its last minimum (n when too few remain); it is valid only
+            # if no clock spine comes first.
+            x1 = x0
+            for need, count, xs in zip(minima, counts, positions):
+                if need > 0:
+                    i = count[x0] + need - 1
+                    x1 = max(x1, xs[i] if i < len(xs) else n)
+            width = x1 - x0 + 1
+            if x1 < next_clock[x0] and (best is None or width < best[1]):
+                best = (x0, width)
+        cache[key] = best
         return best
 
     # ------------------------------------------------------------------ misc

@@ -17,6 +17,7 @@ from repro.features.registry import make_record
 from repro.flow.policy import CFOutcome, CFPolicy, FlowInfeasibleError
 from repro.netlist.stats import NetlistStats
 from repro.place.quick import ShapeReport
+from repro.pblock.cf_search import _attempt
 
 __all__ = ["EstimatedCF"]
 
@@ -85,7 +86,7 @@ class EstimatedCF(CFPolicy):
         self.modules_seen += 1
         n_runs = 1
         attempted = [cf0]
-        pb, res = self._attempt(stats, report, cf0, grid)
+        pb, res = _attempt(stats, report, cf0, grid)
         if pb is not None and res.feasible:
             self.first_run_hits += 1
             return CFOutcome(
@@ -98,7 +99,7 @@ class EstimatedCF(CFPolicy):
         while cf <= _MAX_CF + 1e-9:
             n_runs += 1
             attempted.append(cf)
-            pb, res = self._attempt(stats, report, cf, grid)
+            pb, res = _attempt(stats, report, cf, grid)
             if pb is not None and res.feasible:
                 break
             prev = cf
@@ -115,7 +116,7 @@ class EstimatedCF(CFPolicy):
         fine = round(prev + _FINE, 10)
         while fine < cf - 1e-9:
             n_runs += 1
-            pb_f, res_f = self._attempt(stats, report, fine, grid)
+            pb_f, res_f = _attempt(stats, report, fine, grid)
             if pb_f is not None and res_f.feasible:
                 cf, pb, res = fine, pb_f, res_f
                 break

@@ -14,10 +14,14 @@ from dataclasses import dataclass
 
 from repro.device.grid import DeviceGrid
 from repro.netlist.stats import NetlistStats
-from repro.place.packer import PackResult, pack
+from repro.place.packer import PackResult
 from repro.place.quick import ShapeReport
-from repro.pblock.cf_search import DEFAULT_START, InfeasibleModuleError, minimal_cf
-from repro.pblock.generator import PBlockGenerationError, build_pblock
+from repro.pblock.cf_search import (
+    DEFAULT_START,
+    InfeasibleModuleError,
+    _attempt,
+    minimal_cf,
+)
 from repro.pblock.pblock import PBlock
 from repro.utils.validation import check_positive
 
@@ -120,16 +124,6 @@ class CFPolicy(abc.ABC):
             return f"{name}({parts})"
         return name
 
-    @staticmethod
-    def _attempt(
-        stats: NetlistStats, report: ShapeReport, cf: float, grid: DeviceGrid
-    ) -> tuple[PBlock | None, PackResult]:
-        try:
-            pb = build_pblock(stats, report, cf, grid)
-        except PBlockGenerationError:
-            return None, PackResult(False, reason="no_pblock")
-        return pb, pack(stats, pb)
-
 
 @dataclass
 class FixedCF(CFPolicy):
@@ -143,7 +137,7 @@ class FixedCF(CFPolicy):
     def choose(
         self, stats: NetlistStats, report: ShapeReport, grid: DeviceGrid
     ) -> CFOutcome:
-        pb, res = self._attempt(stats, report, self.cf, grid)
+        pb, res = _attempt(stats, report, self.cf, grid)
         if pb is None or not res.feasible:
             raise FlowInfeasibleError(
                 f"{stats.name}: infeasible at constant cf={self.cf} ({res.reason})",

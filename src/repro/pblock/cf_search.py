@@ -84,12 +84,26 @@ def recommended_step(n_luts: int) -> float:
 
 
 def _attempt(
-    stats: NetlistStats, report: ShapeReport, cf: float, grid: DeviceGrid
+    stats: NetlistStats,
+    report: ShapeReport,
+    cf: float,
+    grid: DeviceGrid,
+    previous: tuple[PBlock | None, PackResult] | None = None,
 ) -> tuple[PBlock | None, PackResult]:
+    """One tool run at ``cf``: snap a PBlock and pack the module into it.
+
+    ``previous`` is the attempt of the sweep step before; when ``cf``
+    snaps to the same PBlock, that attempt is returned instead of packing
+    again.  Small CF steps often cannot change the snapped rectangle
+    (paper §VI-C), and packing one module into one PBlock gives the same
+    result at every step.
+    """
     try:
         pb = build_pblock(stats, report, cf, grid)
     except PBlockGenerationError:
         return None, PackResult(False, reason="no_pblock")
+    if previous is not None and previous[0] == pb:
+        return previous
     return pb, pack(stats, pb)
 
 
@@ -120,6 +134,10 @@ def minimal_cf(
         Reuse a precomputed shape report (one quick placement per module,
         as in Fig. 1).
 
+    Every step counts as a tool run.  A step whose snapped PBlock repeats
+    the previous step's reuses that step's packing instead of packing
+    again; the result is the same either way.
+
     Raises
     ------
     InfeasibleModuleError
@@ -132,11 +150,13 @@ def minimal_cf(
         report = quick_place(stats)
 
     n_runs = 0
+    attempt: tuple[PBlock | None, PackResult] | None = None
     # Upward sweep.
     cf = start
     best: tuple[float, PBlock, PackResult] | None = None
     while cf <= max_cf + 1e-9:
-        pb, res = _attempt(stats, report, cf, grid)
+        attempt = _attempt(stats, report, cf, grid, attempt)
+        pb, res = attempt
         n_runs += 1
         if res.feasible and pb is not None:
             best = (cf, pb, res)
@@ -152,7 +172,8 @@ def minimal_cf(
         # Start was feasible: walk down until the first failure.
         cf = round(start - step, 10)
         while cf >= DOWN_LIMIT - 1e-9:
-            pb, res = _attempt(stats, report, cf, grid)
+            attempt = _attempt(stats, report, cf, grid, attempt)
+            pb, res = attempt
             n_runs += 1
             if not (res.feasible and pb is not None):
                 break

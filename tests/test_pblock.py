@@ -4,14 +4,17 @@ import pytest
 
 from repro.device.column import ColumnKind
 from repro.netlist.stats import compute_stats
+from repro.pblock import cf_search
 from repro.pblock.cf_search import (
+    DOWN_LIMIT,
+    CFSearchResult,
     InfeasibleModuleError,
     minimal_cf,
     recommended_step,
 )
 from repro.pblock.generator import PBlockGenerationError, build_pblock
 from repro.pblock.pblock import PBlock
-from repro.place.packer import pack
+from repro.place.packer import PackResult, pack
 from repro.place.quick import quick_place
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import (
@@ -20,11 +23,59 @@ from repro.rtlgen.constructs import (
     RandomLogicCloud,
     SumOfSquares,
 )
+from repro.rtlgen.sweep import generate_sweep
 from repro.synth.mapper import synthesize
 
 
 def _stats(*constructs, name="pb"):
     return compute_stats(synthesize(RTLModule.make(name, list(constructs))))
+
+
+def _reference_minimal_cf(stats, grid, report, *, search_down, start=0.9, step=0.02, max_cf=2.5):
+    """Oracle: the sweep before packings were reused, with ``build_pblock``
+    and ``pack`` at every step.
+
+    Returns the search result (``None`` when no CF fits), the number of
+    steps, and the number of steps whose PBlock differs from the step
+    before's (the packings ``minimal_cf`` still has to run).
+    """
+    steps = []
+
+    def attempt(cf):
+        try:
+            pb = build_pblock(stats, report, cf, grid)
+        except PBlockGenerationError:
+            pb, res = None, PackResult(False, reason="no_pblock")
+        else:
+            res = pack(stats, pb)
+        steps.append(pb)
+        return pb, res
+
+    best = None
+    cf = start
+    while cf <= max_cf + 1e-9:
+        pb, res = attempt(cf)
+        if res.feasible and pb is not None:
+            best = (cf, pb, res)
+            break
+        cf = round(cf + step, 10)
+    if best is not None and search_down and abs(best[0] - start) < step / 2:
+        cf = round(start - step, 10)
+        while cf >= DOWN_LIMIT - 1e-9:
+            pb, res = attempt(cf)
+            if not (res.feasible and pb is not None):
+                break
+            best = (cf, pb, res)
+            cf = round(cf - step, 10)
+    n_packs = sum(
+        1 for before, pb in zip([None, *steps], steps) if pb is not None and pb != before
+    )
+    if best is None:
+        return None, len(steps), n_packs
+    found = CFSearchResult(
+        cf=best[0], n_runs=len(steps), pblock=best[1], result=best[2], report=report
+    )
+    return found, len(steps), n_packs
 
 
 class TestPBlock:
@@ -147,6 +198,56 @@ class TestMinimalCF:
     def test_deterministic(self, z020):
         s = _stats(RandomLogicCloud(n_luts=400))
         assert minimal_cf(s, z020).cf == minimal_cf(s, z020).cf
+
+
+@pytest.fixture(scope="module")
+def sweep_stats():
+    return [compute_stats(synthesize(m)) for m in generate_sweep(30, seed=5)]
+
+
+class TestPackReuse:
+    """A sweep step that snaps to the previous step's PBlock reuses its
+    packing: same result as packing at every step, fewer ``pack`` calls."""
+
+    @pytest.mark.parametrize("search_down", [False, True])
+    @pytest.mark.parametrize("grid_name", ["z020", "tiny_grid"])
+    def test_sweep_matches_packing_every_step(
+        self, grid_name, search_down, sweep_stats, request, monkeypatch
+    ):
+        # On the tiny grid about half the modules are infeasible.
+        grid = request.getfixturevalue(grid_name)
+        packed = []
+
+        def counting_pack(stats, pb):
+            packed.append(pb)
+            return pack(stats, pb)
+
+        monkeypatch.setattr(cf_search, "pack", counting_pack)
+        n_reused = 0
+        for stats in sweep_stats:
+            report = quick_place(stats)
+            expected, n_steps, n_packs = _reference_minimal_cf(
+                stats, grid, report, search_down=search_down
+            )
+            packed.clear()
+            if expected is None:
+                with pytest.raises(InfeasibleModuleError) as err:
+                    minimal_cf(stats, grid, search_down=search_down, report=report)
+                assert err.value.n_runs == n_steps
+            else:
+                found = minimal_cf(stats, grid, search_down=search_down, report=report)
+                assert (found.cf, found.n_runs, found.pblock, found.result) == (
+                    expected.cf,
+                    expected.n_runs,
+                    expected.pblock,
+                    expected.result,
+                )
+                assert found.result.footprint == expected.result.footprint
+            assert len(packed) == n_packs
+            if n_packs < n_steps:
+                n_reused += 1
+                assert len(packed) < n_steps
+        assert n_reused > 0  # some modules' steps repeat a PBlock
 
 
 class TestRecommendedStep:
