@@ -4,9 +4,9 @@ Parallel tempering's claim is that *cooperating* chains (replica
 exchange + best migration) beat the same number of *independent* SA
 restarts at an equal total move budget.  This gate pins that claim on
 the cnvW1A1 stitch: ``temper`` with N chains spends exactly the same
-number of kernel operations as ``stitch_best`` with N seeds (one
-tempering unit == one SA iteration), and the tempering ``(unplaced,
-cost)`` outcome must not be worse.
+number of kernel operations as N SA restarts (``place_best`` over an
+``SAPlacer`` with N seeds; one tempering unit == one SA iteration), and
+the tempering ``(unplaced, cost)`` outcome must not be worse.
 
 Set ``REPRO_PT_STATS`` to a path to write the comparison as a JSON
 artifact (CI uploads it as ``tempering_vs_restarts.json``) and
@@ -24,7 +24,8 @@ import pytest
 from repro.device.parts import xc7z020
 from repro.flow.policy import FixedCF
 from repro.flow.preimpl import implement_design
-from repro.flow.restarts import stitch_best
+from repro.flow.placers import SAPlacer
+from repro.flow.restarts import place_best
 from repro.flow.stitcher import SAParams
 from repro.flow.tempering import PTParams, temper
 
@@ -37,7 +38,7 @@ def grid():
 
 
 def test_perf_tempering_vs_restarts_equal_budget(grid):
-    """Tempering must match or beat stitch_best at an equal total budget."""
+    """Tempering must match or beat SA restarts at an equal total budget."""
     from repro.cnv import cnv_design
 
     design = cnv_design()
@@ -54,9 +55,9 @@ def test_perf_tempering_vs_restarts_equal_budget(grid):
     # N independent SA seeds at budget/N each == N cooperating chains
     # sharing one budget: both sides spend `budget` kernel ops total.
     t0 = time.perf_counter()
-    sb = stitch_best(
+    sb = place_best(
+        SAPlacer(SAParams(max_iters=budget // N_FAMILIES, seed=0)),
         design, footprints, grid,
-        SAParams(max_iters=budget // N_FAMILIES, seed=0),
         n_seeds=N_FAMILIES,
     )
     t_sb = time.perf_counter() - t0
@@ -92,6 +93,6 @@ def test_perf_tempering_vs_restarts_equal_budget(grid):
     assert pt.iterations == budget
     assert (pt.n_unplaced, pt.final_cost) <= (sb.n_unplaced, sb.final_cost), (
         f"tempering (unplaced={pt.n_unplaced}, cost={pt.final_cost}) worse "
-        f"than stitch_best (unplaced={sb.n_unplaced}, cost={sb.final_cost}) "
+        f"than SA restarts (unplaced={sb.n_unplaced}, cost={sb.final_cost}) "
         f"at budget {budget}"
     )

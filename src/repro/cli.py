@@ -8,12 +8,9 @@ Usage::
     python -m repro dataset -n 500 -o ds.npz --workers 4 --cache-dir .dscache
     python -m repro train -d ds.npz -o est.json  # train a CF estimator
     python -m repro preimpl design.json --cache-dir .cache --workers 4  # warm the cache
-    python -m repro stitch design.json --cf 1.5 --restarts 4  # place a design
-    python -m repro stitch design.json --profile --trace-out trace.json
-    python -m repro evolve design.json --budget 20000 --restarts 4  # GA placer
-    python -m repro temper design.json --budget 20000 --chains 4  # parallel tempering
-    python -m repro gplace design.json --polish-iters 20000  # analytic warm start + SA
-    python -m repro route design.json --congestion-weight 0.5  # congestion/timing report
+    python -m repro place design.json --cf 1.5 --restarts 4  # SA placement + report
+    python -m repro place design.json --placer ga --budget 20000  # any portfolio placer
+    python -m repro place design.json --profile --trace-out trace.json
     python -m repro trace summarize trace.json  # render a saved trace
     python -m repro lint src benchmarks perfbench --format github  # static analysis
     python -m repro report [-n 2000] [-o EXPERIMENTS.md]  # all experiments
@@ -26,11 +23,26 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-__all__ = ["main", "build_parser"]
+__all__ = ["PLACERS", "build_parser", "main"]
 
-#: Mirrors :data:`repro.flow.stitcher.KERNELS` (kept literal so parser
-#: construction stays import-light; tests assert the two agree).
-_SA_KERNELS = ("fast", "reference")
+#: ``repro place --placer`` choices: the DSE portfolio's members
+#: (:func:`repro.flow.placers.default_portfolio`) plus the analytic
+#: placer alone.  Kept literal so parser construction stays
+#: import-light; tests assert the two agree.
+PLACERS = ("sa", "ga", "warm-sa", "pt", "gp+sa", "gp")
+
+
+def _positive_int(value: str) -> int:
+    """Parse a count flag that must be at least 1."""
+    try:
+        n = int(value)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value!r}"
+        )
+    return n
 
 
 def _add_trace_args(p: argparse.ArgumentParser) -> None:
@@ -39,16 +51,6 @@ def _add_trace_args(p: argparse.ArgumentParser) -> None:
                    help="write the span trace as JSON (or JSONL for *.jsonl)")
     p.add_argument("--profile", action="store_true",
                    help="print the per-stage trace breakdown after the run")
-
-
-def _add_route_args(p: argparse.ArgumentParser) -> None:
-    """Routing/timing-aware cost knobs shared by the placer commands."""
-    p.add_argument("--congestion-weight", type=float, default=0.0,
-                   help="weight of the channel-overflow congestion cost "
-                   "term (0 = pure HPWL, the default)")
-    p.add_argument("--timing-weight", type=float, default=0.0,
-                   help="weight of the block-level critical-path cost "
-                   "term (0 = off, the default)")
 
 
 def _make_tracer(args: argparse.Namespace):
@@ -144,140 +146,37 @@ def build_parser() -> argparse.ArgumentParser:
                       help="emit the FlowStats as JSON on stdout")
     _add_trace_args(p_pi)
 
-    p_st = sub.add_parser(
-        "stitch", help="pre-implement and stitch a saved block design"
+    p_pl = sub.add_parser(
+        "place",
+        help="pre-implement and place a saved block design, then report "
+        "channel congestion and the block-level critical path",
     )
-    p_st.add_argument("design", help="design JSON (see export-design)")
-    p_st.add_argument("--part", default="xc7z020")
-    cf_group = p_st.add_mutually_exclusive_group()
+    p_pl.add_argument("design", help="design JSON (see export-design)")
+    p_pl.add_argument("--part", default="xc7z020")
+    p_pl.add_argument("--placer", choices=PLACERS, default="sa",
+                      help="placement optimizer (default: sa)")
+    cf_group = p_pl.add_mutually_exclusive_group()
     cf_group.add_argument("--cf", type=float, default=1.5,
                           help="constant correction factor")
     cf_group.add_argument("--minimal", action="store_true",
                           help="use the ground-truth minimal CF per module")
-    p_st.add_argument("--kernel", choices=list(_SA_KERNELS), default="fast")
-    p_st.add_argument("--restarts", type=int, default=1,
-                      help="independent SA seeds; the best run wins")
-    p_st.add_argument("--workers", type=int, default=0,
+    p_pl.add_argument("--budget", type=_positive_int, default=20000,
+                      help="kernel-move budget (gp+sa polishes at half of "
+                      "it; gp spends none)")
+    p_pl.add_argument("--restarts", type=_positive_int, default=1,
+                      help="independent placer seeds; the best run wins")
+    p_pl.add_argument("--workers", type=int, default=0,
                       help="worker processes for the restarts (0 = serial)")
-    p_st.add_argument("--sa-iters", type=int, default=20000)
-    p_st.add_argument("--seed", type=int, default=0)
-    p_st.add_argument("--render", action="store_true",
-                      help="print the ASCII occupancy map")
-    _add_route_args(p_st)
-    _add_trace_args(p_st)
-
-    p_ev = sub.add_parser(
-        "evolve",
-        help="pre-implement and GA-place a saved block design",
-    )
-    p_ev.add_argument("design", help="design JSON (see export-design)")
-    p_ev.add_argument("--part", default="xc7z020")
-    ev_cf_group = p_ev.add_mutually_exclusive_group()
-    ev_cf_group.add_argument("--cf", type=float, default=1.5,
-                             help="constant correction factor")
-    ev_cf_group.add_argument("--minimal", action="store_true",
-                             help="use the ground-truth minimal CF per module")
-    p_ev.add_argument("--kernel", choices=list(_SA_KERNELS), default="fast")
-    p_ev.add_argument("--restarts", type=int, default=1,
-                      help="independent GA seeds; the best run wins")
-    p_ev.add_argument("--workers", type=int, default=0,
-                      help="worker processes for the restarts (0 = serial)")
-    p_ev.add_argument("--budget", type=int, default=20000,
-                      help="kernel-move budget (comparable to SA --sa-iters)")
-    p_ev.add_argument("--population", type=int, default=16)
-    p_ev.add_argument("--polish-frac", type=float, default=0.5,
-                      help="trailing budget fraction spent hill-climbing")
-    p_ev.add_argument("--seed", type=int, default=0)
-    p_ev.add_argument("--render", action="store_true",
-                      help="print the ASCII occupancy map")
-    _add_route_args(p_ev)
-    _add_trace_args(p_ev)
-
-    p_pt = sub.add_parser(
-        "temper",
-        help="pre-implement and place a saved block design with "
-        "cooperative parallel tempering",
-    )
-    p_pt.add_argument("design", help="design JSON (see export-design)")
-    p_pt.add_argument("--part", default="xc7z020")
-    pt_cf_group = p_pt.add_mutually_exclusive_group()
-    pt_cf_group.add_argument("--cf", type=float, default=1.5,
-                             help="constant correction factor")
-    pt_cf_group.add_argument("--minimal", action="store_true",
-                             help="use the ground-truth minimal CF per module")
-    p_pt.add_argument("--kernel", choices=list(_SA_KERNELS), default="fast")
-    p_pt.add_argument("--budget", type=int, default=20000,
-                      help="total kernel-move budget across all chains "
-                      "(comparable to SA --sa-iters)")
-    p_pt.add_argument("--chains", type=int, default=4,
-                      help="replica chains on the temperature ladder")
-    p_pt.add_argument("--steps-per-round", type=int, default=250,
-                      help="moves per chain per synchronization round")
-    p_pt.add_argument("--swap-period", type=int, default=4,
-                      help="rounds between replica-exchange events")
-    p_pt.add_argument("--restarts", type=int, default=1,
-                      help="independent tempering seeds; the best run wins")
-    p_pt.add_argument("--workers", type=int, default=0,
-                      help="worker processes (chains for a single run, "
-                      "seeds with --restarts > 1; 0 = serial)")
-    p_pt.add_argument("--seed", type=int, default=0)
-    p_pt.add_argument("--render", action="store_true",
-                      help="print the ASCII occupancy map")
-    _add_route_args(p_pt)
-    _add_trace_args(p_pt)
-
-    p_gp = sub.add_parser(
-        "gplace",
-        help="pre-implement and place a saved block design with the "
-        "analytic global placer (optionally polished by SA)",
-    )
-    p_gp.add_argument("design", help="design JSON (see export-design)")
-    p_gp.add_argument("--part", default="xc7z020")
-    gp_cf_group = p_gp.add_mutually_exclusive_group()
-    gp_cf_group.add_argument("--cf", type=float, default=1.5,
-                             help="constant correction factor")
-    gp_cf_group.add_argument("--minimal", action="store_true",
-                             help="use the ground-truth minimal CF per module")
-    p_gp.add_argument("--kernel", choices=list(_SA_KERNELS), default="fast")
-    p_gp.add_argument("--iters", type=int, default=100,
-                      help="gradient-descent iterations (uncharged)")
-    p_gp.add_argument("--polish-iters", type=int, default=0, metavar="N",
-                      help="polish with SA at N//2 kernel moves "
-                      "(the gp+sa half-budget pipeline; 0 = gp only)")
-    p_gp.add_argument("--restarts", type=int, default=1,
-                      help="independent polish-SA seeds; the best run wins "
-                      "(the gp stage is deterministic)")
-    p_gp.add_argument("--workers", type=int, default=0,
-                      help="worker processes for the restarts (0 = serial)")
-    p_gp.add_argument("--seed", type=int, default=0)
-    p_gp.add_argument("--render", action="store_true",
-                      help="print the ASCII occupancy map")
-    _add_route_args(p_gp)
-    _add_trace_args(p_gp)
-
-    p_rt = sub.add_parser(
-        "route",
-        help="stitch a saved block design and report channel congestion "
-        "and the block-level critical path",
-    )
-    p_rt.add_argument("design", help="design JSON (see export-design)")
-    p_rt.add_argument("--part", default="xc7z020")
-    rt_cf_group = p_rt.add_mutually_exclusive_group()
-    rt_cf_group.add_argument("--cf", type=float, default=1.5,
-                             help="constant correction factor")
-    rt_cf_group.add_argument("--minimal", action="store_true",
-                             help="use the ground-truth minimal CF per module")
-    p_rt.add_argument("--kernel", choices=list(_SA_KERNELS), default="fast")
-    p_rt.add_argument("--restarts", type=int, default=1,
-                      help="independent SA seeds; the best run wins")
-    p_rt.add_argument("--workers", type=int, default=0,
-                      help="worker processes for the restarts (0 = serial)")
-    p_rt.add_argument("--sa-iters", type=int, default=20000)
-    p_rt.add_argument("--seed", type=int, default=0)
-    p_rt.add_argument("--render", action="store_true",
-                      help="print the ASCII congestion heat map")
-    _add_route_args(p_rt)
-    _add_trace_args(p_rt)
+    p_pl.add_argument("--seed", type=int, default=0)
+    p_pl.add_argument("--render", action="store_true",
+                      help="print the ASCII occupancy and congestion maps")
+    p_pl.add_argument("--congestion-weight", type=float, default=0.0,
+                      help="weight of the channel-overflow congestion cost "
+                      "term (0 = pure HPWL, the default)")
+    p_pl.add_argument("--timing-weight", type=float, default=0.0,
+                      help="weight of the block-level critical-path cost "
+                      "term (0 = off, the default)")
+    _add_trace_args(p_pl)
 
     p_lint = sub.add_parser(
         "lint",
@@ -483,241 +382,32 @@ def _cmd_preimpl(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stitch(args: argparse.Namespace) -> int:
-    from repro.device import make_part
-    from repro.flow.design_io import load_design
-    from repro.flow.policy import FixedCF, MinimalCFPolicy
-    from repro.flow.rwflow import run_rw_flow
-    from repro.flow.stitcher import SAParams
+def _build_placer(args: argparse.Namespace):
+    """The :class:`~repro.place_kernel.protocol.Placer` ``--placer`` names."""
+    from dataclasses import replace
 
-    design = load_design(args.design)
-    grid = make_part(args.part)
-    policy = MinimalCFPolicy() if args.minimal else FixedCF(args.cf)
-    tracer = _make_tracer(args)
-    res = run_rw_flow(
-        design,
-        grid,
-        policy,
-        sa_params=SAParams(
-            max_iters=args.sa_iters,
-            seed=args.seed,
-            congestion_weight=args.congestion_weight,
-            timing_weight=args.timing_weight,
-        ),
-        kernel=args.kernel,
-        n_seeds=args.restarts,
-        n_workers=args.workers or None,
-        tracer=tracer,
-    )
-    s = res.stitch
-    _emit_trace(tracer, args)
-    print(
-        f"{design.name} on {grid.name}: {s.n_placed} placed, "
-        f"{s.n_unplaced} unplaced, wirelength {s.wirelength:.1f}, "
-        f"cost {s.final_cost:.1f}"
-    )
-    if args.congestion_weight or args.timing_weight:
-        print(
-            f"  congestion cost {s.congestion_cost:.2f}, "
-            f"timing cost {s.timing_cost:.2f}"
-        )
-    print(
-        f"  converged at iter {s.converged_at}/{s.iterations}, "
-        f"{s.illegal_moves} illegal moves, {res.total_tool_runs} tool runs"
-    )
-    if s.stats is not None:
-        st = s.stats
-        print(
-            f"  kernel={st.kernel} seed={st.seed} "
-            f"accept rate {st.accept_rate * 100:.1f}%, "
-            f"{st.total_s:.2f}s "
-            f"(setup {st.setup_s:.2f} + initial {st.initial_s:.2f} "
-            f"+ anneal {st.anneal_s:.2f} + fill {st.fill_s:.2f})"
-        )
-    if args.render:
-        print(s.render())
-    if not res.ok:
-        print(res.infeasible.describe())
-        return 1
-    return 0
-
-
-def _cmd_evolve(args: argparse.Namespace) -> int:
-    from repro.device import make_part
-    from repro.flow.design_io import load_design
-    from repro.flow.evolve import GAParams
-    from repro.flow.policy import FixedCF, MinimalCFPolicy
-    from repro.flow.rwflow import run_rw_flow
-
-    design = load_design(args.design)
-    grid = make_part(args.part)
-    policy = MinimalCFPolicy() if args.minimal else FixedCF(args.cf)
-    tracer = _make_tracer(args)
-    res = run_rw_flow(
-        design,
-        grid,
-        policy,
-        placer="ga",
-        ga_params=GAParams(
-            move_budget=args.budget,
-            population=args.population,
-            polish_frac=args.polish_frac,
-            seed=args.seed,
-            congestion_weight=args.congestion_weight,
-            timing_weight=args.timing_weight,
-        ),
-        kernel=args.kernel,
-        n_seeds=args.restarts,
-        n_workers=args.workers or None,
-        tracer=tracer,
-    )
-    s = res.stitch
-    _emit_trace(tracer, args)
-    print(
-        f"{design.name} on {grid.name}: {s.n_placed} placed, "
-        f"{s.n_unplaced} unplaced, wirelength {s.wirelength:.1f}, "
-        f"cost {s.final_cost:.1f}"
-    )
-    print(
-        f"  converged at move {s.converged_at}/{s.iterations}, "
-        f"{s.illegal_moves} illegal moves, {res.total_tool_runs} tool runs"
-    )
-    if s.stats is not None:
-        st = s.stats
-        print(
-            f"  kernel={st.kernel} seed={st.seed} "
-            f"accept rate {st.accept_rate * 100:.1f}%, "
-            f"{st.total_s:.2f}s "
-            f"(init {st.initial_s:.2f} + generations {st.anneal_s:.2f} "
-            f"+ repair {st.fill_s:.2f})"
-        )
-    if args.render:
-        print(s.render())
-    if not res.ok:
-        print(res.infeasible.describe())
-        return 1
-    return 0
-
-
-def _cmd_temper(args: argparse.Namespace) -> int:
-    from repro.device import make_part
-    from repro.flow.design_io import load_design
-    from repro.flow.policy import FixedCF, MinimalCFPolicy
-    from repro.flow.rwflow import run_rw_flow
-    from repro.flow.tempering import PTParams
-
-    design = load_design(args.design)
-    grid = make_part(args.part)
-    policy = MinimalCFPolicy() if args.minimal else FixedCF(args.cf)
-    tracer = _make_tracer(args)
-    res = run_rw_flow(
-        design,
-        grid,
-        policy,
-        placer="pt",
-        pt_params=PTParams(
-            max_iters=args.budget,
-            n_chains=args.chains,
-            steps_per_round=args.steps_per_round,
-            swap_period=args.swap_period,
-            seed=args.seed,
-            congestion_weight=args.congestion_weight,
-            timing_weight=args.timing_weight,
-        ),
-        kernel=args.kernel,
-        n_seeds=args.restarts,
-        n_workers=args.workers or None,
-        tracer=tracer,
-    )
-    s = res.stitch
-    _emit_trace(tracer, args)
-    print(
-        f"{design.name} on {grid.name}: {s.n_placed} placed, "
-        f"{s.n_unplaced} unplaced, wirelength {s.wirelength:.1f}, "
-        f"cost {s.final_cost:.1f}"
-    )
-    print(
-        f"  converged at move {s.converged_at}/{s.iterations}, "
-        f"{s.illegal_moves} illegal moves, {res.total_tool_runs} tool runs"
-    )
-    if s.stats is not None:
-        st = s.stats
-        print(
-            f"  kernel={st.kernel} seed={st.seed} "
-            f"accept rate {st.accept_rate * 100:.1f}%, "
-            f"{st.total_s:.2f}s "
-            f"(init {st.initial_s:.2f} + rounds {st.anneal_s:.2f} "
-            f"+ exchange {st.fill_s:.2f})"
-        )
-    if args.render:
-        print(s.render())
-    if not res.ok:
-        print(res.infeasible.describe())
-        return 1
-    return 0
-
-
-def _cmd_gplace(args: argparse.Namespace) -> int:
-    from repro.device import make_part
-    from repro.flow.design_io import load_design
     from repro.flow.global_place import GPParams
-    from repro.flow.policy import FixedCF, MinimalCFPolicy
-    from repro.flow.rwflow import run_rw_flow
+    from repro.flow.placers import AnalyticPlacer, default_portfolio
     from repro.flow.stitcher import SAParams
 
-    design = load_design(args.design)
-    grid = make_part(args.part)
-    policy = MinimalCFPolicy() if args.minimal else FixedCF(args.cf)
-    tracer = _make_tracer(args)
-    res = run_rw_flow(
-        design,
-        grid,
-        policy,
-        placer="gp+sa" if args.polish_iters else "gp",
-        gp_params=GPParams(
-            n_iters=args.iters,
-            seed=args.seed,
-            congestion_weight=args.congestion_weight,
-            timing_weight=args.timing_weight,
-        ),
-        sa_params=SAParams(
-            max_iters=args.polish_iters or 1,
-            seed=args.seed,
-            congestion_weight=args.congestion_weight,
-            timing_weight=args.timing_weight,
-        ),
-        kernel=args.kernel,
-        n_seeds=args.restarts,
-        n_workers=args.workers or None,
-        tracer=tracer,
-    )
-    s = res.stitch
-    _emit_trace(tracer, args)
-    print(
-        f"{design.name} on {grid.name}: {s.n_placed} placed, "
-        f"{s.n_unplaced} unplaced, wirelength {s.wirelength:.1f}, "
-        f"cost {s.final_cost:.1f}"
-    )
-    mode = f"gp+sa ({s.iterations} kernel moves)" if args.polish_iters \
-        else "gp (0 kernel moves)"
-    print(
-        f"  {mode}, {s.illegal_moves} illegal moves, "
-        f"{res.total_tool_runs} tool runs"
-    )
-    if args.render:
-        print(s.render())
-    if not res.ok:
-        print(res.infeasible.describe())
-        return 1
-    return 0
+    knobs = dict(seed=args.seed, congestion_weight=args.congestion_weight,
+                 timing_weight=args.timing_weight)
+    gp = GPParams(**knobs)
+    if args.placer == "gp":
+        return AnalyticPlacer(params=gp)
+    portfolio = default_portfolio(SAParams(max_iters=args.budget, **knobs))
+    placer = {p.name: p for p in portfolio}[args.placer]
+    if args.placer == "gp+sa":
+        # Pin the warm start to the base seed: restarts vary the polish.
+        placer = replace(placer, gp_params=gp)
+    return placer
 
 
-def _cmd_route(args: argparse.Namespace) -> int:
+def _cmd_place(args: argparse.Namespace) -> int:
     from repro.device import make_part
     from repro.flow.design_io import load_design
     from repro.flow.policy import FixedCF, MinimalCFPolicy
     from repro.flow.rwflow import run_rw_flow
-    from repro.flow.stitcher import SAParams
     from repro.route import block_critical_path, congestion_map
 
     design = load_design(args.design)
@@ -728,13 +418,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
         design,
         grid,
         policy,
-        sa_params=SAParams(
-            max_iters=args.sa_iters,
-            seed=args.seed,
-            congestion_weight=args.congestion_weight,
-            timing_weight=args.timing_weight,
-        ),
-        kernel=args.kernel,
+        placer=_build_placer(args),
         n_seeds=args.restarts,
         n_workers=args.workers or None,
         tracer=tracer,
@@ -756,6 +440,21 @@ def _cmd_route(args: argparse.Namespace) -> int:
         f"{s.n_unplaced} unplaced, wirelength {s.wirelength:.1f}, "
         f"cost {s.final_cost:.1f}"
     )
+    if args.congestion_weight or args.timing_weight:
+        print(
+            f"  congestion cost {s.congestion_cost:.2f}, "
+            f"timing cost {s.timing_cost:.2f}"
+        )
+    print(
+        f"  converged at move {s.converged_at}/{s.iterations}, "
+        f"{s.illegal_moves} illegal moves, {res.total_tool_runs} tool runs"
+    )
+    if s.stats is not None:
+        st = s.stats
+        print(
+            f"  placer={args.placer} kernel={st.kernel} seed={st.seed} "
+            f"accept rate {st.accept_rate * 100:.1f}%, {st.total_s:.2f}s"
+        )
     print(
         f"  congestion: peak {cmap.peak_column_demand} "
         f"(mean {cmap.mean_column_demand:.1f}) wires/channel, "
@@ -772,6 +471,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
     if timing.path:
         print("    " + " -> ".join(timing.path))
     if args.render:
+        print(s.render())
         print(cmap.render())
     if not res.ok:
         print(res.infeasible.describe())
@@ -865,11 +565,7 @@ _COMMANDS = {
     "dataset": _cmd_dataset,
     "train": _cmd_train,
     "preimpl": _cmd_preimpl,
-    "stitch": _cmd_stitch,
-    "evolve": _cmd_evolve,
-    "temper": _cmd_temper,
-    "gplace": _cmd_gplace,
-    "route": _cmd_route,
+    "place": _cmd_place,
     "lint": _cmd_lint,
     "trace": _cmd_trace,
     "report": _cmd_report,

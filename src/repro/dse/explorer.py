@@ -125,8 +125,6 @@ class DSEExplorer:
         Device for full-design stitching (defaults to ``grid``).
     sa_params:
         Stitcher budget per variant.
-    kernel:
-        Stitcher move-kernel (``"fast"`` or ``"reference"``).
     cache:
         Shared :class:`~repro.flow.cache.ModuleCache`.  Passing the same
         cache to several explorers (or to :func:`~repro.flow.rwflow.run_rw_flow`)
@@ -138,8 +136,9 @@ class DSEExplorer:
     placers:
         The optimizer portfolio run per variant: a sequence of
         :class:`~repro.place_kernel.protocol.Placer` objects, or the
-        string ``"portfolio"`` for the default SA + GA + warm-started SA
-        trio (:func:`~repro.flow.placers.default_portfolio`) at the
+        string ``"portfolio"`` for the five-member default portfolio
+        (``sa``, ``ga``, ``warm-sa``, ``pt`` and ``gp+sa``, see
+        :func:`~repro.flow.placers.default_portfolio`) at the
         ``sa_params`` move budget.  Every placer stitches each variant
         and the best placement (fewest unplaced, then lowest cost; ties
         break toward the earliest placer) is kept —
@@ -160,7 +159,6 @@ class DSEExplorer:
         *,
         stitch_grid: DeviceGrid | None = None,
         sa_params: SAParams | None = None,
-        kernel: str = "fast",
         cache: ModuleCache | None = None,
         cache_dir: str | None = None,
         placers: Sequence[Placer] | str | None = None,
@@ -172,14 +170,11 @@ class DSEExplorer:
         self.policy = policy or FixedCF(1.7)
         self.stitch_grid = stitch_grid or grid
         self.sa_params = sa_params or SAParams(max_iters=8000, seed=0)
-        self.kernel = kernel
         self.cache = cache if cache is not None else ModuleCache(cache_dir)
         if placers is None:
-            self.placers: tuple[Placer, ...] = (
-                SAPlacer(params=self.sa_params, kernel=self.kernel),
-            )
+            self.placers: tuple[Placer, ...] = (SAPlacer(params=self.sa_params),)
         elif placers == "portfolio":
-            self.placers = default_portfolio(self.sa_params, self.kernel)
+            self.placers = default_portfolio(self.sa_params)
         elif isinstance(placers, str):
             raise ValueError(
                 f"unknown placer portfolio {placers!r}; "

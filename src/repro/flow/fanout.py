@@ -1,9 +1,7 @@
 """Order-preserving job fan-out and winner selection for placement families.
 
-Every multi-run placement construct in the flow — the restart families
-(:func:`~repro.flow.restarts.stitch_best` /
-:func:`~repro.flow.restarts.evolve_best` /
-:func:`~repro.flow.restarts.temper_best`) and the parallel-tempering
+Every multi-run placement construct in the flow — the placer restarts
+(:func:`~repro.flow.restarts.place_best`) and the parallel-tempering
 round loop (:mod:`repro.flow.tempering`) — shares the two primitives
 here:
 
@@ -35,7 +33,7 @@ class FanOut:
     One instance may dispatch many batches: the tempering round loop runs
     one batch per exchange block over a persistent pool, so each worker
     process builds its placement kernel once (via ``initializer``) and
-    reuses it across rounds; the restart families run a single batch.
+    reuses it across rounds; the placer restarts run a single batch.
 
     Serial mode — ``n_workers`` of ``None``/0/1, a single job, or pool
     creation failing with :class:`OSError` (restricted sandboxes) — runs

@@ -154,7 +154,8 @@ class WarmStartedSAPlacer:
     sa_frac: float = 0.5
     #: Analytic-placer overrides (``warm="gp"``); ``None`` derives them
     #: from ``params`` (seed and unplaced weight must match for
-    #: comparable costs).
+    #: comparable costs).  Set, they also keep one warm start for every
+    #: seed of :func:`~repro.flow.restarts.place_best`.
     gp_params: GPParams | None = None
     name: str = "warm-sa"
 
@@ -259,9 +260,7 @@ class TemperedSAPlacer:
         )
 
 
-def default_portfolio(
-    sa_params: SAParams | None = None, kernel: str = "fast"
-) -> tuple[
+def default_portfolio(sa_params: SAParams | None = None) -> tuple[
     SAPlacer,
     GAPlacer,
     WarmStartedSAPlacer,
@@ -293,10 +292,9 @@ def default_portfolio(
         timing_weight=params.timing_weight,
     )
     return (
-        SAPlacer(params=params, kernel=kernel),
-        GAPlacer(params=ga, kernel=kernel),
-        WarmStartedSAPlacer(params=params, kernel=kernel),
-        TemperedSAPlacer(params=pt, kernel=kernel),
-        WarmStartedSAPlacer(params=params, kernel=kernel, warm="gp",
-                            name="gp+sa"),
+        SAPlacer(params=params),
+        GAPlacer(params=ga),
+        WarmStartedSAPlacer(params=params),
+        TemperedSAPlacer(params=pt),
+        WarmStartedSAPlacer(params=params, warm="gp", name="gp+sa"),
     )

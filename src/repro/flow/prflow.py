@@ -149,7 +149,6 @@ def refloorplan(
     policy: CFPolicy,
     *,
     sa_params: SAParams | None = None,
-    kernel: str = "fast",
     n_seeds: int = 1,
     n_workers: int | None = None,
     preimpl_workers: int | None = None,
@@ -162,17 +161,16 @@ def refloorplan(
     recovery in a fixed-partition system is a complete recompile of the
     updated design — exactly the cost the paper's RW-style flow avoids.
     This delegates to :func:`~repro.flow.rwflow.run_rw_flow`, exposing
-    the stitcher kernel and multi-seed restart knobs so the expensive
-    recovery can at least use the best placement of several seeds, and
-    the pre-implementation cache/worker knobs so the recompile reuses
-    every module the update did not touch.
+    the multi-seed restart knobs so the expensive recovery can at least
+    use the best placement of several seeds, and the pre-implementation
+    cache/worker knobs so the recompile reuses every module the update
+    did not touch.
     """
     return run_rw_flow(
         design,
         grid,
         policy,
         sa_params=sa_params,
-        kernel=kernel,
         n_seeds=n_seeds,
         n_workers=n_workers,
         preimpl_workers=preimpl_workers,

@@ -1,11 +1,10 @@
-"""Multi-seed placement restarts (SA, GA and parallel tempering).
+"""Multi-seed placement restarts over any :class:`Placer`.
 
 Stochastic placers are cheap to restart and their final cost varies
 with the seed, so the classic quality lever (RapidLayout-style
 stochastic placement) is to run several independent seeds and keep the
-best run.  ``stitch_best`` does exactly that for the SA stitcher,
-``evolve_best`` for the GA evolver and ``temper_best`` for the
-parallel-tempering placer, fanning the seeds out over worker processes
+best run.  :func:`place_best` does that for every placer in
+:mod:`repro.flow.placers`, fanning the seeds out over worker processes
 through the shared :class:`~repro.flow.fanout.FanOut`.
 
 Winner selection is the shared pareto path
@@ -26,114 +25,64 @@ regardless of ``n_workers`` (enforced by
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.device.grid import DeviceGrid
 from repro.flow.blockdesign import BlockDesign
-from repro.flow.evolve import GAParams, evolve
 from repro.flow.fanout import FanOut, best_result, graft_traces
-from repro.flow.stitcher import SAParams, StitchResult, stitch
-from repro.flow.tempering import PTParams, temper
 from repro.obs.tracer import NullTracer, Tracer, current_tracer
 from repro.place.shapes import Footprint
+from repro.place_kernel.protocol import Placer
+from repro.place_kernel.result import StitchResult
 
-__all__ = ["evolve_best", "stitch_best", "temper_best"]
+__all__ = ["place_best"]
 
 
-def _run_one(
+def _place_one(
     args: tuple[
-        BlockDesign, dict[str, Footprint], DeviceGrid, SAParams, str,
-        Mapping[str, tuple[int, int] | None] | None,
+        Placer, BlockDesign, Mapping[str, Footprint], DeviceGrid,
         Mapping[str, float] | None, bool
     ],
-) -> tuple[StitchResult, dict | None]:
+) -> tuple[StitchResult, list[dict]]:
     """Worker entry point (module-level so it pickles).
 
-    When ``want_trace`` is set the seed's ``stitch`` span tree is
-    recorded into a worker-local tracer and returned alongside the
-    result, so the parent can graft every restart's phase breakdown into
-    its own trace exactly once regardless of worker count.
+    When ``want_trace`` is set the seed's span trees are recorded into a
+    worker-local tracer and returned alongside the result, so the parent
+    can graft every restart's phase breakdown into its own trace exactly
+    once regardless of worker count.
     """
-    design, footprints, grid, params, kernel, initial, delays, want_trace = args
+    placer, design, footprints, grid, delays, want_trace = args
     tr = Tracer() if want_trace else None
-    result = stitch(design, footprints, grid, params, kernel=kernel,
-                    initial_placements=initial, module_delays=delays,
-                    tracer=tr)
-    trace = tr.roots[0].to_json_dict() if tr else None
-    return result, trace
+    result = placer.place(design, footprints, grid, module_delays=delays,
+                          tracer=tr)
+    return result, [root.to_json_dict() for root in tr.roots] if tr else []
 
 
-def _run_one_evolve(
-    args: tuple[
-        BlockDesign, dict[str, Footprint], DeviceGrid, GAParams, str,
-        Mapping[str, float] | None, bool
-    ],
-) -> tuple[StitchResult, dict | None]:
-    """GA worker entry point (module-level so it pickles)."""
-    design, footprints, grid, params, kernel, delays, want_trace = args
-    tr = Tracer() if want_trace else None
-    result = evolve(design, footprints, grid, params, kernel=kernel,
-                    module_delays=delays, tracer=tr)
-    trace = tr.roots[0].to_json_dict() if tr else None
-    return result, trace
-
-
-def _run_one_temper(
-    args: tuple[
-        BlockDesign, dict[str, Footprint], DeviceGrid, PTParams, str,
-        Mapping[str, tuple[int, int] | None] | None,
-        Mapping[str, float] | None, bool
-    ],
-) -> tuple[StitchResult, dict | None]:
-    """Tempering worker entry point (module-level so it pickles).
-
-    Each restart runs its chains serially inside the worker — the
-    restart family is already the process-level fan-out.
-    """
-    design, footprints, grid, params, kernel, initial, delays, want_trace = args
-    tr = Tracer() if want_trace else None
-    result = temper(design, footprints, grid, params, kernel=kernel,
-                    initial_placements=initial, module_delays=delays,
-                    tracer=tr)
-    trace = tr.roots[0].to_json_dict() if tr else None
-    return result, trace
-
-
-def _seed_family(
-    base_seed: int, n_seeds: int, seeds: Sequence[int] | None
-) -> list[int]:
-    """Expand the restart family's seed list (shared by all families)."""
-    if seeds is None:
-        if n_seeds < 1:
-            raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-        return [base_seed + k for k in range(n_seeds)]
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("seeds must not be empty")
-    return seeds
-
-
-def stitch_best(
+def place_best(
+    placer: Placer,
     design: BlockDesign,
-    footprints: dict[str, Footprint],
+    footprints: Mapping[str, Footprint],
     grid: DeviceGrid,
-    params: SAParams | None = None,
     *,
     n_seeds: int = 4,
     n_workers: int | None = None,
     seeds: Sequence[int] | None = None,
-    kernel: str = "fast",
-    initial_placements: Mapping[str, tuple[int, int] | None] | None = None,
     module_delays: Mapping[str, float] | None = None,
     tracer: Tracer | NullTracer | None = None,
 ) -> StitchResult:
-    """Anneal several independent seeds and return the best run.
+    """Run ``placer`` over several independent seeds and return the best run.
 
     Parameters
     ----------
-    design, footprints, grid, params:
-        As for :func:`~repro.flow.stitcher.stitch`; ``params.seed`` is
-        the base seed of the restart family.
+    placer:
+        A placer whose ``params`` dataclass carries the seed (every
+        placer in :mod:`repro.flow.placers`); ``params.seed`` is the base
+        seed of the restart family.  Each restart runs ``placer`` with
+        only ``params.seed`` replaced, so an explicit
+        ``WarmStartedSAPlacer.gp_params`` keeps one analytic warm start
+        for every seed.
+    design, footprints, grid:
+        As for :meth:`~repro.place_kernel.protocol.Placer.place`.
     n_seeds:
         Number of restarts when ``seeds`` is not given; seed ``k`` of the
         family is ``params.seed + k``.
@@ -142,21 +91,15 @@ def stitch_best(
         serially in-process; the winner is identical either way.
     seeds:
         Explicit seed list, overriding ``n_seeds``.
-    kernel:
-        Move-kernel choice, forwarded to :func:`stitch`.
-    initial_placements:
-        Optional warm start every seed anneals from (the analytic
-        placer's legalized output in the ``gp+sa`` pipeline); forwarded
-        verbatim to each seed's :func:`stitch`.
     module_delays:
         Per-module delays (ns) for the timing cost term, forwarded
-        verbatim to each seed's :func:`stitch`.
+        verbatim to each seed's run.
     tracer:
-        Where the ``stitch.restarts`` span is recorded, with one child
-        ``stitch`` span per seed (merged back from the workers when the
+        Where the ``place.restarts`` span is recorded, with each seed's
+        span trees as children (merged back from the workers when the
         seeds fan out); defaults to the ambient tracer.  With tracing
-        disabled each seed records into the private tracer
-        :func:`stitch` builds for its own :class:`StitchStats`.
+        disabled each seed records into the private tracer its placer
+        builds for its own :class:`StitchStats`.
 
     Returns
     -------
@@ -166,102 +109,25 @@ def stitch_best(
         break toward the earliest seed in the list.
         ``result.stats.seed`` records the winning seed.
     """
-    params = params or SAParams()
-    seeds = _seed_family(params.seed, n_seeds, seeds)
+    if seeds is None:
+        if n_seeds < 1:
+            raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+        seeds = [placer.params.seed + k for k in range(n_seeds)]
+    elif not seeds:
+        raise ValueError("seeds must not be empty")
     ambient = tracer if tracer is not None else current_tracer()
     jobs = [
-        (design, footprints, grid, replace(params, seed=s), kernel,
-         initial_placements, module_delays, ambient.enabled)
+        (replace(placer, params=replace(placer.params, seed=s)), design,
+         footprints, grid, module_delays, ambient.enabled)
         for s in seeds
     ]
-    return _best_of(jobs, _run_one, "stitch.restarts", ambient, n_workers)
-
-
-def evolve_best(
-    design: BlockDesign,
-    footprints: dict[str, Footprint],
-    grid: DeviceGrid,
-    params: GAParams | None = None,
-    *,
-    n_seeds: int = 4,
-    n_workers: int | None = None,
-    seeds: Sequence[int] | None = None,
-    kernel: str = "fast",
-    module_delays: Mapping[str, float] | None = None,
-    tracer: Tracer | NullTracer | None = None,
-) -> StitchResult:
-    """Evolve several independent GA seeds and return the best run.
-
-    The GA peer of :func:`stitch_best`: same seed-family expansion, same
-    process fan-out, same worker-count-independent pareto winner
-    (fewest unplaced blocks, then lowest ``final_cost``; results are
-    collected in seed order, ties break toward the earliest seed).  The
-    ``evolve.restarts`` span records one child ``evolve`` span per seed.
-    """
-    params = params or GAParams()
-    seeds = _seed_family(params.seed, n_seeds, seeds)
-    ambient = tracer if tracer is not None else current_tracer()
-    jobs = [
-        (design, footprints, grid, replace(params, seed=s), kernel,
-         module_delays, ambient.enabled)
-        for s in seeds
-    ]
-    return _best_of(jobs, _run_one_evolve, "evolve.restarts", ambient, n_workers)
-
-
-def temper_best(
-    design: BlockDesign,
-    footprints: dict[str, Footprint],
-    grid: DeviceGrid,
-    params: PTParams | None = None,
-    *,
-    n_seeds: int = 4,
-    n_workers: int | None = None,
-    seeds: Sequence[int] | None = None,
-    kernel: str = "fast",
-    initial_placements: Mapping[str, tuple[int, int] | None] | None = None,
-    module_delays: Mapping[str, float] | None = None,
-    tracer: Tracer | NullTracer | None = None,
-) -> StitchResult:
-    """Run several independent tempering seeds and return the best run.
-
-    The parallel-tempering peer of :func:`stitch_best`: same seed-family
-    expansion, same process fan-out, same worker-count-independent
-    pareto winner (``initial_placements``, when given, warm starts every
-    seed's chains the same way).  Each seed's chains run serially inside
-    its worker (the family is already the process-level fan-out); the
-    ``tempering.restarts`` span records one child ``tempering`` span per
-    seed.
-    """
-    params = params or PTParams()
-    seeds = _seed_family(params.seed, n_seeds, seeds)
-    ambient = tracer if tracer is not None else current_tracer()
-    jobs = [
-        (design, footprints, grid, replace(params, seed=s), kernel,
-         initial_placements, module_delays, ambient.enabled)
-        for s in seeds
-    ]
-    return _best_of(
-        jobs, _run_one_temper, "tempering.restarts", ambient, n_workers
-    )
-
-
-def _best_of(
-    jobs: list,
-    runner: Callable,
-    span_name: str,
-    ambient: Tracer | NullTracer,
-    n_workers: int | None,
-) -> StitchResult:
-    """Fan the seed jobs out, graft worker traces, keep the pareto-best run."""
-    want_trace = ambient.enabled
-    with ambient.span(span_name, n_seeds=len(jobs)) as sp:
+    with ambient.span("place.restarts", placer=placer.name,
+                      n_seeds=len(jobs)) as sp:
         with FanOut(n_workers, len(jobs)) as fan:
-            outcomes = fan.run(runner, jobs)
-        if want_trace:
-            graft_traces(ambient, [trace for _result, trace in outcomes])
+            outcomes = fan.run(_place_one, jobs)
+        graft_traces(ambient, [t for _result, traces in outcomes for t in traces])
 
-        best = best_result([result for result, _trace in outcomes])
+        best = best_result([result for result, _traces in outcomes])
         sp.set_attr("winner_seed", best.stats.seed if best.stats else None)
         sp.set_attr("best_cost", best.final_cost)
         sp.set_attr("best_unplaced", best.n_unplaced)

@@ -40,7 +40,8 @@ spent), so ``temper(max_iters=N)``, ``stitch(max_iters=N)`` and
 ``evolve(move_budget=N)`` spend the same number of kernel operations
 and their costs are directly comparable — the equal-budget contract
 the perf-smoke gate (``benchmarks/test_perf_tempering.py``) compares
-tempering against :func:`~repro.flow.restarts.stitch_best` under.
+tempering against SA restarts (:func:`~repro.flow.restarts.place_best`)
+under.
 Like the SA stitcher's greedy initial and deterministic fill, exchange
 bookkeeping (config swaps, migration repaints) is not charged against
 the move budget.
@@ -48,7 +49,7 @@ the move budget.
 Within one run the global best is tracked by *cost* — all chains score
 the one shared objective (wirelength + unplaced penalty), exactly like
 the SA stitcher's ``best`` and the GA's ``best_fit``.  Selection
-*across* runs (``temper_best``, the DSE portfolio) uses the shared
+*across* runs (``place_best``, the DSE portfolio) uses the shared
 pareto key ``(n_unplaced, final_cost)`` from
 :func:`~repro.place_kernel.result.pareto_key`.
 """

@@ -1,6 +1,6 @@
 """PAR rules: process-pool safety.
 
-The flow's pools (`implement_design`, `generate_dataset`, `stitch_best`,
+The flow's pools (`implement_design`, `generate_dataset`, `place_best`,
 `RandomForestRegressor`) promise worker-count invariance: any `workers=`
 value produces bitwise-identical results.  That only holds when worker
 functions are picklable module-level functions of their arguments, and

@@ -2,10 +2,13 @@
 
 Anything that turns (design, footprints, grid) into a
 :class:`~repro.place_kernel.result.StitchResult` is a placer.  The SA
-stitcher, the GA evolver and the warm-started SA pipeline all satisfy
-it (see :mod:`repro.flow.placers`), which is what lets
-:class:`~repro.dse.explorer.DSEExplorer` run an optimizer *portfolio*
-and keep the best placement per scenario.
+stitcher, the GA evolver, parallel tempering, the analytic global
+placer and the warm-started SA pipeline (GA or analytic warm start)
+all satisfy it (see :mod:`repro.flow.placers`).  It is the one way the
+flow chooses an optimizer: :func:`~repro.flow.rwflow.run_rw_flow`,
+:func:`~repro.flow.restarts.place_best`, ``repro place`` and the
+:class:`~repro.dse.explorer.DSEExplorer` portfolio, which keeps the
+best placement per scenario, all take placers.
 """
 
 from __future__ import annotations

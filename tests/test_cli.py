@@ -15,21 +15,44 @@ class TestParser:
         assert args.part == "xc7z020"
 
     def test_stitch_defaults(self):
-        args = build_parser().parse_args(["stitch", "d.json"])
-        assert args.kernel == "fast"
+        args = build_parser().parse_args(["place", "d.json"])
+        assert args.placer == "sa"
+        assert args.budget == 20000
         assert args.restarts == 1
         assert args.workers == 0
         assert not args.minimal
 
-    def test_stitch_kernel_choices_mirror_library(self):
-        from repro.cli import _SA_KERNELS
-        from repro.flow.stitcher import KERNELS
+    def test_placer_choices_mirror_portfolio(self):
+        from repro.cli import PLACERS
+        from repro.flow.placers import default_portfolio
 
-        assert tuple(_SA_KERNELS) == tuple(KERNELS)
+        names = tuple(p.name for p in default_portfolio())
+        assert PLACERS == names + ("gp",)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--budget", "0"],
+            ["--budget", "-5"],
+            ["--budget", "many"],
+            ["--restarts", "0"],
+            ["--restarts", "-3"],
+            ["--placer", "tabu"],
+        ],
+        ids=["budget-0", "budget-neg", "budget-word", "restarts-0",
+             "restarts-neg", "placer-tabu"],
+    )
+    def test_place_rejects_bad_counts_and_placers(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["place", "d.json", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: repro place" in err
+        assert argv[0] in err
 
     def test_stitch_cf_and_minimal_exclusive(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["stitch", "d.json", "--cf", "1.2", "--minimal"])
+            build_parser().parse_args(["place", "d.json", "--cf", "1.2", "--minimal"])
 
     def test_report_options(self):
         args = build_parser().parse_args(
@@ -211,31 +234,27 @@ class TestStitchCommand:
         return str(path)
 
     def test_stitch_runs(self, design_json, capsys):
-        assert main(["stitch", design_json, "--sa-iters", "800"]) == 0
+        assert main(["place", design_json, "--budget", "800"]) == 0
         out = capsys.readouterr().out
         assert "cli-stitch on xc7z020" in out
         assert "3 placed, 0 unplaced" in out
-        assert "kernel=fast" in out
-
-    def test_evolve_defaults(self):
-        args = build_parser().parse_args(["evolve", "d.json"])
-        assert args.budget == 20000
-        assert args.population == 16
-        assert args.restarts == 1
-        assert args.kernel == "fast"
+        assert "placer=sa kernel=fast" in out
 
     def test_evolve_runs(self, design_json, capsys):
-        assert main(["evolve", design_json, "--budget", "800"]) == 0
+        assert main(["place", design_json, "--placer", "ga",
+                     "--budget", "800", "--profile"]) == 0
         out = capsys.readouterr().out
         assert "cli-stitch on xc7z020" in out
         assert "placed" in out
-        assert "generations" in out  # GA phase breakdown, not SA's
+        assert "evolve.generations" in out  # GA phase spans, not SA's
+        assert "stitch.anneal" not in out
 
     def test_evolve_restarts(self, design_json, capsys):
         assert (
             main(
                 [
-                    "evolve", design_json,
+                    "place", design_json,
+                    "--placer", "ga",
                     "--budget", "800",
                     "--restarts", "2",
                     "--seed", "1",
@@ -244,32 +263,24 @@ class TestStitchCommand:
             == 0
         )
         out = capsys.readouterr().out
-        assert "kernel=fast" in out
-
-    def test_temper_defaults(self):
-        args = build_parser().parse_args(["temper", "d.json"])
-        assert args.budget == 20000
-        assert args.chains == 4
-        assert args.steps_per_round == 250
-        assert args.swap_period == 4
-        assert args.restarts == 1
-        assert args.kernel == "fast"
+        assert "placer=ga kernel=fast" in out
 
     def test_temper_runs(self, design_json, capsys):
-        assert main(["temper", design_json, "--budget", "800",
-                     "--chains", "2"]) == 0
+        assert main(["place", design_json, "--placer", "pt",
+                     "--budget", "800", "--profile"]) == 0
         out = capsys.readouterr().out
         assert "cli-stitch on xc7z020" in out
         assert "3 placed, 0 unplaced" in out
-        assert "rounds" in out  # PT phase breakdown, not SA's
+        assert "tempering.rounds" in out  # PT phase spans, not SA's
+        assert "stitch.anneal" not in out
 
     def test_temper_restarts(self, design_json, capsys):
         assert (
             main(
                 [
-                    "temper", design_json,
+                    "place", design_json,
+                    "--placer", "pt",
                     "--budget", "800",
-                    "--chains", "2",
                     "--restarts", "2",
                     "--seed", "1",
                 ]
@@ -277,37 +288,36 @@ class TestStitchCommand:
             == 0
         )
         out = capsys.readouterr().out
-        assert "kernel=fast" in out
+        assert "placer=pt kernel=fast" in out
 
     def test_stitch_restarts_and_render(self, design_json, capsys):
         assert (
             main(
                 [
-                    "stitch", design_json,
-                    "--sa-iters", "800",
+                    "place", design_json,
+                    "--budget", "800",
                     "--restarts", "2",
-                    "--kernel", "reference",
                     "--render",
                 ]
             )
             == 0
         )
         out = capsys.readouterr().out
-        assert "kernel=reference" in out
+        assert "kernel=fast" in out
         assert "#" in out  # the occupancy map
+        assert "peak=" in out  # the congestion heat map
 
     def test_route_weight_defaults(self):
-        for cmd in ("stitch", "evolve", "temper", "gplace", "route"):
-            args = build_parser().parse_args([cmd, "d.json"])
-            assert args.congestion_weight == 0.0
-            assert args.timing_weight == 0.0
+        args = build_parser().parse_args(["place", "d.json"])
+        assert args.congestion_weight == 0.0
+        assert args.timing_weight == 0.0
 
     def test_stitch_with_route_weights(self, design_json, capsys):
         assert (
             main(
                 [
-                    "stitch", design_json,
-                    "--sa-iters", "800",
+                    "place", design_json,
+                    "--budget", "800",
                     "--congestion-weight", "0.5",
                     "--timing-weight", "0.1",
                 ]
@@ -319,9 +329,57 @@ class TestStitchCommand:
         assert "timing cost" in out
 
     def test_route_runs(self, design_json, capsys):
-        assert main(["route", design_json, "--sa-iters", "800"]) == 0
+        assert main(["place", design_json, "--budget", "800"]) == 0
         out = capsys.readouterr().out
         assert "cli-stitch on xc7z020" in out
         assert "congestion: peak" in out
         assert "critical path" in out
         assert "3 blocks" not in out or "->" in out
+
+
+class TestPlaceMatchesFlow:
+    """``repro place`` prints the summary line of ``run_rw_flow`` over
+    the same placer, for every ``--placer`` choice."""
+
+    @pytest.fixture()
+    def design_json(self, tmp_path):
+        from repro.flow.blockdesign import BlockDesign
+        from repro.flow.design_io import save_design
+        from repro.rtlgen.base import RTLModule
+        from repro.rtlgen.constructs import RandomLogicCloud
+
+        # Big enough that the six placers, and their seeds, disagree; at
+        # seed 2, a gp+sa restart that re-ran GP at its own seed would
+        # not match.
+        d = BlockDesign(name="cli-place")
+        d.add_module(RTLModule.make("m", [RandomLogicCloud(n_luts=120)]))
+        d.add_module(RTLModule.make("n", [RandomLogicCloud(n_luts=300)]))
+        for i in range(8):
+            d.add_instance(f"i{i}", "m" if i % 2 else "n")
+        for i in range(7):
+            d.connect(f"i{i}", f"i{i + 1}", width=8)
+        path = tmp_path / "design.json"
+        save_design(d, path)
+        return str(path)
+
+    @pytest.mark.parametrize("restarts", [1, 2])
+    @pytest.mark.parametrize("name", ["sa", "ga", "warm-sa", "pt", "gp+sa", "gp"])
+    def test_first_line_matches_run_rw_flow(self, design_json, capsys,
+                                            cli_placers, name, restarts):
+        from repro.device import make_part
+        from repro.flow.design_io import load_design
+        from repro.flow.policy import FixedCF
+        from repro.flow.rwflow import run_rw_flow
+
+        res = run_rw_flow(
+            load_design(design_json), make_part("xc7z020"), FixedCF(1.5),
+            placer=cli_placers(800, 2)[name], n_seeds=restarts,
+        ).stitch
+        assert main(["place", design_json, "--placer", name, "--budget", "800",
+                     "--seed", "2", "--restarts", str(restarts)]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == (
+            f"cli-place on xc7z020: {res.n_placed} placed, "
+            f"{res.n_unplaced} unplaced, wirelength {res.wirelength:.1f}, "
+            f"cost {res.final_cost:.1f}"
+        )

@@ -44,14 +44,16 @@ payload = json.dumps(
 print(hashlib.sha256(payload.encode()).hexdigest())
 """
 
-# stitch_best must pick the same winner in any interpreter and with any
-# worker count; __N_WORKERS__ is substituted before running.
+# SA restarts (place_best over the SA placer) must pick the same winner
+# in any interpreter and with any worker count; __N_WORKERS__ is
+# substituted before running.
 _RESTART_SNIPPET = """
 import hashlib, json
 from repro.device import xc7z020
 from repro.flow import SAParams
 from repro.flow.blockdesign import BlockDesign
-from repro.flow.restarts import stitch_best
+from repro.flow.placers import SAPlacer
+from repro.flow.restarts import place_best
 from repro.place.shapes import Footprint
 from repro.device.column import ColumnKind
 from repro.rtlgen.base import RTLModule
@@ -64,24 +66,25 @@ for i in range(8):
     d.add_instance(f"i{i}", "m")
 for i in range(7):
     d.connect(f"i{i}", f"i{i+1}", width=4)
-best = stitch_best(d, {"m": fp}, xc7z020(),
-                   SAParams(max_iters=1500, seed=2),
-                   seeds=[2, 3, 4], n_workers=__N_WORKERS__)
+best = place_best(SAPlacer(SAParams(max_iters=1500, seed=2)),
+                  d, {"m": fp}, xc7z020(),
+                  seeds=[2, 3, 4], n_workers=__N_WORKERS__)
 placement = sorted((k, v) for k, v in best.placements.items())
 payload = json.dumps([placement, best.final_cost, best.stats.seed])
 print(hashlib.sha256(payload.encode()).hexdigest())
 """
 
 
-# evolve_best (the GA placer) must be bitwise identical in any
-# interpreter and with any worker count; __N_WORKERS__ is substituted
-# before running.
+# GA restarts (place_best over the GA placer) must be bitwise identical
+# in any interpreter and with any worker count; __N_WORKERS__ is
+# substituted before running.
 _EVOLVE_SNIPPET = """
 import hashlib, json
 from repro.device import xc7z020
 from repro.device.column import ColumnKind
 from repro.flow.evolve import GAParams
-from repro.flow.restarts import evolve_best
+from repro.flow.placers import GAPlacer
+from repro.flow.restarts import place_best
 from repro.flow.blockdesign import BlockDesign
 from repro.place.shapes import Footprint
 from repro.rtlgen.base import RTLModule
@@ -94,9 +97,9 @@ for i in range(8):
     d.add_instance(f"i{i}", "m")
 for i in range(7):
     d.connect(f"i{i}", f"i{i+1}", width=4)
-best = evolve_best(d, {"m": fp}, xc7z020(),
-                   GAParams(move_budget=1500, seed=2),
-                   seeds=[2, 3, 4], n_workers=__N_WORKERS__)
+best = place_best(GAPlacer(GAParams(move_budget=1500, seed=2)),
+                  d, {"m": fp}, xc7z020(),
+                  seeds=[2, 3, 4], n_workers=__N_WORKERS__)
 placement = sorted((k, v) for k, v in best.placements.items())
 payload = json.dumps([placement, best.final_cost, best.stats.seed])
 print(hashlib.sha256(payload.encode()).hexdigest())
@@ -137,16 +140,17 @@ print(hashlib.sha256(payload.encode()).hexdigest())
 
 # The gp+sa pipeline must be bitwise identical in any interpreter and
 # with any restart worker count: the analytic stage is pure seeded
-# numpy (one jitter draw, fixed iteration counts) and the polish
-# restarts fan its placements out verbatim; __N_WORKERS__ is
-# substituted before running.
+# numpy (one jitter draw, fixed iteration counts) and every polish
+# restart anneals from the same warm start (gp_params pins its seed);
+# __N_WORKERS__ is substituted before running.
 _GPLACE_SNIPPET = """
 import hashlib, json
 from repro.device import xc7z020
 from repro.device.column import ColumnKind
 from repro.flow.blockdesign import BlockDesign
 from repro.flow.global_place import GPParams, global_place
-from repro.flow.restarts import stitch_best
+from repro.flow.placers import WarmStartedSAPlacer
+from repro.flow.restarts import place_best
 from repro.flow.stitcher import SAParams
 from repro.place.shapes import Footprint
 from repro.rtlgen.base import RTLModule
@@ -160,10 +164,10 @@ for i in range(8):
 for i in range(7):
     d.connect(f"i{i}", f"i{i+1}", width=4)
 warm = global_place(d, {"m": fp}, xc7z020(), GPParams(seed=2))
-best = stitch_best(d, {"m": fp}, xc7z020(),
-                   SAParams(max_iters=750, seed=2),
-                   seeds=[2, 3, 4], n_workers=__N_WORKERS__,
-                   initial_placements=warm.placements)
+placer = WarmStartedSAPlacer(params=SAParams(max_iters=1500, seed=2),
+                             warm="gp", gp_params=GPParams(seed=2))
+best = place_best(placer, d, {"m": fp}, xc7z020(),
+                  seeds=[2, 3, 4], n_workers=__N_WORKERS__)
 wp = sorted((k, v) for k, v in warm.placements.items())
 placement = sorted((k, v) for k, v in best.placements.items())
 payload = json.dumps([wp, warm.final_cost,

@@ -20,7 +20,7 @@ from repro.flow.placers import (
     WarmStartedSAPlacer,
     default_portfolio,
 )
-from repro.flow.restarts import evolve_best
+from repro.flow.restarts import place_best
 from repro.flow.stitcher import SAParams, stitch
 from repro.obs.tracer import Tracer
 from repro.place.shapes import Footprint
@@ -120,32 +120,36 @@ class TestEvolve:
 
 
 class TestEvolveBest:
+    """Restarts of the GA: ``place_best`` over a GAPlacer."""
+
     def test_beats_or_matches_every_seed(self, chain, z020):
         d, fps = chain
         params = GAParams(move_budget=800, seed=0)
-        best = evolve_best(d, fps, z020, params, n_seeds=3)
+        best = place_best(GAPlacer(params), d, fps, z020, n_seeds=3)
         for k in range(3):
             single = evolve(d, fps, z020, GAParams(move_budget=800, seed=k))
             assert best.final_cost <= single.final_cost
 
     def test_winner_seed_recorded(self, chain, z020):
         d, fps = chain
-        best = evolve_best(d, fps, z020, GAParams(move_budget=800, seed=0),
-                           seeds=[5, 6])
+        best = place_best(GAPlacer(GAParams(move_budget=800, seed=0)),
+                          d, fps, z020, seeds=[5, 6])
         assert best.stats.seed in (5, 6)
 
     def test_empty_seeds_rejected(self, chain, z020):
         d, fps = chain
         with pytest.raises(ValueError, match="seeds"):
-            evolve_best(d, fps, z020, GAParams(move_budget=100), seeds=[])
+            place_best(GAPlacer(GAParams(move_budget=100)), d, fps, z020,
+                       seeds=[])
 
     def test_restart_span_tree(self, chain, z020):
         d, fps = chain
         tr = Tracer()
-        evolve_best(d, fps, z020, GAParams(move_budget=400, seed=0),
-                    n_seeds=2, tracer=tr)
+        place_best(GAPlacer(GAParams(move_budget=400, seed=0)), d, fps, z020,
+                   n_seeds=2, tracer=tr)
         root = tr.roots[0]
-        assert root.name == "evolve.restarts"
+        assert root.name == "place.restarts"
+        assert root.attrs["placer"] == "ga"
         assert [c.name for c in root.children] == ["evolve", "evolve"]
 
 

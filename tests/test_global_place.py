@@ -175,22 +175,30 @@ class TestWarmStartPipeline:
         with pytest.raises(ValueError, match="warm-start producer"):
             placer.place(d, fps, _GRID)
 
-    def test_stitch_restarts_accept_warm_start(self):
-        """initial_placements forwards through the restart fan-out."""
-        from repro.flow.restarts import stitch_best
+    def test_stitch_restarts_accept_warm_start(self, cli_placers):
+        """Restarting the CLI's gp+sa placer polishes one warm start per
+        seed: the winner is the pareto minimum of the GP warm start and
+        every seed's half-budget polish anneal from it, serial or
+        pooled."""
+        from repro.flow.restarts import place_best
 
-        d, fps = _design_from_specs([(p, 8) for p in _PATTERNS[:4]])
+        # Seed 2 wins here, and would not if it re-ran the analytic
+        # placer at its own seed.
+        d, fps = _design_from_specs([(p, 8) for p in _PATTERNS[:3]])
+        placer = cli_placers(600, 0)["gp+sa"]
         warm = global_place(d, fps, _GRID, GPParams(seed=0))
-        serial = stitch_best(
-            d, fps, _GRID, SAParams(max_iters=300, seed=0), n_seeds=2,
-            initial_placements=warm.placements,
-        )
-        pooled = stitch_best(
-            d, fps, _GRID, SAParams(max_iters=300, seed=0), n_seeds=2,
-            n_workers=2, initial_placements=warm.placements,
-        )
-        assert serial.placements == pooled.placements
-        assert serial.final_cost == pooled.final_cost
+        polished = [
+            stitch(d, fps, _GRID, SAParams(max_iters=300, seed=s),
+                   initial_placements=warm.placements)
+            for s in (0, 1, 2)
+        ]
+        expect = min([warm, *polished], key=pareto_key)
+        serial = place_best(placer, d, fps, _GRID, n_seeds=3)
+        pooled = place_best(placer, d, fps, _GRID, n_seeds=3, n_workers=2)
+        for best in (serial, pooled):
+            assert best.placements == expect.placements
+            assert best.final_cost == expect.final_cost
+        assert serial.stats.seed == pooled.stats.seed == 2
 
 
 class TestNearestFitY:

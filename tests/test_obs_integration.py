@@ -16,7 +16,8 @@ from repro.dse.explorer import DSEExplorer
 from repro.flow.blockdesign import BlockDesign
 from repro.flow.policy import FixedCF
 from repro.flow.preimpl import implement_design
-from repro.flow.restarts import stitch_best
+from repro.flow.placers import SAPlacer
+from repro.flow.restarts import place_best
 from repro.flow.rwflow import run_rw_flow
 from repro.flow.stitcher import SAParams, stitch
 from repro.obs.export import load_trace
@@ -118,12 +119,13 @@ class TestRestartsTrace:
     def test_one_child_stitch_per_seed(self, z020):
         d, fps = _stitch_case()
         tr = Tracer()
-        best = stitch_best(
-            d, fps, z020, SAParams(max_iters=1000, seed=0),
+        best = place_best(
+            SAPlacer(SAParams(max_iters=1000, seed=0)), d, fps, z020,
             n_seeds=3, tracer=tr,
         )
         root = tr.roots[0]
-        assert root.name == "stitch.restarts"
+        assert root.name == "place.restarts"
+        assert root.attrs["placer"] == "sa"
         seeds = [c.attrs["seed"] for c in root.find_all("stitch")]
         assert seeds == [0, 1, 2]
         assert root.attrs["winner_seed"] == best.stats.seed
@@ -132,8 +134,8 @@ class TestRestartsTrace:
     def test_seed_spans_merge_exactly_once(self, z020, workers):
         d, fps = _stitch_case()
         tr = Tracer()
-        stitch_best(
-            d, fps, z020, SAParams(max_iters=500, seed=0),
+        place_best(
+            SAPlacer(SAParams(max_iters=500, seed=0)), d, fps, z020,
             n_seeds=4, n_workers=workers, tracer=tr,
         )
         assert len(tr.roots[0].find_all("stitch")) == 4
@@ -248,7 +250,7 @@ class TestCLITracing:
     def test_trace_flags_parse(self):
         from repro.cli import build_parser
 
-        for cmd in (["stitch", "d.json"], ["preimpl", "d.json"], ["dataset"]):
+        for cmd in (["place", "d.json"], ["preimpl", "d.json"], ["dataset"]):
             args = build_parser().parse_args(
                 cmd + ["--trace-out", "t.json", "--profile"]
             )
@@ -258,7 +260,7 @@ class TestCLITracing:
     def test_stitch_trace_out_and_profile(self, design_json, tmp_path, capsys):
         out = tmp_path / "trace.json"
         rc = main(
-            ["stitch", design_json, "--sa-iters", "500",
+            ["place", design_json, "--budget", "500",
              "--trace-out", str(out), "--profile"]
         )
         assert rc == 0
@@ -279,7 +281,7 @@ class TestCLITracing:
 
     def test_trace_summarize_command(self, design_json, tmp_path, capsys):
         out = tmp_path / "trace.json"
-        main(["stitch", design_json, "--sa-iters", "500",
+        main(["place", design_json, "--budget", "500",
               "--trace-out", str(out)])
         capsys.readouterr()
         assert main(["trace", "summarize", str(out)]) == 0
@@ -288,5 +290,5 @@ class TestCLITracing:
         assert "stitch.anneal" in printed
 
     def test_no_flags_no_trace(self, design_json, capsys):
-        assert main(["stitch", design_json, "--sa-iters", "500"]) == 0
+        assert main(["place", design_json, "--budget", "500"]) == 0
         assert "Trace breakdown" not in capsys.readouterr().out

@@ -16,7 +16,7 @@ import pytest
 from repro.device.column import ColumnKind
 from repro.flow.blockdesign import BlockDesign
 from repro.flow.placers import TemperedSAPlacer, default_portfolio
-from repro.flow.restarts import temper_best
+from repro.flow.restarts import place_best
 from repro.flow.tempering import PTParams, temper
 from repro.obs.tracer import Tracer
 from repro.place.shapes import Footprint
@@ -28,6 +28,7 @@ _LL = ColumnKind.CLBLL
 _LM = ColumnKind.CLBLM
 
 _PARAMS = PTParams(max_iters=2000, n_chains=4, steps_per_round=100, seed=0)
+_PLACER = TemperedSAPlacer(params=_PARAMS)
 
 
 @pytest.fixture()
@@ -221,9 +222,11 @@ class TestTemperSpans:
 
 
 class TestTemperBest:
+    """Restarts of tempering: ``place_best`` over a TemperedSAPlacer."""
+
     def test_beats_or_matches_every_seed(self, chain, z020):
         d, fps = chain
-        best = temper_best(d, fps, z020, _PARAMS, n_seeds=3)
+        best = place_best(_PLACER, d, fps, z020, n_seeds=3)
         for k in range(3):
             single = temper(
                 d, fps, z020,
@@ -236,28 +239,29 @@ class TestTemperBest:
 
     def test_winner_seed_recorded(self, chain, z020):
         d, fps = chain
-        best = temper_best(d, fps, z020, _PARAMS, seeds=[5, 6])
+        best = place_best(_PLACER, d, fps, z020, seeds=[5, 6])
         assert best.stats.seed in (5, 6)
 
     def test_worker_independent(self, chain, z020):
         d, fps = chain
-        serial = temper_best(d, fps, z020, _PARAMS, n_seeds=3, n_workers=None)
-        parallel = temper_best(d, fps, z020, _PARAMS, n_seeds=3, n_workers=2)
+        serial = place_best(_PLACER, d, fps, z020, n_seeds=3, n_workers=None)
+        parallel = place_best(_PLACER, d, fps, z020, n_seeds=3, n_workers=2)
         assert _key(serial) == _key(parallel)
         assert serial.stats.seed == parallel.stats.seed
 
     def test_restart_span_tree(self, chain, z020):
         d, fps = chain
         tr = Tracer()
-        temper_best(d, fps, z020, _PARAMS, n_seeds=2, tracer=tr)
+        place_best(_PLACER, d, fps, z020, n_seeds=2, tracer=tr)
         root = tr.roots[0]
-        assert root.name == "tempering.restarts"
+        assert root.name == "place.restarts"
+        assert root.attrs["placer"] == "pt"
         assert [c.name for c in root.children] == ["tempering", "tempering"]
 
     def test_empty_seeds_rejected(self, chain, z020):
         d, fps = chain
         with pytest.raises(ValueError, match="seeds"):
-            temper_best(d, fps, z020, _PARAMS, seeds=[])
+            place_best(_PLACER, d, fps, z020, seeds=[])
 
 
 class TestTemperedSAPlacer:
@@ -285,9 +289,9 @@ class TestFlowIntegration:
         for i in range(2):
             d.connect(f"i{i}", f"i{i + 1}")
         res = run_rw_flow(
-            d, z020, FixedCF(1.6), placer="pt",
-            pt_params=PTParams(max_iters=1000, n_chains=2,
-                               steps_per_round=100, seed=0),
+            d, z020, FixedCF(1.6),
+            placer=TemperedSAPlacer(PTParams(max_iters=1000, n_chains=2,
+                                             steps_per_round=100, seed=0)),
         )
         assert res.stitch.n_unplaced == 0
         assert res.stitch.iterations == 1000
@@ -301,18 +305,8 @@ class TestFlowIntegration:
         for i in range(3):
             d.add_instance(f"i{i}", "m")
         res = run_rw_flow(
-            d, z020, FixedCF(1.6), placer="pt", n_seeds=2,
-            pt_params=PTParams(max_iters=600, n_chains=2,
-                               steps_per_round=50, seed=0),
+            d, z020, FixedCF(1.6), n_seeds=2,
+            placer=TemperedSAPlacer(PTParams(max_iters=600, n_chains=2,
+                                             steps_per_round=50, seed=0)),
         )
         assert res.stitch.stats.seed in (0, 1)
-
-    def test_rw_flow_rejects_unknown_placer(self, z020):
-        from repro.flow.policy import FixedCF
-        from repro.flow.rwflow import run_rw_flow
-
-        d = BlockDesign(name="flow-bad-placer")
-        d.add_module(RTLModule.make("m", [RandomLogicCloud(n_luts=120)]))
-        d.add_instance("i0", "m")
-        with pytest.raises(ValueError, match="'sa', 'ga', 'pt'"):
-            run_rw_flow(d, z020, FixedCF(1.6), placer="tabu")
