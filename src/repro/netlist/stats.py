@@ -1,8 +1,9 @@
 """Aggregate netlist statistics.
 
 :class:`NetlistStats` is the single summary consumed by the quick placer,
-the PBlock packer, the timing model and feature extraction.  It is computed
-once per netlist and cached on the netlist object.
+the PBlock packer, the timing model and feature extraction.  It is derived
+from the counts a :class:`~repro.netlist.netlist.Netlist` already holds, so
+computing it costs one pass over the carry chains.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.netlist.cells import CellKind
 from repro.netlist.netlist import Netlist
 
 __all__ = ["NetlistStats", "compute_stats"]
@@ -98,55 +98,28 @@ class NetlistStats:
 
 
 def compute_stats(netlist: Netlist) -> NetlistStats:
-    """Compute (and cache) the aggregate statistics of ``netlist``."""
-    cached = getattr(netlist, "_stats", None)
-    if cached is not None:
-        return cached
-
-    counts = {kind: 0 for kind in CellKind}
-    ff_by_cs: dict[int, int] = {}
-    lut_inputs_sum = 0
-    cs_used: set[int] = set()
-    for cell in netlist.cells:
-        counts[cell.kind] += 1
-        if cell.kind is CellKind.LUT:
-            lut_inputs_sum += cell.inputs
-        if cell.kind is CellKind.FF:
-            ff_by_cs[cell.control_set] = ff_by_cs.get(cell.control_set, 0) + 1
-        if cell.control_set >= 0:
-            cs_used.add(cell.control_set)
-
-    # Control nets (clock/reset/enable) ride dedicated routing, so only
-    # signal nets count toward the fanout features (paper §V-D).
-    fanouts = [n.fanout for n in netlist.nets if not n.is_control]
-    max_fanout = max(fanouts, default=0)
-    mean_fanout = (sum(fanouts) / len(fanouts)) if fanouts else 0.0
-    total_pins = sum(fanouts) + len(fanouts)  # loads + drivers (signal nets)
-
-    chain_slices = tuple(
-        math.ceil(bits / _CARRY_BITS) for bits in netlist.carry_chains
-    )
-    n_lut = counts[CellKind.LUT]
-
-    stats = NetlistStats(
+    """Derive the aggregate statistics of ``netlist``."""
+    chain_slices = tuple(math.ceil(bits / _CARRY_BITS) for bits in netlist.carry_chains)
+    n_carry4 = sum(chain_slices)
+    n_lut, n_signal_nets = netlist.n_lut, netlist.n_signal_nets
+    return NetlistStats(
         name=netlist.name,
         n_lut=n_lut,
-        n_ff=counts[CellKind.FF],
-        n_srl=counts[CellKind.SRL],
-        n_lutram=counts[CellKind.LUTRAM],
-        n_bram=counts[CellKind.BRAM36],
-        n_dsp=counts[CellKind.DSP48],
-        n_carry4=counts[CellKind.CARRY4],
+        n_ff=netlist.n_ff,
+        n_srl=netlist.n_srl,
+        n_lutram=netlist.n_lutram,
+        n_bram=netlist.n_bram,
+        n_dsp=netlist.n_dsp,
+        n_carry4=n_carry4,
         carry_chain_slices=chain_slices,
-        n_control_sets=len(cs_used),
-        ff_per_control_set=tuple(sorted(ff_by_cs.values(), reverse=True)),
-        max_fanout=max_fanout,
-        mean_fanout=mean_fanout,
-        total_pins=total_pins,
-        avg_lut_inputs=(lut_inputs_sum / n_lut) if n_lut else 0.0,
+        n_control_sets=netlist.n_control_sets,
+        ff_per_control_set=tuple(sorted(netlist.ff_per_control_set, reverse=True)),
+        max_fanout=netlist.max_fanout,
+        mean_fanout=(netlist.fanout_sum / n_signal_nets) if n_signal_nets else 0.0,
+        total_pins=netlist.fanout_sum + n_signal_nets,  # loads + drivers
+        avg_lut_inputs=(netlist.lut_inputs / n_lut) if n_lut else 0.0,
         logic_depth=netlist.logic_depth,
-        n_cells=netlist.n_cells,
-        n_nets=len(netlist.nets),
+        n_cells=n_lut + netlist.n_ff + netlist.n_srl + netlist.n_lutram
+        + n_carry4 + netlist.n_bram + netlist.n_dsp,
+        n_nets=netlist.n_nets,
     )
-    netlist._stats = stats
-    return stats

@@ -1,10 +1,12 @@
 """Synthesis simulator.
 
 Lowers :class:`~repro.rtlgen.base.RTLModule` descriptions to
-technology-mapped :class:`~repro.netlist.netlist.Netlist` objects, the way
+technology-mapped :class:`~repro.netlist.netlist.Netlist` counts, the way
 the paper's flow runs Vivado synthesis + ``opt_design`` before estimating a
-PBlock (Fig. 1).  The lowering rules are deterministic functions of the
-construct parameters, so resource statistics are exactly reproducible.
+PBlock (Fig. 1); ``opt_design`` returns its input, because the builder
+admits no dangling net for it to strip.  The lowering rules are
+deterministic functions of the construct parameters, so resource
+statistics are exactly reproducible.
 """
 
 from repro.synth.mapper import opt_design, synthesize

@@ -54,21 +54,15 @@ def synthesize(module: RTLModule) -> Netlist:
 
 
 def opt_design(netlist: Netlist) -> Netlist:
-    """Model Vivado's ``opt_design``: strip dangling nets.
+    """Model Vivado's ``opt_design``; returns ``netlist`` itself.
 
-    Cells are already emitted minimally by the mapper, so the main effect
-    kept here is removing zero-fanout nets, which would otherwise skew the
-    pin-density statistics.
+    The mapper emits cells minimally, and the step's remaining effect,
+    stripping dangling (zero-fanout) signal nets, has nothing to act on:
+    :class:`~repro.netlist.netlist.NetlistBuilder` rejects such nets.  The
+    flow still calls it, as the step that sits between synthesis and the
+    PBlock estimate (Fig. 1).
     """
-    live_nets = [n for n in netlist.nets if n.fanout > 0 or n.is_control]
-    return Netlist(
-        name=netlist.name,
-        cells=netlist.cells,
-        nets=live_nets,
-        control_sets=netlist.control_sets,
-        carry_chains=netlist.carry_chains,
-        logic_depth=netlist.logic_depth,
-    )
+    return netlist
 
 
 # --------------------------------------------------------------------- rules

@@ -3,7 +3,7 @@
 ``repro.cnv.design._SCALES`` and ``repro.cnv.tfc._TFC_SCALES`` pin what
 :func:`~repro.cnv.design.calibrate_scale` returns for every unique
 module, so building a design runs no synthesis.  The recompute below is
-the one place the bisection still runs (about 12 s on a 2-vCPU host);
+the one place the bisection still runs (about 1.5 s on a 2-vCPU host);
 when it fails, paste the dict its message prints over the drifted table.
 """
 

@@ -1,43 +1,41 @@
-"""Tests for the netlist model, builder and statistics."""
+"""Tests for the netlist builder and statistics."""
 
 import math
 
 import pytest
 
-from repro.netlist.cells import Cell, CellKind
-from repro.netlist.control_sets import ControlSet
 from repro.netlist.netlist import NetlistBuilder
-from repro.netlist.nets import Net
 from repro.netlist.stats import compute_stats
+
+
+def _stats(b):
+    return compute_stats(b.build())
 
 
 class TestCells:
     def test_m_slice_kinds(self):
-        assert CellKind.SRL.needs_m_slice
-        assert CellKind.LUTRAM.needs_m_slice
-        assert not CellKind.LUT.needs_m_slice
+        b = NetlistBuilder("m")
+        cs = b.control_set("clk")
+        b.add_luts(5)
+        b.add_srls(2, cs)
+        b.add_lutrams(3, cs)
+        s = _stats(b)
+        assert s.n_m_lut_sites == 2 + 3  # SRLs and LUTRAMs, not logic LUTs
+        assert s.n_logic_luts == 5
 
     def test_negative_inputs_rejected(self):
+        b = NetlistBuilder("m")
         with pytest.raises(ValueError):
-            Cell("c", CellKind.LUT, inputs=-1)
+            b.add_lut(inputs=-1)
 
 
 class TestNets:
     def test_negative_fanout_rejected(self):
+        b = NetlistBuilder("m")
         with pytest.raises(ValueError):
-            Net("n", fanout=-1)
-
-
-class TestControlSets:
-    def test_key_identity(self):
-        a = ControlSet("clk", "rst", "en")
-        b = ControlSet("clk", "rst", "en")
-        assert a.key() == b.key()
-
-    def test_flags(self):
-        cs = ControlSet("clk")
-        assert not cs.has_reset and not cs.has_enable
-        assert ControlSet("clk", reset="r").has_reset
+            b.add_broadcast_net(fanout=-1, is_control=True)
+        with pytest.raises(ValueError):
+            b.add_broadcast_net(fanout=-1)
 
 
 class TestBuilder:
@@ -47,18 +45,36 @@ class TestBuilder:
         i2 = b.control_set("clk", "rst")
         i3 = b.control_set("clk", "other")
         assert i1 == i2 != i3
+        b.add_ff(i1)
+        b.add_ff(i2)
+        s = _stats(b)
+        assert s.n_control_sets == 1
+        assert s.ff_per_control_set == (2,)
 
     def test_carry_chain_cells(self):
         b = NetlistBuilder("m")
-        b.add_carry_chain(bits=10)
-        nl = b.build()
-        assert nl.count(CellKind.CARRY4) == math.ceil(10 / 4)
-        assert nl.carry_chains == (10,)
+        assert b.add_carry_chain(bits=10) == 0
+        assert b.add_carry_chain(bits=4) == 1
+        s = _stats(b)
+        assert s.n_carry4 == math.ceil(10 / 4) + 1
+        assert s.carry_chain_slices == (3, 1)
+        assert s.n_cells == 4
 
     def test_ff_requires_interned_cs(self):
         b = NetlistBuilder("m")
         with pytest.raises(IndexError):
             b.add_ff(0)
+
+    @pytest.mark.parametrize("add", ["add_srl", "add_lutram"])
+    @pytest.mark.parametrize("cs_index", [-3, 1, 7])
+    def test_srl_and_lutram_require_interned_cs(self, add, cs_index):
+        b = NetlistBuilder("m")
+        b.control_set("clk")  # index 0 is the only interned set
+        with pytest.raises(IndexError):
+            getattr(b, add)(cs_index)
+        with pytest.raises(IndexError):
+            getattr(b, add + "s")(2, cs_index)
+        assert _stats(b) == _stats(NetlistBuilder("m"))  # nothing was counted
 
     def test_lut_input_bounds(self):
         b = NetlistBuilder("m")
@@ -72,20 +88,36 @@ class TestBuilder:
         cs = b.control_set("clk")
         with pytest.raises(ValueError):
             b.add_srl(cs, depth=33)
+        with pytest.raises(ValueError):
+            b.add_srl(cs, depth=0)
 
-    def test_unique_names(self):
+    def test_signal_nets_need_a_load(self):
         b = NetlistBuilder("m")
-        b.add_luts(50)
-        nl = b.build()
-        names = [c.name for c in nl.cells]
-        assert len(set(names)) == len(names)
+        cs = b.control_set("clk")
+        for add in (
+            lambda: b.add_lut(fanout=0),
+            lambda: b.add_luts(3, fanout=0),
+            lambda: b.add_ff(cs, fanout=0),
+            lambda: b.add_carry_chain(8, fanout=0),
+            lambda: b.add_bram(fanout=0),
+            lambda: b.add_broadcast_net(fanout=0),
+        ):
+            with pytest.raises(ValueError):
+                add()
+        # A control net rides dedicated routing and may have no load.
+        b.add_broadcast_net(fanout=0, is_control=True)
+        s = _stats(b)
+        assert s.n_nets == 1
+        assert s.n_cells == s.n_control_sets == 0  # a rejected call counts nothing
 
     def test_depth_tracking(self):
         b = NetlistBuilder("m")
         b.bump_depth(3)
         b.bump_depth(2)
         b.set_min_depth(4)  # lower than current 5: no-op
-        assert b.build().logic_depth == 5
+        assert _stats(b).logic_depth == 5
+        with pytest.raises(ValueError):
+            b.bump_depth(-1)
 
 
 class TestStats:
@@ -94,8 +126,8 @@ class TestStats:
         cs1 = b.control_set("clk", "rst1")
         cs2 = b.control_set("clk", "rst2")
         b.add_luts(80, inputs=4)
-        b.add_ffs(10, cs1)
         b.add_ffs(3, cs2)
+        b.add_ffs(10, cs1)
         b.add_carry_chain(8)
         b.add_srls(2, cs1)
         b.add_broadcast_net(fanout=40)
@@ -111,6 +143,8 @@ class TestStats:
         assert s.n_carry4 == 2
         assert s.carry_chain_slices == (2,)
         assert s.n_control_sets == 2
+        assert s.n_cells == 80 + 13 + 2 + 2
+        assert s.logic_depth == 3
 
     def test_ff_per_control_set_sorted(self):
         s = compute_stats(self._sample())
@@ -120,10 +154,42 @@ class TestStats:
     def test_control_nets_excluded_from_fanout(self):
         s = compute_stats(self._sample())
         assert s.max_fanout == 40  # not the 100-fanout control net
+        # 80 LUT + 13 FF + 1 carry + 2 SRL output nets, plus the broadcast.
+        signal_nets, loads = 97, 96 + 40
+        assert s.n_nets == signal_nets + 1
+        assert s.total_pins == loads + signal_nets
+        assert s.mean_fanout == loads / signal_nets
 
-    def test_cached(self):
-        nl = self._sample()
-        assert compute_stats(nl) is compute_stats(nl)
+    def test_lut_inputs_averaged(self):
+        b = NetlistBuilder("m")
+        b.add_luts(3, inputs=6)
+        b.add_lut(inputs=2)
+        assert _stats(b).avg_lut_inputs == (3 * 6 + 2) / 4
+
+    def test_lutram_only_control_set(self):
+        b = NetlistBuilder("m")
+        ram = b.control_set("clk", enable="we")
+        regs = b.control_set("clk")
+        b.add_lutrams(4, ram)
+        b.add_ffs(5, regs)
+        s = _stats(b)
+        assert s.n_control_sets == 2
+        assert s.ff_per_control_set == (5,)
+
+    def test_unused_control_set_not_counted(self):
+        b = NetlistBuilder("m")
+        used = b.control_set("clk")
+        b.control_set("clk", reset="never_used")
+        b.add_ffs(4, used)
+        b.add_srls(0, b.control_set("clk", enable="empty"))
+        s = _stats(b)
+        assert s.n_control_sets == 1
+        assert s.ff_per_control_set == (4,)
+
+    def test_empty(self):
+        s = _stats(NetlistBuilder("e"))
+        assert (s.n_cells, s.n_nets, s.max_fanout, s.mean_fanout) == (0, 0, 0, 0.0)
+        assert s.avg_lut_inputs == 0.0 and s.carry_chain_slices == ()
 
     def test_trivial_detection(self):
         b = NetlistBuilder("t")

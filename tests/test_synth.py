@@ -1,10 +1,13 @@
 """Tests for the synthesis simulator (construct lowering rules)."""
 
+import dataclasses
 import math
 
 import pytest
 
-from repro.netlist.cells import CellKind
+from repro.cnv import cnv_design, tfc_design
+from repro.flow.cache import stable_json_digest
+from repro.netlist.netlist import NetlistBuilder
 from repro.netlist.stats import compute_stats
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import (
@@ -18,6 +21,7 @@ from repro.rtlgen.constructs import (
     ShiftRegisterBank,
     SumOfSquares,
 )
+from repro.rtlgen.sweep import generate_sweep
 from repro.synth.mapper import opt_design, synthesize
 from repro.synth.packing import (
     ff_slice_demand_fragmented,
@@ -142,15 +146,43 @@ class TestOtherLowering:
 
 
 class TestOptDesign:
-    def test_strips_dangling_nets(self):
+    def test_no_dangling_net_to_strip(self):
         nl = synthesize(RTLModule.make("t", [RandomLogicCloud(n_luts=5)]))
-        nl.nets[0].fanout = 0
-        out = opt_design(nl)
-        assert len(out.nets) == len(nl.nets) - 1
+        assert opt_design(nl) is nl
+        # The builder refuses the zero-fanout nets opt_design would strip.
+        b = NetlistBuilder("t")
+        with pytest.raises(ValueError):
+            b.add_lut(fanout=0)
+        with pytest.raises(ValueError):
+            b.add_broadcast_net(fanout=0)
 
     def test_keeps_cells(self):
         nl = synthesize(RTLModule.make("t", [RandomLogicCloud(n_luts=5)]))
-        assert opt_design(nl).n_cells == nl.n_cells
+        assert compute_stats(opt_design(nl)).n_cells == compute_stats(nl).n_cells
+
+
+#: stable_json_digest of every module's NetlistStats, in design (or draw)
+#: order.  The sweep's digest also depends on numpy's Generator streams.
+STATS_DIGESTS = {
+    "cnvW1A1": "08b2038db8db73d9751d7dd83456c9f5542eba5b4ff5c9912d6d1e7c9d2c106a",
+    "tfcW1A1": "e1f1d51e2d899d6c1a17911f973bd9b16e86a49efd380437997443630bb9f588",
+    "sweep400": "b365363a80aed140d42a761e037e60e5d66bcecc902f144fdd0695323126dd30",
+}
+
+
+def test_stats_match_pinned_digests():
+    modules = {
+        "cnvW1A1": list(cnv_design().modules.values()),
+        "tfcW1A1": list(tfc_design().modules.values()),
+        "sweep400": generate_sweep(400, seed=0),
+    }
+    fresh = {
+        name: stable_json_digest(
+            [dataclasses.asdict(compute_stats(opt_design(synthesize(m)))) for m in mods]
+        )
+        for name, mods in modules.items()
+    }
+    assert fresh == STATS_DIGESTS, f"NetlistStats drifted; recomputed digests: {fresh}"
 
 
 class TestPackingModels:
