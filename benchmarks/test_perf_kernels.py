@@ -106,8 +106,11 @@ def test_perf_stitch_fast_vs_reference(grid):
     """The fast kernel must beat the reference kernel on the same run.
 
     This is the CI perf-smoke gate: it fails if a regression makes the
-    vectorized kernel slower than the straightforward one, and doubles
-    as an equivalence check on the benchmark workload.
+    bitmask kernel slower than the straightforward one, and doubles as
+    an equivalence check on the benchmark workload.  The equivalence
+    covers every draw-dependent output: a fast path that skips or
+    double-counts a probe shows in the history, the illegal-move count
+    or an attempt/accept counter even when the placement survives.
     """
     import time
 
@@ -126,8 +129,16 @@ def test_perf_stitch_fast_vs_reference(grid):
     ref_results: list = []
     t_fast = best_of("fast", fast_results)
     t_ref = best_of("reference", ref_results)
-    assert fast_results[0].placements == ref_results[0].placements
-    assert fast_results[0].final_cost == ref_results[0].final_cost
+    fast, ref = fast_results[0], ref_results[0]
+    assert fast.placements == ref.placements
+    assert fast.final_cost == ref.final_cost
+    assert fast.history == ref.history
+    assert fast.illegal_moves == ref.illegal_moves
+    for counter in (
+        "move_attempts", "place_attempts", "swap_attempts",
+        "move_accepts", "place_accepts", "swap_accepts",
+    ):
+        assert getattr(fast.stats, counter) == getattr(ref.stats, counter), counter
     assert t_fast < t_ref, (
         f"fast kernel ({t_fast * 1e3:.1f} ms) slower than reference "
         f"({t_ref * 1e3:.1f} ms)"

@@ -289,17 +289,15 @@ def evolve(
             best_pos: list[tuple[int, int] | None] = list(st.pos)
             history: list[tuple[int, float]] = [(0, best_fit)]
 
-            # Population sizing: keep at least two parents, but never
-            # spend the whole evolution share on generation zero.
+            # Population sizing: aim for at least two parents, but never
+            # spend the whole evolution share on generation zero, and
+            # decode no genome the evolution share cannot pay for (a
+            # budget below that keeps the seeded elite alone).
             affordable = max(2, evolve_budget // (2 * decode_cost))
             pop_size = max(2, min(params.population, affordable))
             population = [seeded]
             for _ in range(pop_size - 1):
-                if (
-                    len(population) >= 2
-                    and budget.used + decode_cost + params.child_moves
-                    > evolve_budget
-                ):
+                if budget.used + decode_cost + params.child_moves > evolve_budget:
                     break
                 perm = list(range(n))
                 for i in range(n - 1, 0, -1):  # seeded Fisher-Yates
@@ -353,9 +351,12 @@ def evolve(
         with tr.span("evolve.repair") as sp_repair:
             # Hill-climb the best placement ever seen with the shared
             # move kernel for the remaining budget, then repair any
-            # leftover unplaced blocks deterministically.
-            st.restore(best_pos)
-            budget.charge(decode_cost)
+            # leftover unplaced blocks deterministically.  With no genome
+            # decoded after the seeded elite, the kernel still holds the
+            # best placement, so no restore runs and none is charged.
+            if len(population) > 1:
+                st.restore(best_pos)
+                budget.charge(decode_cost)
             cost = st.total_cost()
             if cost < best_fit:
                 best_fit = cost

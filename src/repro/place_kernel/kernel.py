@@ -4,15 +4,17 @@ Two interchangeable kernels implement overlap probing, occupancy
 painting, incremental HPWL and greedy packing under one shared contract:
 
 * ``kernel="fast"`` (default) — per-column occupancy bitmasks stored as
-  Python big-ints (an overlap probe is one shift+AND per column, and the
-  greedy packer finds the lowest legal row with a logarithmic bit
-  dilation instead of a row scan), per-footprint compatible-site tables
-  shared by every instance of a module, incrementally cached instance
-  centers, and flat numpy edge-endpoint arrays so whole-design cost
-  sums are single vectorized gathers.
+  Python big-ints.  An overlap probe is one shift+AND per column; a
+  relocation probe masks out the block's own rows instead of lifting the
+  block, so a rejected move never repaints; the greedy packer finds the
+  lowest legal row with a logarithmic bit dilation instead of a row
+  scan.  Compatible-site tables are shared by every instance of a
+  module, and instance centers live in Python lists that the per-move
+  cost deltas read directly.
 * ``kernel="reference"`` — the original straightforward implementation
-  (numpy occupancy slicing, per-edge Python sums).  Kept forever as the
-  executable specification that the fast kernel is tested against.
+  (numpy occupancy slicing, lift/probe/put-back relocation probes,
+  per-edge Python sums).  Kept forever as the executable specification
+  that the fast kernel is tested against.
 
 Both kernels draw from the same batched uniform stream (see
 :class:`~repro.place_kernel.uniform.UniformBuffer`), so a fixed seed
@@ -39,7 +41,7 @@ import numpy as np
 from repro.device.grid import DeviceGrid
 from repro.place.shapes import Footprint
 from repro.place_kernel.route_cost import RouteCostModel
-from repro.place_kernel.sites import SiteTable, dilate_down, site_table
+from repro.place_kernel.sites import SiteTable, dilate_down, site_table, site_tables
 from repro.place_kernel.uniform import UniformBuffer
 
 __all__ = [
@@ -58,11 +60,13 @@ KERNELS = ("fast", "reference")
 class PlacementKernel:
     """Shared state and move logic of one placement run.
 
-    Subclasses provide the geometry/cost primitives (``fits``, ``paint``,
-    ``set_pos``, ``incident_cost``, ``wirelength``, ``lowest_fit_y``,
-    ``occupancy_array``); everything that touches the random stream or
-    decides moves lives here, once, so both kernels behave identically
-    regardless of which optimizer drives them.
+    Subclasses provide the geometry/cost primitives (``fits``,
+    ``fits_moved``, ``paint``, ``set_pos``, ``incident_cost``,
+    ``wirelength``, ``lowest_fit_y``, ``occupancy_array``); everything
+    that touches the random stream or decides moves lives here, once, so
+    both kernels behave identically regardless of which optimizer drives
+    them.  A primitive answers a geometry or cost question and nothing
+    else: it never draws, decides or counts.
     """
 
     name = "?"
@@ -86,7 +90,9 @@ class PlacementKernel:
         # *and* across kernel instances on the same grid (the process
         # cache in :func:`repro.place_kernel.sites.site_table`), so
         # restart fan-outs and ``clear()``/``restore()`` round-trips
-        # never re-derive a compatible-site table.
+        # never re-derive a compatible-site table.  The grid's cache is
+        # fetched once: hashing a grid hashes all of its columns.
+        per_grid = site_tables(grid)
         table_index: dict[Footprint, int] = {}
         self.tables: list[SiteTable] = []
         self.table_of: list[int] = []
@@ -95,7 +101,7 @@ class PlacementKernel:
             if idx is None:
                 idx = len(self.tables)
                 table_index[fp] = idx
-                self.tables.append(site_table(grid, fp))
+                self.tables.append(per_grid.get(fp) or site_table(grid, fp))
             self.table_of.append(idx)
         self.anchors_x = [self.tables[t].anchors_x for t in self.table_of]
         self.y_step = [self.tables[t].y_step for t in self.table_of]
@@ -144,6 +150,18 @@ class PlacementKernel:
 
     def fits(self, i: int, x: int, y: int) -> bool:
         raise NotImplementedError
+
+    def fits_moved(self, i: int, old: tuple[int, int], x: int, y: int) -> bool:
+        """Would ``i``, placed at ``old``, fit at ``(x, y)`` once lifted?
+
+        Leaves the occupancy as it found it.  This lift, probe and
+        put-back is the specification; :class:`FastKernel` answers from
+        its bitmasks without lifting.
+        """
+        self.paint(i, old[0], old[1], -1)
+        ok = self.fits(i, x, y)
+        self.paint(i, old[0], old[1], +1)
+        return ok
 
     def paint(self, i: int, x: int, y: int, delta: int) -> None:
         raise NotImplementedError
@@ -396,14 +414,6 @@ class PlacementKernel:
 
     # ------------------------------------------------------------ moves
 
-    def random_site(self, i: int, u: UniformBuffer) -> tuple[int, int] | None:
-        xs = self.anchors_x[i]
-        if not xs or self.y_max[i] < 0:
-            return None
-        x = xs[u.index(len(xs))]
-        y = u.index(self.n_y[i]) * self.y_step[i]
-        return x, y
-
     def try_move(self, i: int, temp: float, u: UniformBuffer) -> float:
         """Relocate instance ``i``; returns the accepted cost delta.
 
@@ -412,17 +422,18 @@ class PlacementKernel:
         which is how the GA's polish phase reuses the same primitive.
         """
         self.move_attempts += 1
-        site = self.random_site(i, u)
-        if site is None:
+        xs = self.anchors_x[i]
+        if not xs or self.y_max[i] < 0:
             return 0.0
+        x = xs[u.index(len(xs))]
+        y = u.index(self.n_y[i]) * self.y_step[i]
         old = self.pos[i]
         assert old is not None
-        self.paint(i, old[0], old[1], -1)
-        x, y = site
-        if not self.fits(i, x, y):
-            self.paint(i, old[0], old[1], +1)
+        if not self.fits_moved(i, old, x, y):
             self.illegal += 1
             return 0.0
+        # The block stays painted at ``old`` until the move is accepted:
+        # the cost terms read positions, never the occupancy.
         before = self.incident_cost(i)
         if self._cong:
             before += self.route.congestion_weight * self.congestion_overflow()
@@ -432,11 +443,11 @@ class PlacementKernel:
             after += self.route.congestion_weight * self.congestion_overflow()
         delta = after - before
         if delta <= 0 or u.next() < math.exp(-delta / max(temp, 1e-9)):
+            self.paint(i, old[0], old[1], -1)
             self.paint(i, x, y, +1)
             self.move_accepts += 1
             return delta
         self.set_pos(i, old)
-        self.paint(i, old[0], old[1], +1)
         return 0.0
 
     def try_place(self, i: int, u: UniformBuffer) -> float:
@@ -447,12 +458,18 @@ class PlacementKernel:
             if self._cong
             else 0.0
         )
+        xs = self.anchors_x[i]
+        if not xs or self.y_max[i] < 0:
+            return 0.0
+        n_x = len(xs)
+        n_y = self.n_y[i]
+        step = self.y_step[i]
+        index = u.index
+        fits = self.fits
         for _ in range(8):
-            site = self.random_site(i, u)
-            if site is None:
-                return 0.0
-            x, y = site
-            if self.fits(i, x, y):
+            x = xs[index(n_x)]
+            y = index(n_y) * step
+            if fits(i, x, y):
                 self.set_pos(i, (x, y))
                 self.paint(i, x, y, +1)
                 self.place_accepts += 1
@@ -568,7 +585,7 @@ class ReferenceKernel(PlacementKernel):
 
 
 class FastKernel(PlacementKernel):
-    """Bitmask/cached-center primitives (the default move kernel)."""
+    """Bitmask primitives over list-held centers (the default move kernel)."""
 
     name = "fast"
 
@@ -579,40 +596,34 @@ class FastKernel(PlacementKernel):
         # Occupancy as one big-int bitmask per column: bit y set means CLB
         # row y is occupied.  fits() is then a shift+AND per column.
         self.colmask = [0] * grid.n_cols
+        # Per-instance references to the shared tables' column masks: the
+        # (offset, mask, height) list of occupied columns, and the skyline
+        # indexed by column offset that fits_moved reads the block's own
+        # rows from.
         self.masks = [self.tables[t].masks for t in self.table_of]
+        self.skyline = [self.tables[t].skyline for t in self.table_of]
         self.half_w = [self.tables[t].half_w for t in self.table_of]
         self.half_h = [self.tables[t].half_h for t in self.table_of]
-        # Cached centers, maintained by set_pos: python lists for the
-        # scalar per-move path, numpy arrays for the vectorized gathers.
+        # Instance centers, maintained by set_pos and read by the per-move
+        # incident sums; the whole-design sums (wirelength, timing_cost)
+        # turn them into arrays when called.
         self.cx = [0.0] * self.n
         self.cy = [0.0] * self.n
-        self.cxa = np.zeros(self.n, dtype=np.float64)
-        self.cya = np.zeros(self.n, dtype=np.float64)
-        self.placed_arr = np.zeros(self.n, dtype=bool)
-        # Flat edge endpoints for vectorized whole-design cost sums.
+        # Flat edge endpoints and widths for the whole-design sums.
         self.ea = np.fromiter((e[0] for e in edges), dtype=np.intp, count=len(edges))
         self.eb = np.fromiter((e[1] for e in edges), dtype=np.intp, count=len(edges))
         self.ew = np.fromiter((e[2] for e in edges), dtype=np.float64, count=len(edges))
-        # Neighbor lists (other endpoint, weight) per instance; nodes with
-        # many incident edges also get index arrays for a gathered sum.
-        # With the timing term enabled the neighbor weights are the
-        # *effective* (HPWL + quantized timing) weights, so the per-move
-        # incident sums price both terms in one pass.
+        # Neighbor lists (other endpoint, weight) per instance for the
+        # O(deg) incident sums; a scalar loop over them beats a numpy
+        # gather at every degree the shipped designs reach (cnvW1A1's
+        # highest is 25).  With the timing term enabled the neighbor
+        # weights are the *effective* (HPWL + quantized timing) weights,
+        # so the per-move incident sums price both terms in one pass.
         self.nbrs: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for ei, (a, b, w) in enumerate(edges):
             wc = w if self._effw is None else self._effw[ei]
             self.nbrs[a].append((b, wc))
             self.nbrs[b].append((a, wc))
-        self.nbr_idx: list[np.ndarray | None] = [None] * self.n
-        self.nbr_w: list[np.ndarray | None] = [None] * self.n
-        for i, nb in enumerate(self.nbrs):
-            if len(nb) >= _GATHER_DEGREE:
-                self.nbr_idx[i] = np.fromiter(
-                    (o for o, _ in nb), dtype=np.intp, count=len(nb)
-                )
-                self.nbr_w[i] = np.fromiter(
-                    (w for _, w in nb), dtype=np.float64, count=len(nb)
-                )
         # Timing weights as a flat array for the vectorized timing_cost.
         self._twa = (
             np.array(self._tw, dtype=np.float64)
@@ -640,6 +651,22 @@ class FastKernel(PlacementKernel):
                 return False
         return True
 
+    def fits_moved(self, i: int, old: tuple[int, int], x: int, y: int) -> bool:
+        # A collision only counts if it is not with ``i``'s own rows at
+        # ``old``, which exist only in device columns that the old and
+        # new spans share.  Nothing is repainted.
+        cm = self.colmask
+        for c, m, _h in self.masks[i]:
+            hit = cm[x + c] & (m << y)
+            if hit:
+                d = x + c - old[0]
+                sky = self.skyline[i]
+                if 0 <= d < len(sky):
+                    hit &= ~(sky[d] << old[1])
+                if hit:
+                    return False
+        return True
+
     def paint(self, i: int, x: int, y: int, delta: int) -> None:
         cm = self.colmask
         if delta > 0:
@@ -651,16 +678,9 @@ class FastKernel(PlacementKernel):
 
     def set_pos(self, i: int, p: tuple[int, int] | None) -> None:
         self.pos[i] = p
-        if p is None:
-            self.placed_arr[i] = False
-        else:
-            cx = p[0] + self.half_w[i]
-            cy = p[1] + self.half_h[i]
-            self.cx[i] = cx
-            self.cy[i] = cy
-            self.cxa[i] = cx
-            self.cya[i] = cy
-            self.placed_arr[i] = True
+        if p is not None:
+            self.cx[i] = p[0] + self.half_w[i]
+            self.cy[i] = p[1] + self.half_h[i]
         if self._cong:
             self._cong_update(i)
 
@@ -766,12 +786,6 @@ class FastKernel(PlacementKernel):
     def incident_cost(self, i: int) -> float:
         if self.pos[i] is None:
             return 0.0
-        idx = self.nbr_idx[i]
-        if idx is not None:
-            both = self.placed_arr[idx]
-            dx = np.abs(self.cxa[i] - self.cxa[idx])
-            dy = np.abs(self.cya[i] - self.cya[idx])
-            return float(np.sum(np.where(both, self.nbr_w[i] * (dx + dy), 0.0)))
         pos = self.pos
         cx = self.cx
         cy = self.cy
@@ -783,29 +797,30 @@ class FastKernel(PlacementKernel):
                 total += w * (abs(xi - cx[o]) + abs(yi - cy[o]))
         return total
 
+    def _edge_distances(self) -> np.ndarray:
+        """Per-edge center distance ``|dx| + |dy|``; 0.0 unless both
+        endpoints are placed."""
+        placed = np.fromiter(
+            (p is not None for p in self.pos), dtype=bool, count=self.n
+        )
+        cx = np.array(self.cx)
+        cy = np.array(self.cy)
+        ea, eb = self.ea, self.eb
+        dist = np.abs(cx[ea] - cx[eb]) + np.abs(cy[ea] - cy[eb])
+        return np.where(placed[ea] & placed[eb], dist, 0.0)
+
     def wirelength(self) -> float:
         if self.ea.size == 0:
             return 0.0
-        both = self.placed_arr[self.ea] & self.placed_arr[self.eb]
-        dx = np.abs(self.cxa[self.ea] - self.cxa[self.eb])
-        dy = np.abs(self.cya[self.ea] - self.cya[self.eb])
-        return float(np.sum(np.where(both, self.ew * (dx + dy), 0.0)))
+        return float(np.sum(self.ew * self._edge_distances()))
 
     def timing_cost(self) -> float:
         # Vectorized peer of the base-class loop; dyadic weights make
         # the different summation order bitwise-irrelevant.
         if self._twa is None or self.ea.size == 0:
             return 0.0
-        both = self.placed_arr[self.ea] & self.placed_arr[self.eb]
-        dx = np.abs(self.cxa[self.ea] - self.cxa[self.eb])
-        dy = np.abs(self.cya[self.ea] - self.cya[self.eb])
-        return float(np.sum(np.where(both, self._twa * (dx + dy), 0.0)))
+        return float(np.sum(self._twa * self._edge_distances()))
 
-
-#: Incident-edge count above which per-move cost uses the numpy gather
-#: path; below it a scalar loop over cached centers is faster (the CNV
-#: and chain designs have degree <= 4).
-_GATHER_DEGREE = 32
 
 _KERNELS: dict[str, type[PlacementKernel]] = {
     "fast": FastKernel,
@@ -869,31 +884,36 @@ def run_move_batch(
     """
     events: list[tuple[int, float]] = []
     p_either = p_place + p_swap
+    draw = u.next
+    index = u.index
+    try_place = st.try_place
+    try_swap = st.try_swap
+    try_move = st.try_move
+    pos = st.pos
     for op in range(1, steps + 1):
-        r = u.next()
+        r = draw()
         if unplaced_list and r < p_place:
-            k = u.index(len(unplaced_list))
+            k = index(len(unplaced_list))
             i = unplaced_list[k]
-            cost += st.try_place(i, u)
-            if st.pos[i] is not None:
+            cost += try_place(i, u)
+            if pos[i] is not None:
                 unplaced_list[k] = unplaced_list[-1]
                 unplaced_list.pop()
                 placed_list.append(i)
         elif swappable and r < p_either:
-            g = swappable[u.index(len(swappable))]
-            i = u.index(len(g))
-            j = u.index(len(g) - 1)
+            g = swappable[index(len(swappable))]
+            i = index(len(g))
+            j = index(len(g) - 1)
             if j >= i:
                 j += 1
-            cost += st.try_swap(g[i], g[j], temp, u)
+            cost += try_swap(g[i], g[j], temp, u)
         else:
             if not placed_list:
                 continue
-            i = placed_list[u.index(len(placed_list))]
-            cost += st.try_move(i, temp, u)
+            cost += try_move(placed_list[index(len(placed_list))], temp, u)
         if cost < best - 1e-9:
             best = cost
             events.append((op, best))
             if snapshot is not None:
-                snapshot[:] = [list(st.pos)]
+                snapshot[:] = [list(pos)]
     return cost, best, events

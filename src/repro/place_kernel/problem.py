@@ -70,13 +70,15 @@ class PlacementProblem:
         (the pre-implementation step failed or was skipped).
         """
         design.validate()
-        missing = {i.module for i in design.instances} - set(footprints)
+        modules = {i.module for i in design.instances}
+        missing = modules - set(footprints)
         if missing:
             raise KeyError(f"missing footprints for modules: {sorted(missing)}")
 
         names = [i.name for i in design.instances]
         index = {n: k for k, n in enumerate(names)}
-        fps = [footprints[i.module].trimmed() for i in design.instances]
+        trimmed = {m: footprints[m].trimmed() for m in modules}
+        fps = [trimmed[i.module] for i in design.instances]
         edges = [(index[e.src], index[e.dst], e.width) for e in design.edges]
         groups: dict[str, list[int]] = {}
         for k, inst in enumerate(design.instances):

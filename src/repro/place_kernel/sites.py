@@ -2,9 +2,10 @@
 
 A :class:`SiteTable` caches, per unique (trimmed) footprint, everything
 the move kernels need to probe and paint the device: compatible anchor
-columns, the hard-block row pitch, per-column occupancy bitmasks and the
-allowed-anchor-row mask.  Sharing one table across every instance of a
-module means a design with heavy reuse (cnvW1A1: 175 instances / 74
+columns, the hard-block row pitch, per-column occupancy bitmasks (as a
+list of occupied columns and as a skyline indexed by column offset) and
+the allowed-anchor-row mask.  Sharing one table across every instance of
+a module means a design with heavy reuse (cnvW1A1: 175 instances / 74
 modules) builds each table once.
 """
 
@@ -25,12 +26,31 @@ __all__ = [
     "column_capacities",
     "dilate_down",
     "site_table",
+    "site_tables",
 ]
 
 #: Column kinds whose sites span several CLB rows.
 HARD_KINDS = (ColumnKind.BRAM, ColumnKind.DSP)
 #: CLB rows per BRAM/DSP site (anchor rows must be multiples of this).
 HARD_PITCH = 5
+
+
+def _shift_schedule(h: int) -> tuple[int, ...]:
+    """Shifts that dilate a mask by height ``h``: 1, 2, 4, ... capped so
+    they sum to ``h - 1``."""
+    shifts = []
+    covered = 1
+    while covered < h:
+        s = min(covered, h - covered)
+        shifts.append(s)
+        covered += s
+    return tuple(shifts)
+
+
+#: Memo of :func:`_shift_schedule` by height.  It is a pure function of
+#: the height, so one process-wide memo is safe; it holds only the
+#: heights dilated so far (16 after a cnvW1A1 DSE step).
+_SHIFTS: dict[int, tuple[int, ...]] = {}
 
 
 def dilate_down(mask: int, h: int) -> int:
@@ -40,13 +60,13 @@ def dilate_down(mask: int, h: int) -> int:
     ``[y, y + h)`` — i.e. the set of anchor rows a column of height ``h``
     collides at.
     """
-    out = mask
-    covered = 1
-    while covered < h:
-        s = min(covered, h - covered)
-        out |= out >> s
-        covered += s
-    return out
+    try:
+        shifts = _SHIFTS[h]
+    except KeyError:
+        shifts = _SHIFTS[h] = _shift_schedule(h)
+    for s in shifts:
+        mask |= mask >> s
+    return mask
 
 
 class SiteTable:
@@ -68,6 +88,7 @@ class SiteTable:
         "half_h",
         "heights_arr",
         "masks",
+        "skyline",
         "allowed_mask",
     )
 
@@ -89,6 +110,13 @@ class SiteTable:
             for c, h in enumerate(fp.heights)
             if h
         )
+        # ``skyline[c]``: the occupied-row mask of column offset ``c`` (0
+        # for an empty interior column), so a probe finds the block's own
+        # rows in any device column its span covers.
+        skyline = [0] * fp.width
+        for c, m, _h in self.masks:
+            skyline[c] = m
+        self.skyline = tuple(skyline)
         allowed = 0
         if self.y_max >= 0:
             if self.y_step == 1:
@@ -129,18 +157,29 @@ _TABLE_CACHE: "WeakKeyDictionary[DeviceGrid, dict[Footprint, SiteTable]]" = (
 )
 
 
-def site_table(grid: DeviceGrid, fp: Footprint) -> SiteTable:
-    """The shared :class:`SiteTable` for ``fp`` on ``grid`` (cached).
+def site_tables(grid: DeviceGrid) -> dict[Footprint, SiteTable]:
+    """The process-wide ``{footprint: SiteTable}`` cache of ``grid``.
 
-    Every kernel construction routes through here, so serial restart
-    families and the GA/tempering ``restore()`` round-trips pay the
-    table derivation once per unique (grid, footprint) pair per process
-    instead of once per seed.
+    Hashing a grid hashes every column, so a caller that looks up many
+    footprints fetches this dict once (a miss still goes through
+    :func:`site_table`).
     """
     per_grid = _TABLE_CACHE.get(grid)
     if per_grid is None:
         per_grid = {}
         _TABLE_CACHE[grid] = per_grid
+    return per_grid
+
+
+def site_table(grid: DeviceGrid, fp: Footprint) -> SiteTable:
+    """The shared :class:`SiteTable` for ``fp`` on ``grid`` (cached).
+
+    Every kernel construction routes through the same cache, so serial
+    restart families and the GA/tempering ``restore()`` round-trips pay
+    the table derivation once per unique (grid, footprint) pair per
+    process instead of once per seed.
+    """
+    per_grid = site_tables(grid)
     table = per_grid.get(fp)
     if table is None:
         table = SiteTable(grid, fp)

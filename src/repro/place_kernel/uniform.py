@@ -41,6 +41,16 @@ class UniformBuffer:
         return buf[i]
 
     def index(self, n: int) -> int:
-        """One draw mapped to ``{0, ..., n-1}``."""
-        k = int(self.next() * n)
+        """One draw mapped to ``{0, ..., n-1}``.
+
+        Reads the buffer itself rather than calling :meth:`next` (one
+        Python frame per draw); it consumes the same draw ``next`` would.
+        """
+        i = self._i
+        buf = self._buf
+        if i >= len(buf):
+            self._buf = buf = self._rng.random(self._block).tolist()
+            i = 0
+        self._i = i + 1
+        k = int(buf[i] * n)
         return n - 1 if k >= n else k

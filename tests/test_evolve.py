@@ -57,11 +57,18 @@ class TestEvolve:
         assert res.stats is not None
 
     def test_budget_respected(self, chain, z020):
-        """iterations == consumed kernel ops, never above the budget."""
+        """iterations == consumed kernel ops, never above the budget.
+
+        The seeded elite's decode (one op per instance) is the one cost a
+        smaller budget cannot refuse, so the bound is ``max(budget, n)``.
+        Budgets 1-39 cannot pay for a second decode plus a restore
+        (3n+4 ops with the seeded decode), so the GA must skip both.
+        """
         d, fps = chain
-        for budget in (50, 400, 2000):
+        n = len(d.instances)
+        for budget in (1, 11, 12, 13, 20, 39, 50, 400, 2000):
             res = evolve(d, fps, z020, GAParams(move_budget=budget, seed=0))
-            assert res.iterations <= budget
+            assert res.iterations <= max(budget, n), budget
 
     def test_deterministic(self, chain, z020):
         d, fps = chain

@@ -53,7 +53,8 @@ def _design_from_specs(fp_specs):
         name = f"m{fp_specs.index((kinds, h))}"
         if name not in fps:
             d.add_module(RTLModule.make(name, [RandomLogicCloud(n_luts=2)]))
-            fps[name] = Footprint(kinds, (h,) * len(kinds))
+            heights = h if isinstance(h, tuple) else (h,) * len(kinds)
+            fps[name] = Footprint(kinds, heights)
         d.add_instance(f"i{k}", name)
         if k:
             d.connect(f"i{k - 1}", f"i{k}", width=2)

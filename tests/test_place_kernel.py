@@ -13,6 +13,9 @@ fast and the reference kernel:
 * anchors in bounds and on column runs matching the footprint kinds;
 * hard-block columns only at the BRAM/DSP site pitch;
 * cost consistency (``total_cost == wirelength + penalty``).
+
+Footprints are ragged (per-column heights, empty columns included), so
+a relocation probe meets its own block's rows in shared columns.
 """
 
 import numpy as np
@@ -28,6 +31,7 @@ from repro.place_kernel import (
     HARD_KINDS,
     HARD_PITCH,
     KERNELS,
+    PlacementKernel,
     PlacementProblem,
     UniformBuffer,
     dilate_down,
@@ -57,8 +61,14 @@ _PATTERNS = [
     (_LL, _LM, _BR),
 ]
 
+#: (column kinds, per-column heights); zeros make empty edge columns
+#: (trimmed away) and interior gaps (kept).
 _footprints = st.lists(
-    st.tuples(st.sampled_from(_PATTERNS), st.integers(1, 30)),
+    st.sampled_from(_PATTERNS).flatmap(
+        lambda kinds: st.tuples(
+            st.just(kinds), st.tuples(*(st.integers(0, 30) for _ in kinds))
+        )
+    ),
     min_size=1,
     max_size=8,
 )
@@ -76,6 +86,7 @@ _kernels = pytest.mark.parametrize("kernel", list(KERNELS))
 
 
 def _build(fp_specs):
+    """``fp_specs``: (kinds, heights) pairs; an int height is a rectangle."""
     d = BlockDesign(name="pk")
     fps = {}
     for k, (kinds, h) in enumerate(fp_specs):
@@ -83,7 +94,8 @@ def _build(fp_specs):
         name = f"m{fp_specs.index((kinds, h))}"
         if name not in fps:
             d.add_module(RTLModule.make(name, [RandomLogicCloud(n_luts=2)]))
-            fps[name] = Footprint(kinds, (h,) * len(kinds))
+            heights = h if isinstance(h, tuple) else (h,) * len(kinds)
+            fps[name] = Footprint(kinds, heights)
         d.add_instance(f"i{k}", name)
         if k:
             d.connect(f"i{k - 1}", f"i{k}", width=2)
@@ -197,6 +209,85 @@ class TestKernelLegality:
         assert (list(kb.pos), kb.total_cost()) == first
 
 
+class TestLiftFreeProbe:
+    """``FastKernel.fits_moved`` answers the lift/probe/put-back question
+    of the base class without lifting the block, and a rejected
+    relocation never repaints."""
+
+    #: Six identical columns, so every pair of anchors 0-2 columns apart
+    #: has overlapping old and new spans.
+    _SINGLE = DeviceGrid.from_kinds("single", [_LL] * 6, n_regions=1)
+
+    def _kernel(self):
+        d = BlockDesign(name="lift")
+        for m in ("blk", "nbr"):
+            d.add_module(RTLModule.make(m, [RandomLogicCloud(n_luts=2)]))
+        d.add_instance("b", "blk")
+        d.add_instance("n", "nbr")
+        d.connect("b", "n", width=2)
+        fps = {
+            # Ragged, with an interior gap: the block's own rows differ
+            # per column and one shared column has none.
+            "blk": Footprint((_LL,) * 3, (9, 0, 4)),
+            "nbr": Footprint((_LL,) * 2, (5, 7)),
+        }
+        kb = PlacementProblem.from_design(d, fps, self._SINGLE).make_kernel(
+            "fast", 40.0
+        )
+        kb.set_pos(1, (2, 20))
+        kb.paint(1, 2, 20, +1)
+        return kb
+
+    def test_fits_moved_matches_lift_probe_put_back(self):
+        kb = self._kernel()
+        anchors = [
+            (x, y)
+            for x in kb.anchors_x[0]
+            for y in range(0, kb.y_max[0] + 1, kb.y_step[0])
+        ]
+        olds = [a for a in anchors if kb.fits(0, *a)]
+        seen = set()
+        for old in olds:
+            kb.set_pos(0, old)
+            kb.paint(0, *old, +1)
+            before = list(kb.colmask)
+            for x, y in anchors:
+                want = PlacementKernel.fits_moved(kb, 0, old, x, y)
+                assert kb.fits_moved(0, old, x, y) == want, (old, (x, y))
+                seen.add((abs(x - old[0]) < 3, want))
+            assert kb.colmask == before
+            kb.paint(0, *old, -1)
+        # Both answers occur with overlapping and with disjoint spans.
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_rejected_move_never_paints(self):
+        kb = self._kernel()
+        kb.set_pos(0, (0, 0))
+        kb.paint(0, 0, 0, +1)
+        calls = []
+        paint = kb.paint
+
+        def counting_paint(*args):
+            calls.append(args)
+            paint(*args)
+
+        kb.paint = counting_paint
+        u = UniformBuffer(np.random.default_rng(0), block=64)
+        kinds = set()
+        for _ in range(400):
+            n_calls, mask, pos = len(calls), list(kb.colmask), list(kb.pos)
+            accepts, illegal = kb.move_accepts, kb.illegal
+            kb.try_move(0, 0.0, u)
+            if kb.move_accepts > accepts:
+                assert len(calls) == n_calls + 2
+                kinds.add("accepted")
+            else:
+                assert len(calls) == n_calls
+                assert kb.colmask == mask and kb.pos == pos
+                kinds.add("illegal" if kb.illegal > illegal else "worse")
+        assert kinds == {"accepted", "illegal", "worse"}
+
+
 class TestKernelPrimitives:
     def test_greedy_order_tallest_first(self):
         problem = _build([((_LL,), 30), ((_LM,), 5), ((_LL, _LM), 12)])
@@ -230,12 +321,27 @@ class TestKernelPrimitives:
         assert dilate_down(mask, 1) == mask
         dil = dilate_down(mask, 3)
         assert dil == (mask | mask >> 1 | mask >> 2)
+        # Every height, memoized shift schedule or not, ORs exactly the
+        # shifts 0 .. h-1 (a height below 2 leaves the mask as it is).
+        rng = np.random.default_rng(0)
+        for h in (*range(-2, 70), 399, 400, 511, 512, 513, 900):
+            m = int.from_bytes(rng.bytes(140), "little")
+            want = m
+            for k in range(1, h):
+                want |= m >> k
+            assert dilate_down(m, h) == want, h
 
     def test_uniform_buffer_matches_unbatched(self):
         """The batched stream is exactly the generator's raw stream."""
         u = UniformBuffer(np.random.default_rng(3), block=8)
         raw = np.random.default_rng(3).random(20).tolist()
         assert [u.next() for _ in range(20)] == raw
+        # index() consumes the draw next() would, refills included.
+        u = UniformBuffer(np.random.default_rng(3), block=8)
+        mixed = [u.index(7) if k % 3 else u.next() for k in range(20)]
+        assert mixed == [
+            min(int(r * 7), 6) if k % 3 else r for k, r in enumerate(raw)
+        ]
 
     def test_uniform_index_in_range(self):
         u = UniformBuffer(np.random.default_rng(0), block=16)
