@@ -519,7 +519,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(render_rule_table())
         return 0
 
-    result = lint_paths(args.paths, select=args.select, ignore=args.ignore)
+    try:
+        result = lint_paths(args.paths, select=args.select, ignore=args.ignore)
+    except FileNotFoundError as exc:
+        # A mistyped path is a usage error (2), not a lint finding (1).
+        print(f"repro lint: error: {exc}", file=sys.stderr)
+        return 2
 
     root = _find_git_root(Path.cwd()) if args.fmt == "github" else None
     print(render(result, args.fmt, root=root))

@@ -7,7 +7,6 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from repro.features.registry import FeatureExtractor, ModuleRecord
-from repro.ml.boosting import GradientBoostingRegressor
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.linear import LinearRegression
 from repro.ml.mlp import MLPRegressor
@@ -22,7 +21,7 @@ class _Regressor(Protocol):
     def predict(self, X: np.ndarray) -> np.ndarray: ...
 
 
-MODEL_KINDS = ("linreg", "dt", "rf", "nn", "gbrt")
+MODEL_KINDS = ("linreg", "dt", "rf", "nn")
 
 
 def _make_model(kind: str, seed: int, rf_trees: int) -> _Regressor:
@@ -36,10 +35,6 @@ def _make_model(kind: str, seed: int, rf_trees: int) -> _Regressor:
         )
     if kind == "nn":
         return MLPRegressor(hidden=25, epochs=400, batch_size=32, seed=seed)
-    if kind == "gbrt":
-        return GradientBoostingRegressor(
-            n_estimators=200, learning_rate=0.05, max_depth=4, seed=seed
-        )
     raise KeyError(f"unknown model kind {kind!r}; known: {MODEL_KINDS}")
 
 

@@ -7,25 +7,21 @@ unordered iteration feeding numeric accumulation, pool-safe worker
 functions, submission-order merges, and tracer spans/grafts kept inside
 their sanctioned shapes.
 
-Two rule tiers share one engine: per-module visitor rules (families
-``DET`` / ``PAR`` / ``OBS``) and whole-program rules (``FLOW`` /
-``RED``) that run over a project-wide call graph, so an RNG crossing a
-``FanOut`` boundary two calls away, or a set returned by a helper in
-another file, is still traced to its sink.
+Every rule is a visitor over one module (families ``DET`` / ``PAR`` /
+``OBS``), so a run is one AST pass per file.  Whether an RNG or a
+completion order crosses a process-pool boundary through several calls
+is not read from the source: the worker-count-independence tests check
+it when the code runs.
 
 * :mod:`repro.lint.rules` — the visitor framework, rule metadata and
-  both registries;
-* :mod:`repro.lint.callgraph` — the project symbol table / call graph
-  (alias and re-export resolution across files);
-* :mod:`repro.lint.dataflow` — the abstract value-flow (RNG streams,
-  set-valued and completion-ordered iterables) plus the FLOW/RED pack;
+  the registry;
 * :mod:`repro.lint.engine` — file discovery, rule execution and
-  suppression filtering (:func:`lint_paths` / :func:`lint_sources`);
+  suppression filtering (:func:`lint_paths` / :func:`lint_source`);
 * :mod:`repro.lint.suppressions` — tokenizer-based
   ``# repro: noqa[RULE-ID] reason`` parsing (reasons are mandatory,
   markers apply per logical statement);
 * :mod:`repro.lint.report` — text / json / github reporters and the
-  statistics artifact (schema v3).
+  statistics artifact (json schema v4).
 
 The rule pack and suppression syntax are documented in ``docs/api.md``
 ("Static analysis"); the CI gate requires
@@ -39,14 +35,11 @@ from repro.lint.engine import (
     iter_python_files,
     lint_paths,
     lint_source,
-    lint_sources,
 )
 from repro.lint.rules import (
-    ProjectRule,
     Rule,
     RuleMeta,
     Violation,
-    all_project_rules,
     all_rules,
     rule_ids,
 )
@@ -62,18 +55,15 @@ from repro.lint.suppressions import Suppression, SuppressionScan, scan_suppressi
 __all__ = [
     "FORMATS",
     "LintResult",
-    "ProjectRule",
     "Rule",
     "RuleMeta",
     "Suppression",
     "SuppressionScan",
     "Violation",
-    "all_project_rules",
     "all_rules",
     "iter_python_files",
     "lint_paths",
     "lint_source",
-    "lint_sources",
     "render",
     "render_rule_table",
     "render_statistics",

@@ -30,7 +30,6 @@ class ModuleContext:
         self.path = path
         self.source = source
         self.tree = tree
-        self.lines: list[str] = source.splitlines()
 
         #: child-id -> parent node (ast nodes are unhashable by value,
         #: identity keys are the standard trick).

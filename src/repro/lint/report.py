@@ -2,10 +2,9 @@
 
 Three formats, mirroring common linter conventions:
 
-* ``text`` — ``path:line:col: ID message`` plus an indented fix hint
-  and, for whole-program findings, the cross-file call chain;
+* ``text`` — ``path:line:col: ID message`` plus an indented fix hint;
 * ``json`` — the stable machine schema (``LintResult.to_json_dict``,
-  schema v3);
+  schema v4);
 * ``github`` — ``::error`` workflow commands that annotate PR diffs
   (paths are emitted relative to the repository root when one is given,
   so annotations attach correctly from subdirectory invocations).
@@ -21,7 +20,7 @@ import os
 from pathlib import Path
 
 from repro.lint.engine import LintResult
-from repro.lint.rules import Rule, all_project_rules, all_rules
+from repro.lint.rules import all_rules
 
 __all__ = [
     "FORMATS",
@@ -42,8 +41,6 @@ def render_text(result: LintResult, *, fix_hints: bool = True) -> str:
     lines: list[str] = []
     for v in result.violations:
         lines.append(f"{v.path}:{v.line}:{v.col}: {v.rule} {v.message}")
-        for frame in v.trace:
-            lines.append(f"    via: {frame}")
         if fix_hints and v.fix_hint:
             lines.append(f"    fix: {v.fix_hint}")
     n = len(result.violations)
@@ -56,7 +53,7 @@ def render_text(result: LintResult, *, fix_hints: bool = True) -> str:
 
 
 def render_json(result: LintResult) -> str:
-    """The machine-readable document (schema version 3)."""
+    """The machine-readable document (schema version 4)."""
     return json.dumps(result.to_json_dict(), indent=2, sort_keys=True)
 
 
@@ -80,16 +77,11 @@ def render_github(result: LintResult, *, root: str | Path | None = None) -> str:
     relative to; invocations from a subdirectory would otherwise emit
     paths the Checks API cannot attach to the diff.
     """
-    lines = []
-    for v in result.violations:
-        message = v.message
-        if v.trace:
-            # %0A is the workflow-command newline escape.
-            message += "%0A" + "%0A".join(f"via: {t}" for t in v.trace)
-        lines.append(
-            f"::error file={_relative_to_root(v.path, root)},line={v.line},"
-            f"col={v.col},title={v.rule}::{message}"
-        )
+    lines = [
+        f"::error file={_relative_to_root(v.path, root)},line={v.line},"
+        f"col={v.col},title={v.rule}::{v.message}"
+        for v in result.violations
+    ]
     lines.append(
         f"{len(result.violations)} violation(s) in "
         f"{result.files_checked} file(s)"
@@ -130,16 +122,10 @@ def statistics_json(result: LintResult) -> str:
     return json.dumps(result.statistics(), indent=2, sort_keys=True)
 
 
-def render_rule_table(rules: list[Rule] | None = None) -> str:
-    """The ``--list-rules`` output: every rule with its one-line summary.
-
-    Project (whole-program) rules are listed after the per-module pack.
-    """
-    packs: list = (
-        rules if rules is not None else [*all_rules(), *all_project_rules()]
-    )
+def render_rule_table() -> str:
+    """The ``--list-rules`` output: every rule with its one-line summary."""
     lines = []
-    for rule in packs:
+    for rule in all_rules():
         m = rule.meta
         lines.append(f"{m.id:<7}  {m.name:<26} [{m.severity}] {m.summary}")
     return "\n".join(lines)

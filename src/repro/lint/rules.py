@@ -11,20 +11,13 @@ Rule ids are ``<FAMILY><NNN>`` — ``DET`` (determinism), ``PAR``
 (process-pool safety), ``OBS`` (tracer hygiene) — plus the engine-owned
 ``SUP`` (suppression hygiene) and ``LNT`` (file-level) ids that have no
 visitor class.
-
-Whole-program rules (families ``FLOW``, ``RED``) subclass
-:class:`ProjectRule` instead: they run once over the
-:class:`~repro.lint.callgraph.ProjectIndex` rather than per module, so
-they can chase a value through any cross-file call chain.  Both kinds
-share :class:`RuleMeta` and :class:`Violation`; project findings carry a
-``trace`` — the call chain that connects the source to the sink.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import ClassVar
 
 from repro.lint.context import ModuleContext
@@ -33,12 +26,9 @@ __all__ = [
     "RULE_ID_RE",
     "RuleMeta",
     "Rule",
-    "ProjectRule",
     "Violation",
     "all_rules",
-    "all_project_rules",
     "register",
-    "register_project",
     "rule_ids",
 ]
 
@@ -48,12 +38,7 @@ RULE_ID_RE = re.compile(r"^[A-Z]{3,4}\d{3}$")
 
 @dataclass(frozen=True)
 class Violation:
-    """One finding: a rule fired at a source location.
-
-    ``trace`` is the cross-file call chain of a whole-program finding,
-    outermost frame first, each entry ``"path:line function"``;
-    single-module findings leave it empty.
-    """
+    """One finding: a rule fired at a source location."""
 
     rule: str
     path: str
@@ -62,20 +47,10 @@ class Violation:
     message: str
     severity: str = "error"
     fix_hint: str = ""
-    trace: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict[str, object]:
-        """Plain-JSON representation (the ``--format json`` schema v3)."""
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "severity": self.severity,
-            "fix_hint": self.fix_hint,
-            "trace": list(self.trace),
-        }
+        """Plain-JSON representation (the ``--format json`` schema v4)."""
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -155,82 +130,14 @@ def all_rules() -> list[Rule]:
     return [_REGISTRY[rid]() for rid in sorted(_REGISTRY)]
 
 
-class ProjectRule:
-    """Base class of whole-program rules (``FLOW`` / ``RED``).
-
-    A project rule runs once per lint invocation over the
-    :class:`~repro.lint.callgraph.ProjectIndex`; findings may land in
-    any indexed module and should carry the connecting call chain in
-    :attr:`Violation.trace`.  Subclasses implement :meth:`check`.
-    """
-
-    meta: ClassVar[RuleMeta]
-
-    def __init__(self) -> None:
-        self.violations: list[Violation] = []
-
-    def run(self, project: "object") -> list[Violation]:
-        """Collect this rule's violations for the whole project."""
-        self.violations = []
-        self.check(project)
-        return self.violations
-
-    def check(self, project: "object") -> None:
-        raise NotImplementedError
-
-    def report(
-        self,
-        path: str,
-        node: ast.AST,
-        message: str,
-        *,
-        trace: tuple[str, ...] = (),
-    ) -> None:
-        """Record one violation anchored at ``node`` in module ``path``."""
-        self.violations.append(
-            Violation(
-                rule=self.meta.id,
-                path=path,
-                line=getattr(node, "lineno", 1),
-                col=getattr(node, "col_offset", 0) + 1,
-                message=message,
-                severity=self.meta.severity,
-                fix_hint=self.meta.fix_hint,
-                trace=trace,
-            )
-        )
-
-
-_PROJECT_REGISTRY: dict[str, type[ProjectRule]] = {}
-
-
-def register_project(cls: type[ProjectRule]) -> type[ProjectRule]:
-    """Class decorator: add a whole-program rule to the pack."""
-    rid = cls.meta.id
-    if not RULE_ID_RE.match(rid):
-        raise ValueError(f"malformed rule id: {rid!r}")
-    if rid in _REGISTRY or rid in _PROJECT_REGISTRY:
-        raise ValueError(f"duplicate rule id: {rid}")
-    _PROJECT_REGISTRY[rid] = cls
-    return cls
-
-
-def all_project_rules() -> list[ProjectRule]:
-    """Fresh instances of every registered project rule, in id order."""
-    from repro.lint import dataflow  # noqa: F401  (registers FLOW/RED)
-
-    return [_PROJECT_REGISTRY[rid]() for rid in sorted(_PROJECT_REGISTRY)]
-
-
 def rule_ids() -> list[str]:
     """Every id ``select``/``ignore`` can name, sorted: the registered
-    rules (module-level and project) plus the engine-owned diagnostics."""
-    from repro.lint import dataflow, rules_det, rules_obs, rules_par  # noqa: F401
+    rules plus the engine-owned diagnostics."""
+    from repro.lint import rules_det, rules_obs, rules_par  # noqa: F401
 
     return sorted(
         [
             *_REGISTRY,
-            *_PROJECT_REGISTRY,
             SUPPRESSION_RULE_ID,
             UNUSED_SUPPRESSION_RULE_ID,
             PARSE_ERROR_RULE_ID,
@@ -241,7 +148,7 @@ def rule_ids() -> list[str]:
 # Violation ids owned by the engine rather than a visitor rule:
 #: a suppression comment that is malformed or reason-less.
 SUPPRESSION_RULE_ID = "SUP001"
-#: a well-formed suppression that silenced nothing.
+#: a well-formed suppression that silenced nothing or names no rule.
 UNUSED_SUPPRESSION_RULE_ID = "SUP002"
-#: a file the engine could not parse.
+#: a file the engine could not read or parse.
 PARSE_ERROR_RULE_ID = "LNT001"

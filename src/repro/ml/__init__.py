@@ -14,7 +14,6 @@ trees over a process pool (``n_workers=N``) with seed-stable results and
 batches prediction across trees (:mod:`repro.ml.ensemble`).
 """
 
-from repro.ml.boosting import GradientBoostingRegressor
 from repro.ml.ensemble import StackedTrees, stack_trees
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.linear import LinearRegression
@@ -31,7 +30,6 @@ from repro.ml.tree import SPLIT_ENGINES, DecisionTreeRegressor
 
 __all__ = [
     "DecisionTreeRegressor",
-    "GradientBoostingRegressor",
     "LinearRegression",
     "MLPRegressor",
     "RandomForestRegressor",

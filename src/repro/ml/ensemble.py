@@ -1,7 +1,7 @@
 """Batched prediction across an ensemble of CART trees.
 
-The forest and the booster both spend their inference time walking many
-trees one after another.  Stacking every tree's flattened node arrays
+The random forest spends its inference time walking many trees one
+after another.  Stacking every tree's flattened node arrays
 into one arena (child indices offset into the concatenation) lets a
 single level-synchronous walk advance *all* (tree, sample) cursors at
 once — one numpy pass per tree level instead of one Python-level loop

@@ -13,7 +13,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.ml.boosting import GradientBoostingRegressor
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.linear import LinearRegression
 from repro.ml.mlp import MLPRegressor
@@ -137,21 +136,6 @@ def model_to_dict(model: Any) -> dict[str, Any]:
             "importances": _arr(model.feature_importances_),
         }
         kind = "forest"
-    elif isinstance(model, GradientBoostingRegressor):
-        if not model.trees_:
-            raise ValueError("cannot serialize an unfitted booster")
-        payload = {
-            "params": {
-                "n_estimators": model.n_estimators,
-                "learning_rate": model.learning_rate,
-                "max_depth": model.max_depth,
-                "subsample": model.subsample,
-                "seed": model.seed,
-            },
-            "base": model.base_,
-            "trees": [_dt_to_dict(t) for t in model.trees_],
-        }
-        kind = "gbrt"
     elif isinstance(model, MLPRegressor):
         if model._params is None:
             raise ValueError("cannot serialize an unfitted MLP")
@@ -198,11 +182,6 @@ def model_from_dict(data: dict[str, Any]) -> Any:
             if payload["importances"] is None
             else np.asarray(payload["importances"])
         )
-        return model
-    if kind == "gbrt":
-        model = GradientBoostingRegressor(**payload["params"])
-        model.base_ = float(payload["base"])
-        model.trees_ = [_dt_from_dict(t) for t in payload["trees"]]
         return model
     if kind == "mlp":
         p = payload["params"]

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.lint import lint_source
+from repro.lint import lint_paths, lint_source
 from repro.lint.engine import iter_python_files
 
 # -------------------------------------------- statement-scoped suppressions
@@ -63,11 +63,16 @@ def test_header_noqa_does_not_leak_into_function_body():
 
 
 def test_unused_suppression_is_flagged_with_its_rule_id():
-    src = "x = 1  # repro: noqa[DET005] nothing to silence\n"
-    result = lint_source(src)
-    sup = [v for v in result.violations if v.rule == "SUP002"]
-    assert len(sup) == 1
-    assert "DET005" in sup[0].message
+    for rid, problem in (
+        ("DET005", "silences nothing"),
+        ("ZZZ999", "names no rule"),
+        ("FLOW001", "names no rule"),
+    ):
+        src = f"x = 1  # repro: noqa[{rid}] nothing to silence\n"
+        result = lint_source(src)
+        sup = [v for v in result.violations if v.rule == "SUP002"]
+        assert len(sup) == 1, rid
+        assert f"suppression of {rid} {problem}" in sup[0].message
 
 
 # ------------------------------------------------------------ file discovery
@@ -118,6 +123,18 @@ def test_iter_python_files_missing_path_raises(tmp_path):
         iter_python_files([tmp_path / "nope"])
 
 
+def test_unreadable_file_is_lnt001_and_follows_filters(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_bytes(b'x = "\xff"\n')
+    result = lint_paths([bad])
+    assert [v.rule for v in result.violations] == ["LNT001"]
+    assert "could not be read" in result.violations[0].message
+    assert result.files_checked == 1
+    # Like a parse failure, LNT001 follows --select/--ignore.
+    assert lint_paths([bad], ignore=["LNT001"]).violations == []
+    assert lint_paths([bad], select=["DET"]).violations == []
+
+
 # ------------------------------------------------------- CLI + github output
 
 
@@ -135,12 +152,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["lint", str(broken)]) == 1
     out = capsys.readouterr().out
     assert "LNT001" in out
-    with pytest.raises(FileNotFoundError):
-        main(["lint", str(tmp_path / "absent.py")])
+    # A missing path is a usage error, not a lint failure.
+    assert main(["lint", str(tmp_path / "absent.py")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro lint: error: no such file or directory: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("option", ["--select", "--ignore"])
-@pytest.mark.parametrize("pattern", ["DETT", "det003", "DET003,SPAN"])
+@pytest.mark.parametrize("pattern", ["DETT", "det003", "DET003,SPAN", "FLOW"])
 def test_cli_rejects_patterns_matching_no_rule(option, pattern, tmp_path, capsys):
     # A typo must not silently turn the gate off: the file has a DET003
     # finding, and a pattern naming no rule is a usage error (exit 2).
@@ -207,33 +227,3 @@ def test_github_renderer_without_git_root_keeps_given_paths(
     assert main(["lint", "m.py", "--format", "github"]) == 1
     out = capsys.readouterr().out
     assert "::error file=m.py,line=2," in out
-
-
-def test_github_renderer_escapes_trace_newlines(capsys, tmp_path, monkeypatch):
-    (tmp_path / ".git").mkdir()
-    pkg = tmp_path / "pkg"
-    pkg.mkdir()
-    (pkg / "__init__.py").write_text("", encoding="utf-8")
-    (pkg / "workers.py").write_text(
-        "from concurrent.futures import ProcessPoolExecutor\n\n"
-        "def work(rng):\n"
-        "    return rng.random()\n\n"
-        "def launch(rng):\n"
-        "    with ProcessPoolExecutor() as pool:\n"
-        "        fut = pool.submit(work, rng)\n"
-        "    return fut.result()\n",
-        encoding="utf-8",
-    )
-    (pkg / "driver.py").write_text(
-        "import numpy as np\n\n"
-        "from pkg.workers import launch\n\n"
-        "def go():\n"
-        "    rng = np.random.default_rng()\n"
-        "    return launch(rng)\n",
-        encoding="utf-8",
-    )
-    monkeypatch.chdir(tmp_path)
-    assert main(["lint", "pkg", "--format", "github"]) == 1
-    out = capsys.readouterr().out
-    line = next(ln for ln in out.splitlines() if "FLOW001" in ln)
-    assert "%0Avia: " in line and "\n" not in line.replace("%0A", "")

@@ -3,9 +3,8 @@
 ``engine="fast"`` (vectorized) must grow bitwise identical trees to
 ``engine="reference"`` (the per-feature oracle) — same splits, same
 thresholds, same importances — on any input, including ties, constant
-features and duplicated rows.  The forest and booster inherit the
-guarantee, and the forest must additionally be invariant to its worker
-count.
+features and duplicated rows.  The forest inherits the guarantee, and
+must additionally be invariant to its worker count.
 """
 
 import sys
@@ -15,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml.boosting import GradientBoostingRegressor
 from repro.ml.ensemble import stack_trees
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import SPLIT_ENGINES, DecisionTreeRegressor
@@ -144,29 +142,6 @@ class TestForest:
         assert rows.shape == (4, X.shape[0])
         for row, tree in zip(rows, model.trees_):
             np.testing.assert_array_equal(row, tree.predict(X))
-
-
-class TestBoosting:
-    def test_engines_identical(self):
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(60, 4))
-        y = X @ rng.normal(size=4)
-        fast = GradientBoostingRegressor(n_estimators=15, engine="fast").fit(X, y)
-        ref = GradientBoostingRegressor(
-            n_estimators=15, engine="reference"
-        ).fit(X, y)
-        np.testing.assert_array_equal(fast.predict(X), ref.predict(X))
-        assert fast.train_losses_ == ref.train_losses_
-
-    def test_batched_predict_matches_stage_loop(self):
-        rng = np.random.default_rng(6)
-        X = rng.normal(size=(50, 3))
-        y = X @ rng.normal(size=3)
-        model = GradientBoostingRegressor(n_estimators=12).fit(X, y)
-        out = np.full(X.shape[0], model.base_)
-        for tree in model.trees_:
-            out += model.learning_rate * tree.predict(X)
-        np.testing.assert_array_equal(model.predict(X), out)
 
 
 class TestDeepTrees:
