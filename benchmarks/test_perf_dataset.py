@@ -3,7 +3,7 @@ fast vs reference tree growth.
 
 Three gates keep the PR's perf work honest:
 
-* a warm :class:`~repro.dataset.cache.DatasetCache` run must serve the
+* a warm :class:`~repro.flow.cache.ModuleCache` run must serve the
   whole sweep from disk (``cache_hit``, identical records, >=5x faster);
 * the parallel fan-out must be bitwise identical to the sequential
   sweep — and actually faster when the machine has the cores to show it
@@ -23,10 +23,10 @@ import time
 
 import numpy as np
 
-from repro.dataset.cache import DatasetCache
 from repro.dataset.generate import generate_dataset
 from repro.device.parts import xc7z020
 from repro.features.registry import extract_matrix
+from repro.flow.cache import ModuleCache
 from repro.ml.forest import RandomForestRegressor
 
 #: Where the report JSON lands (CI uploads this as an artifact).
@@ -47,7 +47,7 @@ def _dump() -> None:
 def test_perf_dataset_cold_vs_warm(tmp_path):
     """A warm cache run does zero synthesis/CF-search work."""
     grid = xc7z020()
-    cache = DatasetCache(tmp_path / "ds-cache")
+    cache = ModuleCache(tmp_path / "ds-cache")
 
     t0 = time.perf_counter()
     cold_recs, cold = generate_dataset(N_SMOKE, seed=3, grid=grid, cache=cache)

@@ -39,8 +39,9 @@ class ExperimentContext:
         Worker processes for the labeling sweep (0 = sequential;
         results are identical either way).
     dataset_cache_dir:
-        Optional persistent :class:`~repro.dataset.cache.DatasetCache`
-        directory; a second session warm-starts the sweep from disk.
+        Optional persistent :class:`~repro.flow.cache.ModuleCache`
+        directory for the labeled sweep; a second session warm-starts
+        the sweep from disk.
     """
 
     seed: int = 0

@@ -508,6 +508,7 @@ def _rule_patterns(value: str) -> list[str]:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.lint import (
+        iter_python_files,
         lint_paths,
         render,
         render_rule_table,
@@ -520,11 +521,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return 0
 
     try:
-        result = lint_paths(args.paths, select=args.select, ignore=args.ignore)
-    except FileNotFoundError as exc:
-        # A mistyped path is a usage error (2), not a lint finding (1).
+        files = iter_python_files(args.paths)
+    except (FileNotFoundError, ValueError) as exc:
+        # A mistyped or non-Python path is a usage error (2), not a lint
+        # finding (1).
         print(f"repro lint: error: {exc}", file=sys.stderr)
         return 2
+    result = lint_paths(files, select=args.select, ignore=args.ignore)
 
     root = _find_git_root(Path.cwd()) if args.fmt == "github" else None
     print(render(result, args.fmt, root=root))

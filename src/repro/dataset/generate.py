@@ -2,25 +2,26 @@
 
 Labeling one module — synthesize, opt, quick-place, multi-run minimal-CF
 search — is a pure function of the module's content and the sweep
-parameters, so the ~2,000-module sweep fans out over a process pool in
-deterministic chunks: results are assembled in sweep order and are
-bitwise identical for any worker count (the same discipline as
-:func:`~repro.flow.preimpl.implement_design`).  A
-:class:`~repro.dataset.cache.DatasetCache` in front makes one generation
-durable across runs and sessions; a warm hit does zero synthesis and
-zero CF-search tool runs.
+parameters, so the ~2,000-module sweep fans out over
+:class:`~repro.flow.fanout.FanOut` in deterministic chunks: results are
+assembled in sweep order and are bitwise identical for any worker count
+(the same discipline as :func:`~repro.flow.preimpl.implement_design`).
+A :class:`~repro.flow.cache.ModuleCache` in front, keyed by
+:func:`~repro.flow.cache.dataset_key`, makes one generation durable
+across runs and sessions; a warm hit does zero synthesis and zero
+CF-search tool runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.dataset.cache import DatasetCache, dataset_key
 from repro.device.grid import DeviceGrid
 from repro.device.parts import xc7z020
 from repro.features.registry import ModuleRecord, make_record
+from repro.flow.cache import ModuleCache, dataset_key
+from repro.flow.fanout import FanOut, graft_traces
 from repro.netlist.stats import compute_stats
 from repro.obs.tracer import NullTracer, Tracer, current_tracer
 from repro.pblock.cf_search import (
@@ -65,7 +66,7 @@ class GenerationReport:
         ``cache_hit``).
     cache_hit:
         True when the records were served from a
-        :class:`~repro.dataset.cache.DatasetCache` instead of being
+        :class:`~repro.flow.cache.ModuleCache` instead of being
         regenerated.
     """
 
@@ -196,7 +197,7 @@ def generate_dataset(
     skip_trivial: bool = True,
     adaptive_step: bool = False,
     workers: int | None = None,
-    cache: DatasetCache | None = None,
+    cache: ModuleCache | None = None,
     cache_dir: str | None = None,
     tracer: Tracer | NullTracer | None = None,
 ) -> tuple[list[ModuleRecord], GenerationReport]:
@@ -225,9 +226,11 @@ def generate_dataset(
         worker count (chunks are assembled in sweep order).  Falls back
         to sequential when process pools are unavailable.
     cache:
-        A :class:`~repro.dataset.cache.DatasetCache` to consult and
-        populate.  A warm hit returns the stored records with zero
-        synthesis/CF-search work.
+        A :class:`~repro.flow.cache.ModuleCache` to consult and
+        populate; the ``(records, report)`` pair is stored under
+        :func:`~repro.flow.cache.dataset_key`.  A warm hit returns the
+        stored records with zero synthesis/CF-search work; an entry of
+        any other shape counts as a miss.
     cache_dir:
         Convenience: when ``cache`` is not given, build a disk-persistent
         cache rooted here.  Ignored if ``cache`` is provided.
@@ -252,7 +255,7 @@ def generate_dataset(
     with tr.span("dataset", n_modules=n_modules, seed=seed) as sp_root:
         with tr.span("dataset.cache") as sp_cache:
             if cache is None and cache_dir is not None:
-                cache = DatasetCache(cache_dir)
+                cache = ModuleCache(cache_dir)
             key = None
             hit = None
             if cache is not None:
@@ -268,6 +271,8 @@ def generate_dataset(
                     noise_amplitude=noise,
                 )
                 hit = cache.get(key)
+                if not (isinstance(hit, tuple) and len(hit) == 2):
+                    hit = None  # not a (records, report) pair: regenerate
                 sp_cache.incr("hits", 1 if hit is not None else 0)
                 sp_cache.incr("misses", 0 if hit is not None else 1)
         if hit is not None:
@@ -286,13 +291,11 @@ def generate_dataset(
             modules = generate_sweep(n_modules, seed=seed)
             sp_sweep.incr("n_generated", len(modules))
 
-        effective_workers = 1
         with tr.span("dataset.label") as sp_label:
-            if workers and workers > 1 and len(modules) > 1:
-                effective_workers = min(workers, len(modules))
+            with FanOut(workers, len(modules)) as fan:
                 # Several chunks per worker keep the pool busy even when
                 # module sizes (and so labeling costs) are skewed.
-                chunks = _chunked(modules, effective_workers * 4)
+                chunks = _chunked(modules, 4 * fan.n_workers if fan.pooled else 1)
                 jobs = [
                     (
                         c, grid, start, step, max_cf, skip_trivial,
@@ -300,42 +303,12 @@ def generate_dataset(
                     )
                     for c in chunks
                 ]
-                try:
-                    with ProcessPoolExecutor(
-                        max_workers=effective_workers
-                    ) as pool:
-                        # map() preserves chunk order; each module labels
-                        # deterministically, so the concatenation is
-                        # independent of the worker count.
-                        parts = list(pool.map(_label_chunk, jobs))
-                except OSError:  # pools unavailable (restricted sandboxes)
-                    effective_workers = 1
-                    parts = [
-                        _label_chunk(
-                            (
-                                modules, grid, start, step, max_cf,
-                                skip_trivial, adaptive_step, noise, want_trace,
-                            )
-                        )
-                    ]
-            else:
-                parts = [
-                    _label_chunk(
-                        (
-                            modules, grid, start, step, max_cf, skip_trivial,
-                            adaptive_step, noise, want_trace,
-                        )
-                    )
-                ]
-            # Exactly one graft per module span, whichever path labeled
-            # it (pool, sequential, or the OSError fallback — the
-            # fallback rebuilds `parts` wholesale, so chunks attempted by
-            # a partially-failed pool are never merged twice).
+                # Chunk order, not completion order: each module labels
+                # deterministically, so the concatenation is independent
+                # of the worker count.
+                parts = fan.run(_label_chunk, jobs)
             outcomes = [o for part, _traces in parts for o in part]
-            if want_trace:
-                for _part, traces in parts:
-                    for trace in traces or ():
-                        tr.graft(trace)
+            graft_traces(tr, [t for _part, traces in parts for t in traces or ()])
 
         records: list[ModuleRecord] = []
         n_trivial = 0
@@ -354,12 +327,12 @@ def generate_dataset(
         sp_label.incr("n_trivial", n_trivial)
         sp_label.incr("n_infeasible", len(infeasible))
         sp_label.incr("n_runs", n_runs)
-        sp_root.set_attr("n_workers", effective_workers)
+        sp_root.set_attr("n_workers", fan.n_workers)
         m = tr.metrics
         if cache is not None:
             m.counter("dataset.cache.misses").inc()
         m.counter("dataset.tool_runs").inc(n_runs)
-        m.gauge("dataset.n_workers").set(effective_workers)
+        m.gauge("dataset.n_workers").set(fan.n_workers)
 
         report_ = GenerationReport(
             n_requested=n_modules,
@@ -368,11 +341,11 @@ def generate_dataset(
             n_infeasible=len(infeasible),
             infeasible_names=tuple(infeasible),
             n_runs=n_runs,
-            n_workers=effective_workers,
+            n_workers=fan.n_workers,
             wall_s=sp_root.elapsed(),
             cache_hit=False,
         )
         if cache is not None and key is not None:
             with tr.span("dataset.store"):
-                cache.put(key, records, report_)
+                cache.put(key, (list(records), report_))
     return records, report_

@@ -4,6 +4,8 @@
   expects as input (modules, instances, inter-block connections);
 * :mod:`repro.flow.preimpl` — per-module pre-implementation (synthesis →
   quick place → PBlock → detailed place) with caching of unique modules;
+* :mod:`repro.flow.cache` — the content-addressed two-layer store of
+  implemented modules and labeled datasets;
 * :mod:`repro.flow.policy` — correction-factor selection policies
   (fixed, sweep-from-0.9, ground-truth minimal; the learned policy lives
   in :mod:`repro.estimator`);
@@ -21,8 +23,9 @@
 * :mod:`repro.flow.placers` — the optimizer portfolio (SA, GA,
   warm-started SA, parallel tempering, analytic-warm-started SA) behind
   the :class:`~repro.place_kernel.protocol.Placer` protocol;
-* :mod:`repro.flow.fanout` — the shared order-preserving process
-  fan-out and pareto winner selection;
+* :mod:`repro.flow.fanout` — the one order-preserving process fan-out
+  (pre-implementation, dataset labeling, restarts, tempering) and pareto
+  winner selection;
 * :mod:`repro.flow.restarts` — multi-seed restarts of any placer
   (:func:`~repro.flow.restarts.place_best`);
 * :mod:`repro.flow.monolithic` — the flat "AMD EDA"-style whole-device
@@ -43,6 +46,7 @@ from repro.flow.cache import (
     CacheStats,
     ModuleCache,
     cache_key,
+    dataset_key,
     grid_fingerprint,
     module_fingerprint,
     policy_fingerprint,
@@ -137,6 +141,7 @@ __all__ = [
     "apply_update",
     "cache_key",
     "compare_flows",
+    "dataset_key",
     "default_portfolio",
     "evolve",
     "generate_bitstream",

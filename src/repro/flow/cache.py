@@ -1,22 +1,28 @@
-"""Content-addressed, persistent pre-implementation cache.
+"""Content-addressed, persistent store of implemented modules and datasets.
 
 The paper's economic argument (§I, §VIII) rests on implementing each of
 the 74 unique cnvW1A1 modules exactly once and reusing the result across
 175 instances *and across DSE steps*.  :class:`ModuleCache` makes that
-reuse durable: an implemented module is stored under a key derived from
-everything that determines the implementation —
+reuse durable: an implemented module is stored under a key
+(:func:`cache_key`) derived from everything that determines the
+implementation —
 
 * the module's content (name, family, generator params, constructs),
 * the CF policy and its parameters (a trained estimator hashes its
   weights), and
 * the pre-implementation device grid.
 
+The same store keeps the estimator's labeled sweep: a ``(records,
+report)`` pair from :func:`~repro.dataset.generate.generate_dataset`
+under :func:`dataset_key`, which covers the sweep size and seed, the
+grid, the CF sweep parameters and the placer-noise amplitude.
+
 Entries live in an in-memory dict with an optional disk layer underneath
 (one pickle file per key inside ``cache_dir``), so a second flow run — or
 a DSE session started tomorrow — warm-starts with zero tool runs for
 unchanged modules.  Keys are SHA-256 hex digests; any change to a
-module, policy or grid produces a different key, so stale entries can
-never be served.
+module, policy, grid or sweep parameter produces a different key, so
+stale entries can never be served.
 """
 
 from __future__ import annotations
@@ -28,26 +34,28 @@ import os
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.device.grid import DeviceGrid
 from repro.rtlgen.base import RTLModule
 
-if TYPE_CHECKING:  # avoid a cycle: preimpl imports cache for its store
+if TYPE_CHECKING:  # annotations only: keys hash a policy, never build one
     from repro.flow.policy import CFPolicy
-    from repro.flow.preimpl import ImplementedModule
 
 __all__ = [
     "CacheStats",
     "ModuleCache",
     "cache_key",
+    "dataset_key",
     "grid_fingerprint",
     "module_fingerprint",
     "policy_fingerprint",
 ]
 
-#: Bump when the on-disk entry layout changes; part of every key, so old
-#: stores are silently treated as cold instead of mis-deserialized.
+#: Bump when the on-disk entry layout (an ``ImplementedModule``, or a
+#: dataset's ``ModuleRecord`` list and report) changes; part of every
+#: key, so old stores are silently treated as cold instead of
+#: mis-deserialized.
 CACHE_FORMAT = 1
 
 
@@ -122,6 +130,39 @@ def cache_key(module: RTLModule, grid: DeviceGrid, policy: "CFPolicy") -> str:
     )
 
 
+def dataset_key(
+    n_modules: int,
+    seed: int,
+    grid: DeviceGrid,
+    *,
+    start: float,
+    step: float,
+    max_cf: float,
+    skip_trivial: bool,
+    adaptive_step: bool,
+    noise_amplitude: float,
+) -> str:
+    """The content-addressed key of one dataset generation configuration.
+
+    The placer-noise amplitude is part of it: the noise ablation
+    regenerates under an override, which must never be served the
+    default sweep's labels.
+    """
+    return _digest(
+        "dataset",
+        CACHE_FORMAT,
+        n_modules,
+        seed,
+        grid_fingerprint(grid),
+        start,
+        step,
+        max_cf,
+        skip_trivial,
+        adaptive_step,
+        noise_amplitude,
+    )
+
+
 def stable_json_digest(obj: object) -> str:
     """Hash an arbitrary JSON-able object (used for estimator weights)."""
     from repro.utils.serialization import to_jsonable
@@ -157,7 +198,8 @@ class CacheStats:
 
 
 class ModuleCache:
-    """Two-layer (memory + optional disk) store of implemented modules.
+    """Two-layer (memory + optional disk) store of implemented modules
+    and generated datasets.
 
     Parameters
     ----------
@@ -172,11 +214,12 @@ class ModuleCache:
     -----
     Unreadable or corrupt disk entries are treated as misses (and
     removed), never as errors: a cache must degrade to "cold", not crash
-    the flow.
+    the flow.  Unpickling runs whatever constructor an entry names, so
+    any exception it raises counts as corruption.
     """
 
     def __init__(self, cache_dir: str | os.PathLike | None = None) -> None:
-        self._mem: dict[str, "ImplementedModule"] = {}
+        self._mem: dict[str, Any] = {}
         self.cache_dir = Path(cache_dir).expanduser() if cache_dir else None
         self.stats = CacheStats()
 
@@ -193,34 +236,33 @@ class ModuleCache:
         assert self.cache_dir is not None
         return self.cache_dir / f"{key}.pkl"
 
-    def get(self, key: str) -> "ImplementedModule | None":
+    def get(self, key: str) -> Any:
         """Look a key up: memory first, then disk.  ``None`` on miss."""
-        impl = self._mem.get(key)
-        if impl is not None:
+        entry = self._mem.get(key)
+        if entry is not None:
             self.stats.mem_hits += 1
-            return impl
+            return entry
         if self.cache_dir is not None:
             path = self._path(key)
             try:
                 with open(path, "rb") as fh:
-                    impl = pickle.load(fh)
-            except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                    ImportError, IndexError):
-                impl = None
-                try:  # corrupt entry: drop it so the next run re-implements
+                    entry = pickle.load(fh)
+            except Exception:  # missing, unreadable or corrupt entry
+                entry = None
+                try:  # drop it so the next run rebuilds it
                     path.unlink(missing_ok=True)
                 except OSError:
                     pass
-            if impl is not None:
-                self._mem[key] = impl
+            if entry is not None:
+                self._mem[key] = entry
                 self.stats.disk_hits += 1
-                return impl
+                return entry
         self.stats.misses += 1
         return None
 
-    def put(self, key: str, impl: "ImplementedModule") -> None:
+    def put(self, key: str, entry: Any) -> None:
         """Store an entry in memory and (when configured) on disk."""
-        self._mem[key] = impl
+        self._mem[key] = entry
         self.stats.stores += 1
         if self.cache_dir is None:
             return
@@ -229,46 +271,8 @@ class ModuleCache:
             path = self._path(key)
             tmp = path.with_suffix(f".tmp.{os.getpid()}")
             with open(tmp, "wb") as fh:
-                pickle.dump(impl, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump(entry, fh, protocol=pickle.HIGHEST_PROTOCOL)
             os.replace(tmp, path)
         except OSError:
             # Read-only or full filesystem: keep the in-memory layer only.
             pass
-
-    # ------------------------------------------------------------------ admin
-
-    def __len__(self) -> int:
-        return len(self._mem)
-
-    def __contains__(self, key: str) -> bool:
-        if key in self._mem:
-            return True
-        return self.cache_dir is not None and self._path(key).exists()
-
-    @property
-    def n_disk_entries(self) -> int:
-        """Entries currently persisted on disk (0 for in-memory caches)."""
-        if self.cache_dir is None or not self.cache_dir.is_dir():
-            return 0
-        return sum(1 for _ in self.cache_dir.glob("*.pkl"))  # repro: noqa[DET005] order-free count of entries
-
-    def clear(self, *, disk: bool = False) -> None:
-        """Drop the in-memory layer; also the disk layer when ``disk``."""
-        self._mem.clear()
-        if disk and self.cache_dir is not None and self.cache_dir.is_dir():
-            for path in self.cache_dir.glob("*.pkl"):  # repro: noqa[DET005] unconditional delete of every entry; order is irrelevant
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-
-    def describe(self) -> str:
-        """One-line summary for logs and the CLI."""
-        where = str(self.cache_dir) if self.cache_dir else "<memory>"
-        s = self.stats
-        return (
-            f"cache[{where}]: {len(self._mem)} in memory, "
-            f"{self.n_disk_entries} on disk; "
-            f"{s.hits} hits ({s.mem_hits} mem / {s.disk_hits} disk), "
-            f"{s.misses} misses"
-        )

@@ -1,13 +1,16 @@
-"""Order-preserving job fan-out and winner selection for placement families.
+"""Order-preserving job fan-out, trace merging and winner selection.
 
-Every multi-run placement construct in the flow — the placer restarts
+This is the flow's one process pool.  Pre-implementation
+(:func:`~repro.flow.preimpl.implement_design`), dataset labeling
+(:func:`~repro.dataset.generate.generate_dataset`), the placer restarts
 (:func:`~repro.flow.restarts.place_best`) and the parallel-tempering
-round loop (:mod:`repro.flow.tempering`) — shares the two primitives
-here:
+round loop (:mod:`repro.flow.tempering`) all dispatch through it:
 
 * :class:`FanOut` — run batches of picklable jobs over worker processes
   (or serially), always merging results in *job order*, never completion
   order, so any ``n_workers`` value produces bitwise-identical results;
+* :func:`graft_traces` — merge the span trees the workers shipped back
+  into the parent's trace, exactly once each;
 * :func:`best_result` — the corrected winner selection: the pareto key
   ``(n_unplaced, final_cost)`` that :class:`~repro.dse.explorer.DSEExplorer`
   ranks portfolio placements by, with ties breaking toward the earliest
@@ -33,13 +36,20 @@ class FanOut:
     One instance may dispatch many batches: the tempering round loop runs
     one batch per exchange block over a persistent pool, so each worker
     process builds its placement kernel once (via ``initializer``) and
-    reuses it across rounds; the placer restarts run a single batch.
+    reuses it across rounds; the placer restarts, pre-implementation and
+    dataset labeling each run a single batch.
 
     Serial mode — ``n_workers`` of ``None``/0/1, a single job, or pool
     creation failing with :class:`OSError` (restricted sandboxes) — runs
-    the ``initializer`` once in-process and the jobs inline.  Results are
-    identical either way because job order, not scheduling, defines the
-    merge order.
+    the ``initializer`` once in-process and the jobs inline.  A pool that
+    fails with :class:`OSError` once dispatching has begun (worker
+    processes start on the first batch, so that is where a refused fork
+    surfaces) is shut down and the whole batch reruns serially.  Results
+    are identical either way because job order, not scheduling, defines
+    the merge order.
+
+    ``n_workers`` reads the number of processes the jobs ran on: the
+    pool's size, or 1 when serial, including after either fallback.
     """
 
     def __init__(
@@ -54,6 +64,7 @@ class FanOut:
         self._initargs = initargs
         self._inited = False
         self._pool: ProcessPoolExecutor | None = None
+        self.n_workers = 1
         want = 0 if n_workers is None else int(n_workers)
         if want > 1 and n_jobs > 1:
             try:
@@ -64,6 +75,8 @@ class FanOut:
                 )
             except OSError:  # process pools unavailable (restricted sandboxes)
                 self._pool = None
+            else:
+                self.n_workers = min(want, n_jobs)
 
     @property
     def pooled(self) -> bool:
@@ -93,6 +106,7 @@ class FanOut:
             except OSError:  # pool died mid-flight: finish serially
                 self._pool.shutdown(wait=False, cancel_futures=True)
                 self._pool = None
+                self.n_workers = 1
         self.prepare()
         return [fn(job) for job in jobs]
 

@@ -13,9 +13,10 @@ loop, upgraded in three ways over the naive sequential version:
   most 74 implementations, and zero on a warm cache.
 * **Process-pool fan-out** — cache misses are independent (every module's
   implementation is a pure function of its content), so they fan out over
-  ``n_workers`` processes.  Results are collected per-module and assembled
-  in design order, making the output bitwise identical for any worker
-  count (the same discipline as :func:`~repro.flow.restarts.place_best`).
+  ``n_workers`` processes through :class:`~repro.flow.fanout.FanOut`.
+  Results are collected per-module and assembled in design order, making
+  the output bitwise identical for any worker count (the same discipline
+  as :func:`~repro.flow.restarts.place_best`).
 * **Failure aggregation** — an infeasible module no longer aborts the
   whole design.  Everything implementable is implemented; the failures are
   returned in a :class:`FlowInfeasibleReport` so the caller can stitch the
@@ -36,12 +37,12 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterator, Mapping
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.device.grid import DeviceGrid
 from repro.flow.blockdesign import BlockDesign
 from repro.flow.cache import CacheStats, ModuleCache
+from repro.flow.fanout import FanOut, graft_traces
 from repro.flow.policy import CFOutcome, CFPolicy, FlowInfeasibleError
 from repro.netlist.stats import NetlistStats, compute_stats
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer, current_tracer
@@ -460,28 +461,13 @@ def implement_design(
             sp_cache.incr("misses", len(misses))
 
         jobs = [(module, grid, policy, want_trace) for _, module in misses]
-        effective_workers = 1
         with tr.span("preimpl.implement") as sp_impl:
-            if n_workers and n_workers > 1 and len(jobs) > 1:
-                try:
-                    with ProcessPoolExecutor(
-                        max_workers=min(n_workers, len(jobs))
-                    ) as pool:
-                        # map() preserves job order; each module's
-                        # implementation is deterministic, so the assembled
-                        # result is independent of the worker count.
-                        outcomes = list(pool.map(_implement_one, jobs))
-                    effective_workers = min(n_workers, len(jobs))
-                except OSError:  # pools unavailable (restricted sandboxes)
-                    outcomes = [_implement_one(job) for job in jobs]
-            else:
-                outcomes = [_implement_one(job) for job in jobs]
-            # Exactly one graft per module, whichever path produced the
-            # outcome (pool, sequential, or the OSError fallback — the
-            # fallback rebuilds `outcomes` wholesale, so nothing attempted
-            # by a partially-failed pool is counted twice).
-            for out in outcomes:
-                tr.graft(out[6])
+            # Job order, not completion order: each module's implementation
+            # is deterministic, so the assembled result is independent of
+            # the worker count.
+            with FanOut(n_workers, len(jobs)) as fan:
+                outcomes = fan.run(_implement_one, jobs)
+            graft_traces(tr, [out[6] for out in outcomes])
 
         implemented: dict[str, ImplementedModule] = {}
         fresh: dict[str, tuple[ImplementedModule, float]] = {}
@@ -547,7 +533,7 @@ def implement_design(
 
         stats = FlowStats(
             modules=tuple(per_module),
-            n_workers=effective_workers,
+            n_workers=fan.n_workers,
             wall_s=sp_root.elapsed(),
             cache=CacheStats(
                 mem_hits=cache.stats.mem_hits,
@@ -557,7 +543,7 @@ def implement_design(
             ),
         )
         sp_impl.incr("new_tool_runs", stats.new_tool_runs)
-        sp_root.set_attr("n_workers", effective_workers)
+        sp_root.set_attr("n_workers", fan.n_workers)
         sp_root.incr("total_tool_runs", stats.total_tool_runs)
         sp_root.incr("n_infeasible", stats.n_infeasible)
         m = tr.metrics
@@ -565,7 +551,7 @@ def implement_design(
         m.counter("preimpl.cache.misses").inc(len(misses))
         m.counter("preimpl.tool_runs.new").inc(stats.new_tool_runs)
         m.counter("preimpl.tool_runs.total").inc(stats.total_tool_runs)
-        m.gauge("preimpl.n_workers").set(effective_workers)
+        m.gauge("preimpl.n_workers").set(fan.n_workers)
         for rec in per_module:
             if not rec.cache_hit:
                 m.histogram("preimpl.module.wall_s").observe(rec.wall_s)

@@ -239,6 +239,11 @@ def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
     cycles must not hang the walk).  Files are listed in sorted order so
     reports — and therefore CI artifacts — are byte-stable across
     filesystems.
+
+    Raises :class:`FileNotFoundError` for a path that does not exist and
+    :class:`ValueError` for one that is neither a directory nor a
+    ``*.py`` file, so a mistyped gate path fails instead of checking
+    nothing.
     """
     out: list[Path] = []
     for entry in paths:
@@ -257,6 +262,8 @@ def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
             out.append(p)
         elif not p.exists():
             raise FileNotFoundError(f"no such file or directory: {p}")
+        else:
+            raise ValueError(f"not a Python file or directory: {p}")
     seen: set[Path] = set()
     unique: list[Path] = []
     for p in out:

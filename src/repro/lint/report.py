@@ -7,7 +7,8 @@ Three formats, mirroring common linter conventions:
   schema v4);
 * ``github`` — ``::error`` workflow commands that annotate PR diffs
   (paths are emitted relative to the repository root when one is given,
-  so annotations attach correctly from subdirectory invocations).
+  so annotations attach correctly from subdirectory invocations, and
+  escaped per the workflow-command grammar).
 
 :func:`render_statistics` renders the per-rule count table and
 :func:`statistics_json` the artifact payload CI uploads.
@@ -70,16 +71,30 @@ def _relative_to_root(path: str, root: str | Path | None) -> str:
     return rel.replace(os.sep, "/")
 
 
+def _escape_data(text: str) -> str:
+    """A workflow command's message: ``%``, CR and LF escaped."""
+    return text.replace("%", "%25").replace("\r", "%0D").replace("\n", "%0A")
+
+
+def _escape_property(text: str) -> str:
+    """A workflow command's property value: the message escapes plus
+    ``:`` and ``,``, which delimit the properties."""
+    return _escape_data(text).replace(":", "%3A").replace(",", "%2C")
+
+
 def render_github(result: LintResult, *, root: str | Path | None = None) -> str:
     """GitHub Actions workflow commands (inline PR annotations).
 
     ``root`` is the repository root the annotation paths must be
     relative to; invocations from a subdirectory would otherwise emit
-    paths the Checks API cannot attach to the diff.
+    paths the Checks API cannot attach to the diff.  Paths and messages
+    are escaped, so a ``,`` or ``:`` in a file name cannot split the
+    properties and a newline cannot end the command early.
     """
     lines = [
-        f"::error file={_relative_to_root(v.path, root)},line={v.line},"
-        f"col={v.col},title={v.rule}::{v.message}"
+        f"::error file={_escape_property(_relative_to_root(v.path, root))},"
+        f"line={v.line},col={v.col},title={v.rule}"
+        f"::{_escape_data(v.message)}"
         for v in result.violations
     ]
     lines.append(

@@ -14,6 +14,7 @@ import ast
 
 from repro.lint.context import ModuleContext
 from repro.lint.rules import Rule, RuleMeta, register
+from repro.lint.rules_par import POOL_FACTORIES
 
 __all__ = ["SpanNeedsWithRule", "GraftSiteRule"]
 
@@ -127,20 +128,11 @@ class GraftSiteRule(Rule):
         ),
     )
 
-    _POOL_IMPORTS = frozenset(
-        {
-            "concurrent.futures.ProcessPoolExecutor",
-            "concurrent.futures.ThreadPoolExecutor",
-            "multiprocessing.Pool",
-            "multiprocessing.pool.Pool",
-        }
-    )
-
     def prepare(self, ctx: ModuleContext) -> None:
         imported = set(ctx.from_imports.values())
         modules = set(ctx.module_aliases.values())
         self._has_pool = bool(
-            imported & self._POOL_IMPORTS
+            imported & POOL_FACTORIES
             or {"multiprocessing", "multiprocessing.pool"} & modules
             or "concurrent.futures" in modules
         )

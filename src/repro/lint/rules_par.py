@@ -1,11 +1,13 @@
 """PAR rules: process-pool safety.
 
-The flow's pools (`implement_design`, `generate_dataset`, `place_best`,
-`RandomForestRegressor`) promise worker-count invariance: any `workers=`
-value produces bitwise-identical results.  That only holds when worker
+The flow's one pool, `repro.flow.fanout.FanOut` (behind
+`implement_design`, `generate_dataset`, `place_best` and the tempering
+round loop), promises worker-count invariance: any `workers=` value
+produces bitwise-identical results.  That only holds when worker
 functions are picklable module-level functions of their arguments, and
 when results are merged in submission order.  These rules flag the three
-ways new pool code usually breaks the contract.
+ways new pool code usually breaks the contract, on `FanOut` and on the
+standard library's executors and `multiprocessing` pools alike.
 """
 
 from __future__ import annotations
@@ -16,24 +18,31 @@ from repro.lint.context import ModuleContext
 from repro.lint.rules import Rule, RuleMeta, register
 
 __all__ = [
+    "POOL_FACTORIES",
     "WorkerMutatesGlobalRule",
     "NonPicklableTaskRule",
     "CompletionOrderRule",
 ]
 
-#: Constructors whose instances hand work to other processes/threads.
-_POOL_FACTORIES = frozenset(
+#: Constructors whose instances hand work to other processes/threads
+#: (shared with OBS002, which treats a module importing one as a
+#: fan-out site).
+POOL_FACTORIES = frozenset(
     {
         "concurrent.futures.ProcessPoolExecutor",
         "concurrent.futures.ThreadPoolExecutor",
         "multiprocessing.Pool",
         "multiprocessing.pool.Pool",
         "multiprocessing.get_context",
+        "repro.flow.fanout.FanOut",
     }
 )
 
-#: Pool methods whose first argument is the task callable.
-_SUBMIT_METHODS = frozenset({"submit", "map", "imap", "imap_unordered", "apply_async"})
+#: Pool methods whose first argument is the task callable (``run`` is
+#: :meth:`FanOut.run <repro.flow.fanout.FanOut.run>`).
+_SUBMIT_METHODS = frozenset(
+    {"submit", "map", "imap", "imap_unordered", "apply_async", "run"}
+)
 
 
 def _pool_names(tree: ast.Module, ctx: ModuleContext) -> frozenset[str]:
@@ -49,7 +58,7 @@ def _pool_names(tree: ast.Module, ctx: ModuleContext) -> frozenset[str]:
         if (
             isinstance(value, ast.Call)
             and isinstance(target, ast.Name)
-            and ctx.call_name(value) in _POOL_FACTORIES
+            and ctx.call_name(value) in POOL_FACTORIES
         ):
             names.add(target.id)
     return frozenset(names)

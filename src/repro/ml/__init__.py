@@ -9,9 +9,9 @@ expose the impurity-based feature importances Figs. 9/12 analyze.
 
 Tree growth ships two split-search engines (``engine="fast"``, the
 vectorized default, and ``engine="reference"``, the per-feature oracle)
-that produce bitwise identical trees; the forest additionally fits its
-trees over a process pool (``n_workers=N``) with seed-stable results and
-batches prediction across trees (:mod:`repro.ml.ensemble`).
+that produce bitwise identical trees; the forest draws every bootstrap
+from one seeded stream, fits its trees in order, and batches prediction
+across trees (:mod:`repro.ml.ensemble`).
 """
 
 from repro.ml.ensemble import StackedTrees, stack_trees

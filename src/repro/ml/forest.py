@@ -4,18 +4,15 @@ The paper's configuration is 1,000 trees of depth 20 trained on MSE
 (§VI-B); importances are the average of the trees' impurity importances
 (Fig. 12 uses them with cnvW1A1 as the test set).
 
-Fitting is seed-stable under parallelism: every tree's bootstrap sample
-is pre-drawn from one sequential stream and every tree gets its own
-derived seed, so farming the (independent) tree fits over ``n_workers``
-processes produces exactly the forest the sequential loop produces, in
-the same order.  Prediction batches all trees through one stacked node
-arena (:mod:`repro.ml.ensemble`) and accumulates rows in tree order, so
+Fitting is seed-stable: every tree's bootstrap sample is drawn in tree
+order from one sequential stream and every tree gets its own derived
+seed, so the forest is a pure function of ``(seed, data)``.  Prediction
+batches all trees through one stacked node arena
+(:mod:`repro.ml.ensemble`) and accumulates rows in tree order, so
 results stay bitwise identical to the historical per-tree loop.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -24,22 +21,6 @@ from repro.ml.tree import DecisionTreeRegressor
 from repro.utils.rng import derive_seed, stream
 
 __all__ = ["RandomForestRegressor"]
-
-
-def _fit_tree_batch(
-    args: tuple[np.ndarray, np.ndarray, dict, list[tuple[int, int, np.ndarray]]],
-) -> list[DecisionTreeRegressor]:
-    """Worker entry point (module-level so it pickles).
-
-    Fits the batch's trees in index order; each job is
-    ``(tree_index, tree_seed, bootstrap_idx)``.
-    """
-    X, y, params, jobs = args
-    fitted = []
-    for _t, tree_seed, idx in jobs:
-        tree = DecisionTreeRegressor(seed=tree_seed, **params)
-        fitted.append(tree.fit(X[idx], y[idx]))
-    return fitted
 
 
 class RandomForestRegressor:
@@ -62,11 +43,6 @@ class RandomForestRegressor:
     engine:
         Split-search engine of the member trees (``"fast"`` or
         ``"reference"``); both grow bitwise identical forests.
-    n_workers:
-        Worker processes for the tree fits.  ``None``, 0 or 1 fits
-        sequentially in-process; the fitted forest is identical for any
-        worker count.  Falls back to sequential when process pools are
-        unavailable.
     """
 
     def __init__(
@@ -77,7 +53,6 @@ class RandomForestRegressor:
         min_samples_leaf: int = 1,
         seed: int = 0,
         engine: str = "fast",
-        n_workers: int | None = None,
     ) -> None:
         if n_estimators < 1:
             raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
@@ -87,18 +62,9 @@ class RandomForestRegressor:
         self.min_samples_leaf = min_samples_leaf
         self.seed = seed
         self.engine = engine
-        self.n_workers = n_workers
         self.trees_: list[DecisionTreeRegressor] = []
         self.feature_importances_: np.ndarray | None = None
         self._stacked: StackedTrees | None = None
-
-    def _tree_params(self) -> dict:
-        return {
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "max_features": self.max_features,
-            "engine": self.engine,
-        }
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         """Fit all trees on bootstrap resamples."""
@@ -111,44 +77,20 @@ class RandomForestRegressor:
             raise ValueError("empty training set")
         self._stacked = None
 
-        # Bootstrap indices come from one sequential stream regardless of
-        # how the fits are distributed, so the forest is a pure function
-        # of (seed, data) — never of the worker count.
+        # One bootstrap stream, drawn in tree order; the trees' own draws
+        # come from their derived seeds and never touch it.
         boot_rng = stream(self.seed, "forest", "bootstrap")
-        jobs = [
-            (
-                t,
-                derive_seed(self.seed, "forest", "tree", t),
-                boot_rng.integers(0, n, size=n),
+        trees = []
+        for t in range(self.n_estimators):
+            idx = boot_rng.integers(0, n, size=n)
+            tree = DecisionTreeRegressor(
+                max_depth=self.max_depth,
+                min_samples_leaf=self.min_samples_leaf,
+                max_features=self.max_features,
+                seed=derive_seed(self.seed, "forest", "tree", t),
+                engine=self.engine,
             )
-            for t in range(self.n_estimators)
-        ]
-
-        params = self._tree_params()
-        trees: list[DecisionTreeRegressor] | None = None
-        if self.n_workers and self.n_workers > 1 and len(jobs) > 1:
-            workers = min(self.n_workers, len(jobs))
-            # Contiguous batches keep per-worker pickling to one X/y copy
-            # per batch instead of one per tree.
-            size, extra = divmod(len(jobs), workers)
-            batches, at = [], 0
-            for i in range(workers):
-                end = at + size + (1 if i < extra else 0)
-                batches.append((X, y, params, jobs[at:end]))
-                at = end
-            try:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    # map() preserves batch order; concatenation restores
-                    # the sequential tree order exactly.
-                    trees = [
-                        t for part in pool.map(_fit_tree_batch, batches)
-                        for t in part
-                    ]
-            except OSError:  # process pools unavailable
-                trees = None
-        if trees is None:
-            trees = _fit_tree_batch((X, y, params, jobs))
-
+            trees.append(tree.fit(X[idx], y[idx]))
         self.trees_ = trees
         importances = np.zeros(X.shape[1])
         for tree in self.trees_:

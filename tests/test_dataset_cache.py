@@ -1,12 +1,14 @@
-"""Tests for the content-addressed dataset cache."""
+"""Tests for the dataset layer of the content-addressed store: a labeled
+sweep kept in a :class:`~repro.flow.cache.ModuleCache` under
+:func:`~repro.flow.cache.dataset_key`."""
 
 import pickle
 
 import pytest
 
-from repro.dataset.cache import DatasetCache, dataset_key
 from repro.dataset.generate import generate_dataset
 from repro.device.parts import xc7z010, xc7z020
+from repro.flow.cache import ModuleCache, dataset_key
 from repro.place.packer import placer_noise_amplitude
 
 
@@ -46,13 +48,10 @@ class TestKey:
         ]:
             assert dataset_key(50, 1, grid, **{**base, field: value}) != ref
 
-    def test_exposed_on_class(self, grid):
-        assert DatasetCache.key is dataset_key
-
 
 class TestStore:
     def test_memory_hit(self, grid):
-        cache = DatasetCache()
+        cache = ModuleCache()
         records, report = generate_dataset(8, seed=1, grid=grid, cache=cache)
         assert cache.stats.misses == 1
         assert cache.stats.stores == 1
@@ -65,35 +64,38 @@ class TestStore:
     def test_disk_hit_across_instances(self, grid, tmp_path):
         d = tmp_path / "ds"
         records, _ = generate_dataset(8, seed=1, grid=grid, cache_dir=d)
-        fresh = DatasetCache(d)
+        fresh = ModuleCache(d)
         warm, report = generate_dataset(8, seed=1, grid=grid, cache=fresh)
         assert warm == records
         assert report.cache_hit
         assert fresh.stats.disk_hits == 1
-        assert fresh.n_disk_entries == 1
+        assert len(list(d.glob("*.pkl"))) == 1
 
     def test_different_config_misses(self, grid, tmp_path):
-        cache = DatasetCache(tmp_path / "ds")
+        d = tmp_path / "ds"
+        cache = ModuleCache(d)
         generate_dataset(8, seed=1, grid=grid, cache=cache)
         _, report = generate_dataset(8, seed=2, grid=grid, cache=cache)
         assert not report.cache_hit
-        assert cache.n_disk_entries == 2
+        assert cache.stats.misses == cache.stats.stores == 2
+        assert len(list(d.glob("*.pkl"))) == 2
 
     def test_noise_amplitude_in_key(self, grid):
-        cache = DatasetCache()
+        cache = ModuleCache()
         _, base = generate_dataset(8, seed=1, grid=grid, cache=cache)
         with placer_noise_amplitude(0.0):
             _, quiet = generate_dataset(8, seed=1, grid=grid, cache=cache)
         # Regenerated, not served from the noisy sweep's entry.
         assert not quiet.cache_hit
-        assert len(cache) == 2
+        assert cache.stats.hits == 0
+        assert cache.stats.stores == 2
 
     def test_corrupt_entry_degrades_to_miss(self, grid, tmp_path):
         d = tmp_path / "ds"
         records, _ = generate_dataset(8, seed=1, grid=grid, cache_dir=d)
         (pkl,) = d.glob("*.pkl")
         pkl.write_bytes(b"not a pickle")
-        fresh = DatasetCache(d)
+        fresh = ModuleCache(d)
         warm, report = generate_dataset(8, seed=1, grid=grid, cache=fresh)
         assert warm == records  # regenerated, not crashed
         assert not report.cache_hit
@@ -104,42 +106,31 @@ class TestStore:
 
     def test_wrong_shape_entry_degrades_to_miss(self, grid, tmp_path):
         d = tmp_path / "ds"
-        generate_dataset(8, seed=1, grid=grid, cache_dir=d)
+        records, _ = generate_dataset(8, seed=1, grid=grid, cache_dir=d)
         (pkl,) = d.glob("*.pkl")
         pkl.write_bytes(pickle.dumps([1, 2, 3]))
-        fresh = DatasetCache(d)
-        _, report = generate_dataset(8, seed=1, grid=grid, cache=fresh)
+        fresh = ModuleCache(d)
+        warm, report = generate_dataset(8, seed=1, grid=grid, cache=fresh)
         assert not report.cache_hit
+        assert warm == records
+        # The regeneration replaced the stray entry.
+        assert pickle.loads(pkl.read_bytes())[0] == records
 
-    def test_contains_and_clear(self, grid, tmp_path):
-        cache = DatasetCache(tmp_path / "ds")
+    def test_memory_only_cache_has_no_disk(self, grid, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cache = ModuleCache()
         generate_dataset(8, seed=1, grid=grid, cache=cache)
-        key = next(iter(cache._mem))
-        assert key in cache
-        assert len(cache) == 1
-        cache.clear()
-        assert len(cache) == 0
-        assert key in cache  # still on disk
-        cache.clear(disk=True)
-        assert key not in cache
-        assert cache.n_disk_entries == 0
-
-    def test_describe(self, grid, tmp_path):
-        cache = DatasetCache(tmp_path / "ds")
-        generate_dataset(8, seed=1, grid=grid, cache=cache)
-        text = cache.describe()
-        assert "1 in memory" in text
-        assert "1 on disk" in text
-
-    def test_memory_only_cache_has_no_disk(self, grid):
-        cache = DatasetCache()
-        generate_dataset(8, seed=1, grid=grid, cache=cache)
-        assert cache.n_disk_entries == 0
+        assert cache.cache_dir is None
+        assert cache.stats.stores == 1
+        assert list(tmp_path.rglob("*.pkl")) == []
 
     def test_hit_returns_fresh_list(self, grid):
-        cache = DatasetCache()
+        cache = ModuleCache()
         records, _ = generate_dataset(8, seed=1, grid=grid, cache=cache)
+        records.append("cold sentinel")
         warm, _ = generate_dataset(8, seed=1, grid=grid, cache=cache)
+        assert "cold sentinel" not in warm
         warm.append("sentinel")
         again, _ = generate_dataset(8, seed=1, grid=grid, cache=cache)
-        assert again == records
+        assert again == warm[:-1]
+        assert "sentinel" not in again

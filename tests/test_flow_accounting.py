@@ -2,18 +2,23 @@
 
 ``FlowStats`` and ``GenerationReport`` must report identical tool-run
 and cache counters whether the work ran sequentially, over a process
-pool, or through the OSError fallback (pool construction refused —
-restricted sandboxes).  In particular the fallback must not *double*
-count: it rebuilds the outcome list wholesale rather than appending to a
-partial pool result.
+pool, or through either of :class:`~repro.flow.fanout.FanOut`'s OSError
+fallbacks: pool construction refused, or a pool that constructs but
+fails on its first dispatch (``ProcessPoolExecutor`` starts its worker
+processes there, so that is where a refused fork surfaces).  In
+particular a fallback must not *double* count: it reruns the whole batch
+serially rather than appending to a partial pool result, and it reports
+one worker.
 """
 
 import pytest
 
+import repro.flow.fanout as fanout_mod
 from repro.dataset.generate import generate_dataset
 from repro.device.column import ColumnKind
 from repro.flow.blockdesign import BlockDesign
 from repro.flow.cache import ModuleCache
+from repro.flow.fanout import FanOut
 from repro.flow.policy import FixedCF
 from repro.flow.preimpl import implement_design
 from repro.rtlgen.base import RTLModule
@@ -36,6 +41,50 @@ class _RefusingPool:
 
     def __init__(self, *args, **kwargs):
         raise OSError("process pools unavailable")
+
+
+class _ForkFailingPool:
+    """Stand-in for a ProcessPoolExecutor whose worker processes cannot
+    start: the constructor succeeds and the first ``map`` fails."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def map(self, fn, *iterables):
+        raise OSError("fork refused")
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
+
+
+#: Both ways a pool can fail over to the serial path.
+_FAILING_POOLS = (_RefusingPool, _ForkFailingPool)
+
+_INIT_CALLS = []
+
+
+def _record_init(tag):
+    _INIT_CALLS.append(tag)
+
+
+def _square(x):
+    return x * x
+
+
+@pytest.mark.parametrize(
+    "pool", _FAILING_POOLS, ids=["refused", "fails-at-map"]
+)
+def test_fanout_fallback_runs_serially_in_job_order(pool, monkeypatch):
+    monkeypatch.setattr(fanout_mod, "ProcessPoolExecutor", pool)
+    _INIT_CALLS.clear()
+    with FanOut(2, 3, initializer=_record_init, initargs=("init",)) as fan:
+        assert fan.n_workers == (2 if fan.pooled else 1)
+        assert fan.run(_square, [3, 1, 2]) == [9, 1, 4]
+        assert fan.run(_square, [5]) == [25]
+        assert not fan.pooled
+        assert fan.n_workers == 1
+    # The initializer ran exactly once, in this process.
+    assert _INIT_CALLS == ["init"]
 
 
 def _flow_counters(stats):
@@ -63,15 +112,13 @@ class TestPreimplAccounting:
     def test_oserror_fallback_does_not_double_count(
         self, z020, sequential, monkeypatch
     ):
-        import repro.flow.preimpl as preimpl_mod
-
-        monkeypatch.setattr(
-            preimpl_mod, "ProcessPoolExecutor", _RefusingPool
-        )
-        fallen = implement_design(
-            _design(), z020, FixedCF(1.5), n_workers=2
-        ).stats
-        assert _flow_counters(fallen) == _flow_counters(sequential)
+        for pool in _FAILING_POOLS:
+            monkeypatch.setattr(fanout_mod, "ProcessPoolExecutor", pool)
+            fallen = implement_design(
+                _design(), z020, FixedCF(1.5), n_workers=2
+            ).stats
+            assert _flow_counters(fallen) == _flow_counters(sequential), pool
+            assert fallen.n_workers == sequential.n_workers == 1
 
     def test_warm_cache_counts(self, z020, sequential):
         cache = ModuleCache()
@@ -90,8 +137,6 @@ class TestPreimplAccounting:
         assert _flow_counters(cold) == _flow_counters(sequential)
 
     def test_warm_cache_under_pool_and_fallback(self, z020, monkeypatch):
-        import repro.flow.preimpl as preimpl_mod
-
         cache = ModuleCache()
         implement_design(_design(), z020, FixedCF(1.5), cache=cache)
         warm_seq = implement_design(
@@ -100,17 +145,14 @@ class TestPreimplAccounting:
         warm_pool = implement_design(
             _design(), z020, FixedCF(1.5), cache=cache, n_workers=2
         ).stats
-        monkeypatch.setattr(
-            preimpl_mod, "ProcessPoolExecutor", _RefusingPool
-        )
-        warm_fall = implement_design(
-            _design(), z020, FixedCF(1.5), cache=cache, n_workers=2
-        ).stats
-        assert (
-            _flow_counters(warm_seq)
-            == _flow_counters(warm_pool)
-            == _flow_counters(warm_fall)
-        )
+        assert _flow_counters(warm_seq) == _flow_counters(warm_pool)
+        for pool in _FAILING_POOLS:
+            monkeypatch.setattr(fanout_mod, "ProcessPoolExecutor", pool)
+            warm_fall = implement_design(
+                _design(), z020, FixedCF(1.5), cache=cache, n_workers=2
+            ).stats
+            assert _flow_counters(warm_fall) == _flow_counters(warm_seq), pool
+            assert warm_fall.n_workers == 1
 
 
 def _report_counters(report):
@@ -139,13 +181,13 @@ class TestDatasetAccounting:
     def test_oserror_fallback_does_not_double_count(
         self, sequential, monkeypatch
     ):
-        import repro.dataset.generate as gen_mod
-
-        monkeypatch.setattr(gen_mod, "ProcessPoolExecutor", _RefusingPool)
         seq_records, seq_report = sequential
-        records, report = generate_dataset(self.N, seed=0, workers=2)
-        assert records == seq_records
-        assert _report_counters(report) == _report_counters(seq_report)
+        for pool in _FAILING_POOLS:
+            monkeypatch.setattr(fanout_mod, "ProcessPoolExecutor", pool)
+            records, report = generate_dataset(self.N, seed=0, workers=2)
+            assert records == seq_records, pool
+            assert _report_counters(report) == _report_counters(seq_report)
+            assert report.n_workers == seq_report.n_workers == 1
 
     def test_warm_cache_preserves_counters(self, sequential, tmp_path):
         seq_records, seq_report = sequential

@@ -234,7 +234,7 @@ def test_det005_quiet_when_sorted_or_unordered_sink():
 
 
 def test_par001_fires_on_global_mutating_worker():
-    bad = """
+    stdlib = """
         from concurrent.futures import ProcessPoolExecutor
         RESULTS = []
         def work(x):
@@ -243,9 +243,19 @@ def test_par001_fires_on_global_mutating_worker():
             with ProcessPoolExecutor() as pool:
                 pool.map(work, items)
     """
-    hits = rule_hits(bad, "PAR001")
-    assert len(hits) == 1
-    assert "RESULTS" in hits[0].message
+    fanout = """
+        from repro.flow.fanout import FanOut
+        RESULTS = []
+        def work(x):
+            RESULTS.append(x * 2)
+        def run(items):
+            with FanOut(2, len(items)) as fan:
+                fan.run(work, items)
+    """
+    for bad in (stdlib, fanout):
+        hits = rule_hits(bad, "PAR001")
+        assert len(hits) == 1, bad
+        assert "RESULTS" in hits[0].message
 
 
 def test_par001_fires_on_global_statement():
@@ -281,7 +291,7 @@ def test_par001_quiet_on_pure_worker():
 
 
 def test_par002_fires_on_lambda_and_nested_def():
-    bad = """
+    stdlib = """
         from concurrent.futures import ProcessPoolExecutor
         def run(items):
             def local(x):
@@ -291,7 +301,18 @@ def test_par002_fires_on_lambda_and_nested_def():
                 b = list(pool.map(local, items))
             return a, b
     """
-    assert len(rule_hits(bad, "PAR002")) == 2
+    fanout = """
+        from repro.flow.fanout import FanOut
+        def run(items):
+            def local(x):
+                return x + 1
+            with FanOut(2, len(items)) as fan:
+                a = fan.run(lambda x: x * 2, items)
+                b = fan.run(local, items)
+            return a, b
+    """
+    for bad in (stdlib, fanout):
+        assert len(rule_hits(bad, "PAR002")) == 2, bad
 
 
 def test_par002_quiet_on_module_level_worker():
@@ -381,7 +402,7 @@ def test_obs002_fires_on_graft_without_pool():
 
 
 def test_obs002_quiet_in_pool_module():
-    good = """
+    stdlib = """
         from concurrent.futures import ProcessPoolExecutor
         def run(tracer, jobs):
             with ProcessPoolExecutor() as pool:
@@ -392,7 +413,19 @@ def test_obs002_quiet_in_pool_module():
         def _work(job):
             return job, None
     """
-    assert rule_hits(good, "OBS002") == []
+    fanout = """
+        from repro.flow.fanout import FanOut
+        def run(tracer, jobs):
+            with FanOut(2, len(jobs)) as fan:
+                outcomes = fan.run(_work, jobs)
+            for _result, trace in outcomes:
+                tracer.graft(trace)
+            return outcomes
+        def _work(job):
+            return job, None
+    """
+    for good in (stdlib, fanout):
+        assert rule_hits(good, "OBS002") == [], good
 
 
 # --------------------------------------------------------- rule pack contract
@@ -617,6 +650,19 @@ def test_cli_lint_missing_path_errors(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (
         f"repro lint: error: no such file or directory: {missing}\n"
+    )
+
+
+def test_cli_lint_non_python_path_errors(tmp_path, capsys):
+    # A path that names neither a directory nor a .py file would
+    # otherwise check nothing and pass: it is a usage error too.
+    readme = tmp_path / "README.md"
+    readme.write_text("# notes\n")
+    assert main(["lint", str(readme)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"repro lint: error: not a Python file or directory: {readme}\n"
     )
 
 

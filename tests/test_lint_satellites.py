@@ -11,7 +11,9 @@ import pytest
 
 from repro.cli import main
 from repro.lint import lint_paths, lint_source
-from repro.lint.engine import iter_python_files
+from repro.lint.engine import LintResult, iter_python_files
+from repro.lint.report import render_github
+from repro.lint.rules import Violation
 
 # -------------------------------------------- statement-scoped suppressions
 
@@ -123,6 +125,13 @@ def test_iter_python_files_missing_path_raises(tmp_path):
         iter_python_files([tmp_path / "nope"])
 
 
+def test_iter_python_files_non_python_path_raises(tmp_path):
+    notes = tmp_path / "notes.txt"
+    notes.write_text("not code\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="not a Python file or directory"):
+        iter_python_files([notes])
+
+
 def test_unreadable_file_is_lnt001_and_follows_filters(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_bytes(b'x = "\xff"\n')
@@ -227,3 +236,29 @@ def test_github_renderer_without_git_root_keeps_given_paths(
     assert main(["lint", "m.py", "--format", "github"]) == 1
     out = capsys.readouterr().out
     assert "::error file=m.py,line=2," in out
+
+
+def test_github_renderer_escapes_properties_and_messages(
+    tmp_path, monkeypatch, capsys
+):
+    # A ',' in a file name would split the annotation's properties.
+    f = tmp_path / "a,b.py"
+    f.write_text("import time\nT = time.time()\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["lint", "a,b.py", "--format", "github"]) == 1
+    out = capsys.readouterr().out
+    assert "::error file=a%2Cb.py,line=2,col=5,title=DET003::" in out
+
+    result = LintResult(
+        violations=[
+            Violation(
+                rule="DET003", path="x:y,z.py", line=1, col=1,
+                message="50% of\r\nlines",
+            )
+        ],
+        files_checked=1,
+    )
+    assert render_github(result).splitlines()[0] == (
+        "::error file=x%3Ay%2Cz.py,line=1,col=1,title=DET003"
+        "::50%25 of%0D%0Alines"
+    )

@@ -115,17 +115,6 @@ class TestForest:
             fast.feature_importances_, ref.feature_importances_
         )
 
-    def test_worker_count_invariant(self, data):
-        X, y = data
-        serial = RandomForestRegressor(n_estimators=6, seed=4).fit(X, y)
-        par = RandomForestRegressor(n_estimators=6, seed=4, n_workers=2).fit(X, y)
-        np.testing.assert_array_equal(serial.predict(X), par.predict(X))
-        np.testing.assert_array_equal(
-            serial.feature_importances_, par.feature_importances_
-        )
-        for a, b in zip(serial.trees_, par.trees_):
-            _assert_identical_trees(a, b)
-
     def test_batched_predict_matches_tree_loop(self, data):
         X, y = data
         model = RandomForestRegressor(n_estimators=6, seed=4).fit(X, y)
