@@ -29,11 +29,13 @@ def _sweep(ctx):
         policy = EstimatedCF(estimator=estimator, overhead=overhead)
         runs = 0
         area = 0
+        first = 0
         for s in stats.values():
             out = policy.choose(s, quick_place(s), ctx.z020)
             runs += out.n_runs
             area += out.pblock.caps.slices
-        rows.append((overhead, runs, area, policy.first_run_rate))
+            first += out.n_runs == 1
+        rows.append((overhead, runs, area, first / len(stats)))
     return rows
 
 

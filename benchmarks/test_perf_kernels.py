@@ -211,12 +211,12 @@ def test_perf_tracer_overhead(grid):
     """Tracing must stay cheap on the stitch benchmark workload.
 
     This is the CI perf-smoke gate for the observability layer.  With
-    tracing disabled (the ambient default) ``stitch`` builds the same
-    private trace the bespoke timing code used to, so the run should
-    cost the same; with an explicit enabled tracer the only extra work
-    is keeping the span forest.  Both must land within a small factor of
-    each other — the gate is ~2% plus a fixed epsilon that absorbs
-    timer jitter on a sub-100 ms workload.
+    tracing disabled (the ambient default) ``stitch`` records nothing:
+    every span is the shared no-op and no tracer is built.  An explicit
+    enabled tracer adds the phase spans' clock reads and the span
+    forest.  The traced run must land within ~2% of the untraced one,
+    plus a fixed epsilon that absorbs timer jitter on a sub-100 ms
+    workload.
     """
     import time
 

@@ -83,10 +83,9 @@ def main() -> None:
         ["policy", "tool runs", "mean CF", "PBlock slices", "placed"],
         title="compiling the MLP accelerator",
     )
-    policy = EstimatedCF(estimator=estimator)
     for label, pol in [
         ("constant CF=1.7", FixedCF(1.7)),
-        ("learned estimator", policy),
+        ("learned estimator", EstimatedCF(estimator=estimator)),
     ]:
         res = run_rw_flow(design, grid, pol, sa_params=sa)
         t.add_row(
@@ -100,7 +99,8 @@ def main() -> None:
         )
     print(t.render())
     print(
-        f"\nestimator first-run success: {policy.first_run_rate * 100:.0f}% "
+        f"\nestimator first-run success: "
+        f"{res.flow_stats.first_run_rate * 100:.0f}% "
         "(paper §VIII: 52.7% on cnvW1A1)"
     )
 

@@ -16,7 +16,7 @@ The package provides, in pure Python:
 * from-scratch ML estimators of the minimal correction factor
   (:mod:`repro.features`, :mod:`repro.ml`, :mod:`repro.estimator`);
 * per-table/figure experiment drivers (:mod:`repro.analysis`);
-* span tracing and metrics for every flow stage (:mod:`repro.obs`).
+* span tracing for every flow stage (:mod:`repro.obs`).
 
 Quick start::
 

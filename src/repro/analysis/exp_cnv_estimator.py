@@ -257,14 +257,18 @@ def run_estimator_impact(
         runs = sum(m.outcome.n_runs for m in implemented.values())
         return (
             RWFlowResult(
-                implemented=implemented, stitch=stitches[0], total_tool_runs=runs
+                implemented=implemented,
+                stitch=stitches[0],
+                total_tool_runs=runs,
+                flow_stats=implemented.stats,
             ),
             seconds,
             stitches,
         )
 
-    policy = EstimatedCF(estimator=estimator)
-    est_flow, est_seconds, est_stitches = _timed_flow(policy, n_sa_seeds)
+    est_flow, est_seconds, est_stitches = _timed_flow(
+        EstimatedCF(estimator=estimator), n_sa_seeds
+    )
 
     # Baseline 1: constant CF = 0.9 with upward sweep (run-count baseline).
     sweep_flow, _, _ = _timed_flow(SweepCF(start=0.9))
@@ -274,7 +278,7 @@ def run_estimator_impact(
         FixedCF(round(const_cf + 1e-9, 2)), n_sa_seeds
     )
     return EstimatorImpactResult(
-        first_run_rate=policy.first_run_rate,
+        first_run_rate=est_flow.flow_stats.first_run_rate,
         estimator_runs=est_flow.total_tool_runs,
         sweep_runs=sweep_flow.total_tool_runs,
         estimator_flow=est_flow,

@@ -310,8 +310,7 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
     print(
         f"{report.n_labeled} labeled ({report.n_trivial} trivial, "
         f"{report.n_infeasible} infeasible, {report.n_runs} tool runs) "
-        f"-> {len(balanced)} balanced -> {args.output} "
-        f"[{source}, {report.wall_s:.2f}s]"
+        f"-> {len(balanced)} balanced -> {args.output} [{source}]"
     )
     if args.cache_dir:
         print(f"  cache: {args.cache_dir}")
@@ -371,8 +370,7 @@ def _cmd_preimpl(args: argparse.Namespace) -> int:
     print(
         f"{design.name} on {grid.name}: {len(result)}/{st.n_modules} modules "
         f"implemented, {st.cache_hits} cache hits ({st.hit_rate * 100:.0f}%), "
-        f"{st.new_tool_runs} new tool runs "
-        f"({st.total_tool_runs} total), {st.wall_s:.2f}s"
+        f"{st.new_tool_runs} new tool runs ({st.total_tool_runs} total)"
     )
     if args.cache_dir:
         print(f"  cache: {args.cache_dir}")
@@ -453,7 +451,7 @@ def _cmd_place(args: argparse.Namespace) -> int:
         st = s.stats
         print(
             f"  placer={args.placer} kernel={st.kernel} seed={st.seed} "
-            f"accept rate {st.accept_rate * 100:.1f}%, {st.total_s:.2f}s"
+            f"accept rate {st.accept_rate * 100:.1f}%"
         )
     print(
         f"  congestion: peak {cmap.peak_column_demand} "

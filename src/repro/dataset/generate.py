@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.device.grid import DeviceGrid
 from repro.device.parts import xc7z020
@@ -35,7 +36,7 @@ from repro.rtlgen.base import RTLModule
 from repro.rtlgen.sweep import generate_sweep
 from repro.synth.mapper import opt_design, synthesize
 
-__all__ = ["GenerationReport", "generate_dataset"]
+__all__ = ["GenerationReport", "LabeledSweep", "generate_dataset"]
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,6 @@ class GenerationReport:
         here.
     n_workers:
         Worker processes the labeling fanned over (1 = sequential).
-    wall_s:
-        Wall-clock time of the generation (or of the cache lookup when
-        ``cache_hit``).
     cache_hit:
         True when the records were served from a
         :class:`~repro.flow.cache.ModuleCache` instead of being
@@ -77,7 +75,6 @@ class GenerationReport:
     infeasible_names: tuple[str, ...] = field(default=())
     n_runs: int = 0
     n_workers: int = 1
-    wall_s: float = 0.0
     cache_hit: bool = False
 
     def to_json_dict(self) -> dict:
@@ -90,9 +87,15 @@ class GenerationReport:
             "infeasible_names": list(self.infeasible_names),
             "n_runs": self.n_runs,
             "n_workers": self.n_workers,
-            "wall_s": self.wall_s,
             "cache_hit": self.cache_hit,
         }
+
+
+class LabeledSweep(NamedTuple):
+    """One generation as :class:`~repro.flow.cache.ModuleCache` stores it."""
+
+    records: list[ModuleRecord]
+    report: GenerationReport
 
 
 #: Outcome tag of one labeled module inside a worker chunk.
@@ -227,10 +230,10 @@ def generate_dataset(
         to sequential when process pools are unavailable.
     cache:
         A :class:`~repro.flow.cache.ModuleCache` to consult and
-        populate; the ``(records, report)`` pair is stored under
+        populate; a :class:`LabeledSweep` is stored under
         :func:`~repro.flow.cache.dataset_key`.  A warm hit returns the
         stored records with zero synthesis/CF-search work; an entry of
-        any other shape counts as a miss.
+        any other type counts as a miss.
     cache_dir:
         Convenience: when ``cache`` is not given, build a disk-persistent
         cache rooted here.  Ignored if ``cache`` is provided.
@@ -238,17 +241,14 @@ def generate_dataset(
         Where the ``dataset`` span tree is recorded (cache probe, sweep,
         one ``dataset.module`` span per labeled module — merged from the
         workers when the labeling fans out); defaults to the ambient
-        tracer.  With the ambient tracer disabled a private throwaway
-        tracer provides the :class:`GenerationReport` timing.
+        tracer.  An untraced call records nothing.
 
     Returns
     -------
     (records, report)
         Labeled records (``min_cf`` set) and the generation report.
     """
-    ambient = tracer if tracer is not None else current_tracer()
-    tr = ambient if ambient.enabled else Tracer()
-    want_trace = ambient.enabled
+    tr = tracer if tracer is not None else current_tracer()
     grid = grid or xc7z020()
     noise = _noise_hi()
 
@@ -270,21 +270,13 @@ def generate_dataset(
                     adaptive_step=adaptive_step,
                     noise_amplitude=noise,
                 )
-                hit = cache.get(key)
-                if not (isinstance(hit, tuple) and len(hit) == 2):
-                    hit = None  # not a (records, report) pair: regenerate
+                hit = cache.get(key, LabeledSweep)
                 sp_cache.incr("hits", 1 if hit is not None else 0)
                 sp_cache.incr("misses", 0 if hit is not None else 1)
         if hit is not None:
             records, report = hit
             sp_root.set_attr("cache_hit", True)
-            tr.metrics.counter("dataset.cache.hits").inc()
-            report = dataclasses.replace(
-                report,
-                cache_hit=True,
-                wall_s=sp_root.elapsed(),
-                n_workers=1,
-            )
+            report = dataclasses.replace(report, cache_hit=True, n_workers=1)
             return list(records), report
 
         with tr.span("dataset.sweep") as sp_sweep:
@@ -299,7 +291,7 @@ def generate_dataset(
                 jobs = [
                     (
                         c, grid, start, step, max_cf, skip_trivial,
-                        adaptive_step, noise, want_trace,
+                        adaptive_step, noise, tr.enabled,
                     )
                     for c in chunks
                 ]
@@ -328,11 +320,6 @@ def generate_dataset(
         sp_label.incr("n_infeasible", len(infeasible))
         sp_label.incr("n_runs", n_runs)
         sp_root.set_attr("n_workers", fan.n_workers)
-        m = tr.metrics
-        if cache is not None:
-            m.counter("dataset.cache.misses").inc()
-        m.counter("dataset.tool_runs").inc(n_runs)
-        m.gauge("dataset.n_workers").set(fan.n_workers)
 
         report_ = GenerationReport(
             n_requested=n_modules,
@@ -342,10 +329,9 @@ def generate_dataset(
             infeasible_names=tuple(infeasible),
             n_runs=n_runs,
             n_workers=fan.n_workers,
-            wall_s=sp_root.elapsed(),
             cache_hit=False,
         )
         if cache is not None and key is not None:
             with tr.span("dataset.store"):
-                cache.put(key, (list(records), report_))
+                cache.put(key, LabeledSweep(list(records), report_))
     return records, report_

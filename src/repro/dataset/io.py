@@ -96,6 +96,5 @@ def load_generation_report(path: str | Path) -> GenerationReport:
         infeasible_names=tuple(data.get("infeasible_names", ())),
         n_runs=int(data.get("n_runs", 0)),
         n_workers=int(data.get("n_workers", 1)),
-        wall_s=float(data.get("wall_s", 0.0)),
         cache_hit=bool(data.get("cache_hit", False)),
     )

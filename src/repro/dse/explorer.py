@@ -194,7 +194,7 @@ class DSEExplorer:
     ) -> tuple[ImplementedModule | None, bool]:
         """Implement via the shared cache; ``(None, False)`` if infeasible."""
         key = self.cache.key(module, self.grid, self.policy)
-        impl = self.cache.get(key)
+        impl = self.cache.get(key, ImplementedModule)
         if impl is not None:
             return impl, True
         try:

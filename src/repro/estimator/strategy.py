@@ -9,7 +9,7 @@ PBlock density for fewer tool runs, exactly as §VIII discusses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.device.grid import DeviceGrid
 from repro.estimator.cf_estimator import CFEstimator
@@ -39,20 +39,14 @@ class EstimatedCF(CFPolicy):
     overhead:
         Additive CF margin applied to every prediction (0 = densest
         PBlocks, more runs; >0 = fewer runs, looser PBlocks).
-    first_run_hits:
-        Modules whose predicted CF was feasible immediately (the paper's
-        52.7% statistic); populated as the policy is used.
+
+    The policy keeps no state: the paper's first-run statistic (52.7%)
+    is :attr:`~repro.flow.preimpl.FlowStats.first_run_rate` of the flow
+    that used it.
     """
 
     estimator: CFEstimator
     overhead: float = 0.0
-    first_run_hits: int = field(default=0, init=False)
-    modules_seen: int = field(default=0, init=False)
-
-    @property
-    def first_run_rate(self) -> float:
-        """Fraction of modules implemented on the first tool run."""
-        return self.first_run_hits / self.modules_seen if self.modules_seen else 0.0
 
     def fingerprint(self) -> str:
         """Cache identity: model kind, features, overhead and weights.
@@ -60,8 +54,7 @@ class EstimatedCF(CFPolicy):
         Hashes the serialized model state (via
         :func:`repro.ml.persist.model_to_dict`), so two estimators with
         the same architecture but different trained weights never share
-        cache entries.  The mutable first-run counters are deliberately
-        excluded — they do not affect predictions.
+        cache entries.
         """
         from repro.flow.cache import stable_json_digest
         from repro.ml.persist import model_to_dict
@@ -83,12 +76,10 @@ class EstimatedCF(CFPolicy):
         predicted = float(self.estimator.predict(record)) + self.overhead
         cf0 = max(_MIN_CF, round(round(predicted / _FINE) * _FINE, 10))
 
-        self.modules_seen += 1
         n_runs = 1
         attempted = [cf0]
         pb, res = _attempt(stats, report, cf0, grid)
         if pb is not None and res.feasible:
-            self.first_run_hits += 1
             return CFOutcome(
                 cf=cf0, n_runs=n_runs, pblock=pb, result=res, predicted_cf=cf0
             )

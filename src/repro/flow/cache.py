@@ -12,10 +12,11 @@ implementation —
   weights), and
 * the pre-implementation device grid.
 
-The same store keeps the estimator's labeled sweep: a ``(records,
-report)`` pair from :func:`~repro.dataset.generate.generate_dataset`
-under :func:`dataset_key`, which covers the sweep size and seed, the
-grid, the CF sweep parameters and the placer-noise amplitude.
+The same store keeps the estimator's labeled sweep: a
+:class:`~repro.dataset.generate.LabeledSweep` (records and report) from
+:func:`~repro.dataset.generate.generate_dataset` under
+:func:`dataset_key`, which covers the sweep size and seed, the grid, the
+CF sweep parameters and the placer-noise amplitude.
 
 Entries live in an in-memory dict with an optional disk layer underneath
 (one pickle file per key inside ``cache_dir``), so a second flow run — or
@@ -53,9 +54,9 @@ __all__ = [
 ]
 
 #: Bump when the on-disk entry layout (an ``ImplementedModule``, or a
-#: dataset's ``ModuleRecord`` list and report) changes; part of every
-#: key, so old stores are silently treated as cold instead of
-#: mis-deserialized.
+#: dataset's ``LabeledSweep``) changes; part of every key, so old stores
+#: are silently treated as cold instead of mis-deserialized.  An entry
+#: of another type is a miss anyway (:meth:`ModuleCache.get`).
 CACHE_FORMAT = 1
 
 
@@ -212,10 +213,10 @@ class ModuleCache:
 
     Notes
     -----
-    Unreadable or corrupt disk entries are treated as misses (and
-    removed), never as errors: a cache must degrade to "cold", not crash
-    the flow.  Unpickling runs whatever constructor an entry names, so
-    any exception it raises counts as corruption.
+    Unreadable, corrupt or wrong-type disk entries are treated as misses
+    (and removed), never as errors: a cache must degrade to "cold", not
+    crash the flow.  Unpickling runs whatever constructor an entry
+    names, so any exception it raises counts as corruption.
     """
 
     def __init__(self, cache_dir: str | os.PathLike | None = None) -> None:
@@ -236,8 +237,12 @@ class ModuleCache:
         assert self.cache_dir is not None
         return self.cache_dir / f"{key}.pkl"
 
-    def get(self, key: str) -> Any:
-        """Look a key up: memory first, then disk.  ``None`` on miss."""
+    def get(self, key: str, kind: type) -> Any:
+        """Look a key up: memory first, then disk.  ``None`` on miss.
+
+        ``kind`` is the type the caller stores under ``key``; a disk
+        entry of any other type is a miss, like a corrupt one.
+        """
         entry = self._mem.get(key)
         if entry is not None:
             self.stats.mem_hits += 1
@@ -249,14 +254,14 @@ class ModuleCache:
                     entry = pickle.load(fh)
             except Exception:  # missing, unreadable or corrupt entry
                 entry = None
-                try:  # drop it so the next run rebuilds it
-                    path.unlink(missing_ok=True)
-                except OSError:
-                    pass
-            if entry is not None:
+            if isinstance(entry, kind):
                 self._mem[key] = entry
                 self.stats.disk_hits += 1
                 return entry
+            try:  # drop it so the next run rebuilds it
+                path.unlink(missing_ok=True)
+            except OSError:
+                pass
         self.stats.misses += 1
         return None
 

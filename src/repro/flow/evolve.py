@@ -233,23 +233,21 @@ def evolve(
     tracer:
         Where the run's ``evolve`` span tree (``evolve.init`` /
         ``evolve.generations`` / ``evolve.repair`` — the three phases
-        tile the run) is recorded; defaults to the ambient tracer, with
-        a private throwaway tracer when that is disabled (so
-        :class:`StitchStats` timings cost the same either way).
+        tile the run) is recorded; defaults to the ambient tracer.  An
+        untraced run records nothing.
 
     Returns
     -------
     StitchResult
         The same result shape the SA stitcher returns;
         ``result.iterations`` is the consumed move budget and
-        ``result.stats.temperature_trace`` holds the per-generation
-        ``(budget_used, best_cost)`` trajectory.
+        ``result.history`` holds the ``(budget_used, best_cost)``
+        improvement trajectory.
     """
     params = params or GAParams()
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
-    ambient = tracer if tracer is not None else current_tracer()
-    tr = ambient if ambient.enabled else Tracer()
+    tr = tracer if tracer is not None else current_tracer()
 
     with tr.span(
         "evolve", kernel=kernel, seed=params.seed, move_budget=params.move_budget
@@ -404,10 +402,6 @@ def evolve(
     stats = StitchStats(
         kernel=kernel,
         seed=params.seed,
-        setup_s=0.0,
-        initial_s=sp_init.dur_s,
-        anneal_s=sp_gen.dur_s,
-        fill_s=sp_repair.dur_s,
         move_attempts=st.move_attempts,
         place_attempts=st.place_attempts,
         swap_attempts=st.swap_attempts,
@@ -415,7 +409,6 @@ def evolve(
         place_accepts=st.place_accepts,
         swap_accepts=st.swap_accepts,
         illegal_moves=st.illegal,
-        temperature_trace=tuple(history),
     )
     return StitchResult(
         placements=placements,

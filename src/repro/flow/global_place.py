@@ -127,9 +127,7 @@ def global_place(
         ``"reference"``); bitwise-identical results on either.
     tracer:
         Where the run's ``gplace`` span tree is recorded; defaults to
-        the ambient tracer, with a private throwaway tracer when that
-        is disabled so :class:`StitchStats` timings cost the same
-        either way.
+        the ambient tracer.  An untraced run records nothing.
 
     Returns
     -------
@@ -149,8 +147,7 @@ def global_place(
         raise ValueError(f"gamma must be > 0, got {params.gamma}")
     if params.n_bands < 1:
         raise ValueError(f"n_bands must be >= 1, got {params.n_bands}")
-    ambient = tracer if tracer is not None else current_tracer()
-    tr = ambient if ambient.enabled else Tracer()
+    tr = tracer if tracer is not None else current_tracer()
 
     # The three phase spans tile the root span (every statement between
     # root entry and exit lives inside exactly one phase), mirroring the
@@ -416,10 +413,6 @@ def global_place(
     stats = StitchStats(
         kernel=kernel,
         seed=params.seed,
-        setup_s=0.0,
-        initial_s=sp_init.dur_s,
-        anneal_s=sp_desc.dur_s,
-        fill_s=sp_leg.dur_s,
         move_attempts=0,
         place_attempts=0,
         swap_attempts=0,
@@ -427,9 +420,7 @@ def global_place(
         place_accepts=0,
         swap_accepts=0,
         illegal_moves=0,
-        # The descent trajectory rides the trace slot the SA schedule
-        # uses: (iteration, smooth objective) per gradient step.
-        temperature_trace=tuple(traj),
+        objective_trace=tuple(traj),
     )
     return StitchResult(
         placements=placements,

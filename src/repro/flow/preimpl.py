@@ -22,26 +22,19 @@ loop, upgraded in three ways over the naive sequential version:
   returned in a :class:`FlowInfeasibleReport` so the caller can stitch the
   placeable subset and count the rest as unplaced.
 
-Every call also produces :class:`FlowStats` observability: per-module tool
-runs and wall time, cache hit/miss counters and the policy's CF prediction
-error.
-
-Note on policy-side state: a mutable policy (the learned
-:class:`~repro.estimator.strategy.EstimatedCF` keeps first-run counters)
-is pickled into each worker, so its in-process counters only advance on
-the sequential path.  Use :attr:`FlowStats.first_run_rate` instead — it is
-derived from the per-module run counts and identical for any worker count.
+Every call also produces :class:`FlowStats`: per-module tool runs, cache
+hits and the policy's CF prediction error, all identical for any worker
+count.  Its time is in the ``preimpl`` span tree, when traced.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
 from repro.device.grid import DeviceGrid
 from repro.flow.blockdesign import BlockDesign
-from repro.flow.cache import CacheStats, ModuleCache
+from repro.flow.cache import ModuleCache
 from repro.flow.fanout import FanOut, graft_traces
 from repro.flow.policy import CFOutcome, CFPolicy, FlowInfeasibleError
 from repro.netlist.stats import NetlistStats, compute_stats
@@ -166,7 +159,6 @@ class ModuleFlowStats:
     cache_hit: bool
     n_runs: int
     new_runs: int
-    wall_s: float
     cf: float = 0.0
     predicted_cf: float = 0.0
 
@@ -186,17 +178,10 @@ class FlowStats:
         One record per unique module, in design order (failures included).
     n_workers:
         Worker processes the misses were fanned over (1 = sequential).
-    wall_s:
-        Wall-clock time of the whole call.
-    cache:
-        Hit/miss counters of the cache used (a snapshot; counters of a
-        shared cache keep growing across calls).
     """
 
     modules: tuple[ModuleFlowStats, ...] = ()
     n_workers: int = 1
-    wall_s: float = 0.0
-    cache: CacheStats = field(default_factory=CacheStats)
 
     # ------------------------------------------------------------- counters
 
@@ -257,7 +242,6 @@ class FlowStats:
         return {
             "n_modules": self.n_modules,
             "n_workers": self.n_workers,
-            "wall_s": self.wall_s,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "hit_rate": self.hit_rate,
@@ -266,12 +250,6 @@ class FlowStats:
             "n_infeasible": self.n_infeasible,
             "first_run_rate": self.first_run_rate,
             "mean_abs_prediction_error": self.mean_abs_prediction_error,
-            "cache": {
-                "mem_hits": self.cache.mem_hits,
-                "disk_hits": self.cache.disk_hits,
-                "misses": self.cache.misses,
-                "stores": self.cache.stores,
-            },
             "modules": [
                 {
                     "module": m.module,
@@ -279,7 +257,6 @@ class FlowStats:
                     "cache_hit": m.cache_hit,
                     "n_runs": m.n_runs,
                     "new_runs": m.new_runs,
-                    "wall_s": m.wall_s,
                     "cf": m.cf,
                     "predicted_cf": m.predicted_cf,
                 }
@@ -341,13 +318,11 @@ def implement_module(
 
 def _implement_one(
     args: tuple[RTLModule, DeviceGrid, CFPolicy, bool],
-) -> tuple[
-    str, ImplementedModule | None, str, tuple[float, ...], int, float, dict | None
-]:
+) -> tuple[str, ImplementedModule | None, str, tuple[float, ...], int, dict | None]:
     """Worker entry point (module-level so it pickles).
 
-    Returns ``(name, impl, reason, attempted_cfs, fail_runs, wall_s,
-    trace)``; ``impl`` is ``None`` exactly when the module is infeasible.
+    Returns ``(name, impl, reason, attempted_cfs, fail_runs, trace)``;
+    ``impl`` is ``None`` exactly when the module is infeasible.
     When ``want_trace`` is set the module's ``preimpl.module`` span tree
     is recorded into a worker-local tracer and shipped back as a plain
     dict, which the parent grafts into its own trace exactly once —
@@ -360,7 +335,6 @@ def _implement_one(
     reason = ""
     attempted: tuple[float, ...] = ()
     fail_runs = 0
-    t0 = time.perf_counter()
     span = tr.span("preimpl.module", module=module.name) if tr else NULL_TRACER.span("")
     with span as sp:
         try:
@@ -375,9 +349,8 @@ def _implement_one(
             sp.set_attr("feasible", True)
             sp.set_attr("cf", impl.outcome.cf)
             sp.incr("n_runs", impl.outcome.n_runs)
-    wall = time.perf_counter() - t0
     trace = tr.roots[0].to_json_dict() if tr else None
-    return (module.name, impl, reason, attempted, fail_runs, wall, trace)
+    return (module.name, impl, reason, attempted, fail_runs, trace)
 
 
 def implement_design(
@@ -417,9 +390,8 @@ def implement_design(
     tracer:
         Where the ``preimpl`` span tree is recorded (cache probe, one
         ``preimpl.module`` span per miss — merged from the workers when
-        the misses fan out); defaults to the ambient tracer.  With the
-        ambient tracer disabled, a private throwaway tracer provides the
-        timings :class:`FlowStats` is derived from.
+        the misses fan out); defaults to the ambient tracer.  An
+        untraced call records nothing.
 
     Returns
     -------
@@ -431,11 +403,7 @@ def implement_design(
         are ``result.stats.total_tool_runs``; runs this call actually
         executed are ``result.stats.new_tool_runs``.
     """
-    ambient = tracer if tracer is not None else current_tracer()
-    tr = ambient if ambient.enabled else Tracer()
-    # Ship per-module span trees through the pool only when someone will
-    # read them; the private fallback tracer just times the call.
-    want_trace = ambient.enabled
+    tr = tracer if tracer is not None else current_tracer()
 
     with tr.span("preimpl", design=design.name) as sp_root:
         with tr.span("preimpl.cache") as sp_cache:
@@ -452,7 +420,7 @@ def implement_design(
             hits: dict[str, ImplementedModule] = {}
             misses: list[tuple[str, RTLModule]] = []
             for name, module in design.modules.items():
-                impl = cache.get(keys[name])
+                impl = cache.get(keys[name], ImplementedModule)
                 if impl is not None:
                     hits[name] = impl
                 else:
@@ -460,20 +428,19 @@ def implement_design(
             sp_cache.incr("hits", len(hits))
             sp_cache.incr("misses", len(misses))
 
-        jobs = [(module, grid, policy, want_trace) for _, module in misses]
+        jobs = [(module, grid, policy, tr.enabled) for _, module in misses]
         with tr.span("preimpl.implement") as sp_impl:
             # Job order, not completion order: each module's implementation
             # is deterministic, so the assembled result is independent of
             # the worker count.
             with FanOut(n_workers, len(jobs)) as fan:
                 outcomes = fan.run(_implement_one, jobs)
-            graft_traces(tr, [out[6] for out in outcomes])
+            graft_traces(tr, [out[5] for out in outcomes])
 
         implemented: dict[str, ImplementedModule] = {}
-        fresh: dict[str, tuple[ImplementedModule, float]] = {}
+        fresh: dict[str, ImplementedModule] = {}
         failures: dict[str, ModuleFailure] = {}
-        fail_wall: dict[str, float] = {}
-        for name, impl, reason, attempted, fail_runs, wall, _trace in outcomes:
+        for name, impl, reason, attempted, fail_runs, _trace in outcomes:
             if impl is None:
                 failures[name] = ModuleFailure(
                     module=name,
@@ -481,39 +448,22 @@ def implement_design(
                     attempted_cfs=attempted,
                     n_runs=fail_runs,
                 )
-                fail_wall[name] = wall
             else:
-                fresh[name] = (impl, wall)
+                fresh[name] = impl
                 cache.put(keys[name], impl)
 
         per_module: list[ModuleFlowStats] = []
         for name in order:
-            if name in hits:
-                impl = hits[name]
+            impl = hits.get(name) or fresh.get(name)
+            if impl is not None:
                 implemented[name] = impl
                 per_module.append(
                     ModuleFlowStats(
                         module=name,
                         feasible=True,
-                        cache_hit=True,
+                        cache_hit=name in hits,
                         n_runs=impl.outcome.n_runs,
-                        new_runs=0,
-                        wall_s=0.0,
-                        cf=impl.outcome.cf,
-                        predicted_cf=impl.outcome.predicted_cf,
-                    )
-                )
-            elif name in fresh:
-                impl, wall = fresh[name]
-                implemented[name] = impl
-                per_module.append(
-                    ModuleFlowStats(
-                        module=name,
-                        feasible=True,
-                        cache_hit=False,
-                        n_runs=impl.outcome.n_runs,
-                        new_runs=impl.outcome.n_runs,
-                        wall_s=wall,
+                        new_runs=0 if name in hits else impl.outcome.n_runs,
                         cf=impl.outcome.cf,
                         predicted_cf=impl.outcome.predicted_cf,
                     )
@@ -527,34 +477,14 @@ def implement_design(
                         cache_hit=False,
                         n_runs=f.n_runs,
                         new_runs=f.n_runs,
-                        wall_s=fail_wall[name],
                     )
                 )
 
-        stats = FlowStats(
-            modules=tuple(per_module),
-            n_workers=fan.n_workers,
-            wall_s=sp_root.elapsed(),
-            cache=CacheStats(
-                mem_hits=cache.stats.mem_hits,
-                disk_hits=cache.stats.disk_hits,
-                misses=cache.stats.misses,
-                stores=cache.stats.stores,
-            ),
-        )
+        stats = FlowStats(modules=tuple(per_module), n_workers=fan.n_workers)
         sp_impl.incr("new_tool_runs", stats.new_tool_runs)
         sp_root.set_attr("n_workers", fan.n_workers)
         sp_root.incr("total_tool_runs", stats.total_tool_runs)
         sp_root.incr("n_infeasible", stats.n_infeasible)
-        m = tr.metrics
-        m.counter("preimpl.cache.hits").inc(len(hits))
-        m.counter("preimpl.cache.misses").inc(len(misses))
-        m.counter("preimpl.tool_runs.new").inc(stats.new_tool_runs)
-        m.counter("preimpl.tool_runs.total").inc(stats.total_tool_runs)
-        m.gauge("preimpl.n_workers").set(fan.n_workers)
-        for rec in per_module:
-            if not rec.cache_hit:
-                m.histogram("preimpl.module.wall_s").observe(rec.wall_s)
 
     report = FlowInfeasibleReport(
         failures=tuple(failures[name] for name in order if name in failures)

@@ -98,8 +98,7 @@ def place_best(
         Where the ``place.restarts`` span is recorded, with each seed's
         span trees as children (merged back from the workers when the
         seeds fan out); defaults to the ambient tracer.  With tracing
-        disabled each seed records into the private tracer its placer
-        builds for its own :class:`StitchStats`.
+        disabled no seed records anything.
 
     Returns
     -------

@@ -52,8 +52,9 @@ class RWFlowResult:
         proxy; stitching is one additional run, not counted here).
         Includes the attempts spent on infeasible modules.
     flow_stats:
-        Pre-implementation observability (cache hits, new tool runs, per
-        module wall time and prediction error).
+        Pre-implementation counts (cache hits, new tool runs, first-run
+        rate, per-module prediction error); its time is in the
+        ``preimpl`` span when traced.
     infeasible:
         Report of modules no CF could implement (empty when the whole
         design implemented).
@@ -136,9 +137,8 @@ def run_rw_flow(
         Where the flow's span tree is recorded: a ``flow`` root whose
         children are the pre-implementation's ``preimpl`` span and the
         placer's span (``stitch``, ``evolve``, ... or
-        ``place.restarts``).  Defaults to the ambient tracer; a disabled
-        tracer makes every flow-level span a no-op while the nested
-        stages keep deriving their stats from private traces.
+        ``place.restarts``).  Defaults to the ambient tracer; an
+        untraced flow records nothing at any level.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")

@@ -103,11 +103,9 @@ def stitch(
         term (each pre-implemented module's ``TimingReport.total_ns``);
         ignored unless ``params.timing_weight`` is nonzero.
     tracer:
-        Where the run's ``stitch`` span tree is recorded; defaults to
-        the ambient tracer.  When the ambient tracer is disabled the run
-        records into a private throwaway tracer — :class:`StitchStats`
-        is a view over those spans, so the timing cost is identical
-        either way (a handful of phase-boundary clock reads).
+        Where the run's ``stitch`` span tree is recorded (the phase
+        times live only there); defaults to the ambient tracer.  An
+        untraced run records nothing.
 
     Returns
     -------
@@ -118,8 +116,7 @@ def stitch(
     params = params or SAParams()
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
-    ambient = tracer if tracer is not None else current_tracer()
-    tr = ambient if ambient.enabled else Tracer()
+    tr = tracer if tracer is not None else current_tracer()
 
     # The four phase spans tile the root span: every statement between
     # root entry and exit lives inside exactly one phase, so the phase
@@ -223,10 +220,6 @@ def stitch(
     stats = StitchStats(
         kernel=kernel,
         seed=params.seed,
-        setup_s=sp_setup.dur_s,
-        initial_s=sp_initial.dur_s,
-        anneal_s=sp_anneal.dur_s,
-        fill_s=sp_fill.dur_s,
         move_attempts=st.move_attempts,
         place_attempts=st.place_attempts,
         swap_attempts=st.swap_attempts,

@@ -306,9 +306,8 @@ def temper(
         Where the run's ``tempering`` span tree is recorded
         (``tempering.init`` / ``tempering.rounds`` /
         ``tempering.exchange`` — the three phase names tile the run);
-        defaults to the ambient tracer, with a private throwaway tracer
-        when that is disabled so :class:`StitchStats` timings cost the
-        same either way.
+        defaults to the ambient tracer.  An untraced run records
+        nothing.
 
     Returns
     -------
@@ -338,12 +337,9 @@ def temper(
         )
     if params.hot_ratio <= 0.0:
         raise ValueError(f"hot_ratio must be > 0, got {params.hot_ratio}")
-    ambient = tracer if tracer is not None else current_tracer()
-    tr = ambient if ambient.enabled else Tracer()
+    tr = tracer if tracer is not None else current_tracer()
 
     n_chains = params.n_chains
-    rounds_s = 0.0
-    exchange_s = 0.0
 
     # The three phase names tile the root span: everything between root
     # entry and exit lives inside an init, rounds or exchange span
@@ -484,7 +480,6 @@ def temper(
                         )
                     round_idx += len(blk)
                     sp_r.incr("ops", sum(sum(row) for row in blk))
-                rounds_s += sp_r.dur_s
 
                 if bi == len(blocks) - 1:
                     break
@@ -525,7 +520,6 @@ def temper(
                         chains[-1].cost = g_best_cost
                         n_migrations += 1
                         sp_x.incr("migrations", 1)
-                exchange_s += sp_x.dur_s
 
             # Terminal exchange event: the global best migrates into the
             # result (restore + deterministic fill + extraction).
@@ -543,7 +537,6 @@ def temper(
                     history, final_cost, params.max_iters
                 )
                 sp_fin.incr("n_placed", n_placed)
-            exchange_s += sp_fin.dur_s
         finally:
             if fan is not None:
                 fan.close()
@@ -569,10 +562,6 @@ def temper(
     stats = StitchStats(
         kernel=kernel,
         seed=params.seed,
-        setup_s=0.0,
-        initial_s=sp_init.dur_s,
-        anneal_s=rounds_s,
-        fill_s=exchange_s,
         move_attempts=cdict["move_attempts"],
         place_attempts=cdict["place_attempts"],
         swap_attempts=cdict["swap_attempts"],

@@ -1,22 +1,21 @@
-"""Observability: tracing spans, metrics and trace export.
+"""Observability: tracing spans and trace export.
 
 * :mod:`repro.obs.tracer` — :class:`Tracer` with nestable ``span()``
   context managers (monotonic timings, per-span counters/attributes),
   the ambient-tracer plumbing and the no-op :data:`NULL_TRACER`;
-* :mod:`repro.obs.metrics` — the counter/gauge/histogram registry;
 * :mod:`repro.obs.export` — JSON/JSONL persistence and the rendered
   per-stage breakdown table (``repro trace summarize``).
 
 The flow's hot paths (``stitch``, ``implement_design``,
 ``generate_dataset``, ``DSEExplorer.evaluate``, ``run_rw_flow``) record
-spans into the ambient tracer when one is installed (``use_tracer`` or
-the CLI's ``--trace-out`` / ``--profile`` flags) and derive their legacy
-stats objects (``StitchStats``, ``FlowStats``, ``GenerationReport``)
-from the same spans, so there is exactly one timing source.
+spans into the tracer they are given, else the ambient one
+(``use_tracer`` or the CLI's ``--trace-out`` / ``--profile`` flags).
+Spans are the one source of time: the stats objects (``StitchStats``,
+``FlowStats``, ``GenerationReport``) hold deterministic counts only, and
+an untraced call records nothing.
 """
 
 from repro.obs.export import load_trace, save_trace, summarize_trace, trace_document
-from repro.obs.metrics import Counter, Gauge, Histogram, Metrics
 from repro.obs.tracer import (
     NULL_TRACER,
     NullTracer,
@@ -29,10 +28,6 @@ from repro.obs.tracer import (
 
 __all__ = [
     "NULL_TRACER",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Metrics",
     "NullTracer",
     "Span",
     "Tracer",

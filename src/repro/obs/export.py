@@ -4,23 +4,24 @@ One trace document is the JSON dict produced by
 :meth:`repro.obs.tracer.Tracer.to_json_dict`::
 
     {
-      "version": 1,
+      "version": 2,
       "spans": [
         {"name": "stitch", "dur_s": 0.41,
          "attrs": {"kernel": "fast", "seed": 0},
          "counters": {"iterations": 20000},
          "children": [{"name": "stitch.anneal", ...}, ...]},
-      ],
-      "metrics": {"counters": {...}, "gauges": {...}, "histograms": {...}}
+      ]
     }
 
 ``save_trace`` writes that document as JSON, or — when the path ends in
-``.jsonl`` — as JSON Lines: a ``{"version", "metrics"}`` header line
-followed by one flat span record per line in depth-first order (``depth``
-encodes the nesting), which streams well into log pipelines.
-``load_trace`` reads either format back into the same document shape, and
+``.jsonl`` — as JSON Lines: a ``{"version"}`` header line followed by
+one flat span record per line in depth-first order (``depth`` encodes
+the nesting), which streams well into log pipelines.  ``load_trace``
+reads either format back into the same document shape, and
 ``summarize_trace`` renders the per-stage breakdown table the CLI's
-``--profile`` flag and ``repro trace summarize`` print.
+``--profile`` flag and ``repro trace summarize`` print.  A version-1
+document also carried a ``metrics`` registry whose values repeated span
+counters; both readers still accept it and ignore that key.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.obs.tracer import NullTracer, Span, Tracer
+from repro.obs.tracer import TRACE_VERSION, NullTracer, Span, Tracer
 from repro.utils.tables import Table
 
 __all__ = ["load_trace", "save_trace", "summarize_trace", "trace_document"]
@@ -39,7 +40,7 @@ def trace_document(trace: Tracer | NullTracer | dict) -> dict:
     if isinstance(trace, dict):
         return trace
     if isinstance(trace, NullTracer):
-        return {"version": 1, "spans": [], "metrics": {}}
+        return {"version": TRACE_VERSION, "spans": []}
     return trace.to_json_dict()
 
 
@@ -59,12 +60,7 @@ def save_trace(trace: Tracer | NullTracer | dict, path: str | Path) -> Path:
     path = Path(path)
     doc = trace_document(trace)
     if path.suffix == ".jsonl":
-        lines = [
-            json.dumps(
-                {"version": doc.get("version", 1), "metrics": doc.get("metrics", {})},
-                sort_keys=True,
-            )
-        ]
+        lines = [json.dumps({"version": doc.get("version", TRACE_VERSION)})]
         flat: list[dict] = []
         for root in doc.get("spans", []):
             _flatten(root, 0, flat)
@@ -102,12 +98,11 @@ def load_trace(path: str | Path) -> dict:
             if line.strip()
         ]
         if not lines:
-            return {"version": 1, "spans": [], "metrics": {}}
+            return {"version": TRACE_VERSION, "spans": []}
         header, spans = lines[0], lines[1:]
         return {
-            "version": header.get("version", 1),
+            "version": header.get("version", TRACE_VERSION),
             "spans": _unflatten(spans),
-            "metrics": header.get("metrics", {}),
         }
     return json.loads(path.read_text())
 
@@ -146,27 +141,4 @@ def summarize_trace(trace: Tracer | NullTracer | dict) -> str:
             table.add_row(
                 ["  " * depth + span.name, span.dur_s, f"{share:.1f}", notes]
             )
-    lines = [table.render()]
-
-    metrics = doc.get("metrics") or {}
-    rows = []
-    for name in sorted(metrics.get("counters", {})):
-        rows.append([name, "counter", str(metrics["counters"][name])])
-    for name in sorted(metrics.get("gauges", {})):
-        rows.append([name, "gauge", str(metrics["gauges"][name])])
-    for name in sorted(metrics.get("histograms", {})):
-        h = metrics["histograms"][name]
-        rows.append(
-            [
-                name,
-                "histogram",
-                f"n={h.get('count', 0)} mean={h.get('mean', 0.0):.4f} "
-                f"min={h.get('min', 0.0):.4f} max={h.get('max', 0.0):.4f}",
-            ]
-        )
-    if rows:
-        mtable = Table(["metric", "kind", "value"], title="Metrics")
-        mtable.add_rows(rows)
-        lines.append("")
-        lines.append(mtable.render())
-    return "\n".join(lines)
+    return table.render()

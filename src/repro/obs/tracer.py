@@ -8,17 +8,16 @@ pipeline records a :class:`Span` tree: ``stitch`` opens children
 cache miss, and so on (the naming convention is documented in
 ``docs/api.md``).  All timings use :func:`time.perf_counter`, never the
 wall clock, so durations are monotonic and immune to clock adjustment.
+Spans are the only clock: no result object copies a span duration, so
+the time of a stage is read from the trace or not at all.
 
 Design rules:
 
 * **Near-zero overhead when disabled.**  The ambient tracer defaults to
   :data:`NULL_TRACER`, whose ``span()`` returns a shared do-nothing
-  context manager — no allocation, no clock read.  Code paths that
-  *derive their public stats from the trace* (``stitch``,
-  ``implement_design``, ``generate_dataset``) build a private throwaway
-  :class:`Tracer` instead; that costs exactly the handful of
-  ``perf_counter`` snapshots the bespoke timing code it replaced already
-  paid.
+  context manager — no allocation, no clock read.  An instrumented
+  function records into the tracer it is given, else the ambient one;
+  an untraced call builds no :class:`Tracer` at all.
 * **Process-safe accumulation.**  ``perf_counter`` origins differ across
   processes, so spans store durations, not absolute timestamps.  A pool
   worker records into its own local :class:`Tracer`, ships the span tree
@@ -36,10 +35,9 @@ import time
 from contextlib import contextmanager
 from typing import Any, Iterator
 
-from repro.obs.metrics import Metrics
-
 __all__ = [
     "NULL_TRACER",
+    "TRACE_VERSION",
     "NullTracer",
     "Span",
     "Tracer",
@@ -47,6 +45,10 @@ __all__ = [
     "set_tracer",
     "use_tracer",
 ]
+
+#: Version of the trace document :meth:`Tracer.to_json_dict` writes.
+#: Version 1 also carried a ``metrics`` registry; readers ignore it.
+TRACE_VERSION = 2
 
 
 class Span:
@@ -83,12 +85,6 @@ class Span:
         """Set one attribute."""
         self.attrs[key] = value
 
-    def elapsed(self) -> float:
-        """Seconds since the span opened (monotonic); ``dur_s`` once closed."""
-        if self._t0:
-            return time.perf_counter() - self._t0
-        return self.dur_s
-
     def __enter__(self) -> "Span":
         if self._tracer is not None:
             self._tracer._push(self)
@@ -97,7 +93,6 @@ class Span:
 
     def __exit__(self, *exc: object) -> bool:
         self.dur_s = time.perf_counter() - self._t0
-        self._t0 = 0.0
         if self._tracer is not None:
             self._tracer._pop(self)
         return False
@@ -171,9 +166,6 @@ class _NullSpan:
     def set_attr(self, key: str, value: Any) -> None:
         pass
 
-    def elapsed(self) -> float:
-        return 0.0
-
 
 _NULL_SPAN = _NullSpan()
 
@@ -182,7 +174,6 @@ class NullTracer:
     """The disabled tracer: hands out one shared no-op span, keeps nothing."""
 
     enabled = False
-    metrics = Metrics()
 
     def span(self, name: str, **attrs: Any) -> _NullSpan:
         return _NULL_SPAN
@@ -196,8 +187,7 @@ NULL_TRACER = NullTracer()
 
 
 class Tracer:
-    """Collects a forest of spans plus a :class:`~repro.obs.metrics.Metrics`
-    registry.
+    """Collects a forest of spans.
 
     Spans open with :meth:`span` nest under whatever span is currently
     open (a simple stack), so instrumented library functions compose: a
@@ -206,9 +196,8 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, metrics: Metrics | None = None) -> None:
+    def __init__(self) -> None:
         self.roots: list[Span] = []
-        self.metrics = metrics if metrics is not None else Metrics()
         self._stack: list[Span] = []
 
     # ------------------------------------------------------------- recording
@@ -267,11 +256,10 @@ class Tracer:
     # ------------------------------------------------------------- export
 
     def to_json_dict(self) -> dict:
-        """The trace schema: ``{"version", "spans", "metrics"}``."""
+        """The trace schema: ``{"version", "spans"}``."""
         return {
-            "version": 1,
+            "version": TRACE_VERSION,
             "spans": [root.to_json_dict() for root in self.roots],
-            "metrics": self.metrics.to_json_dict(),
         }
 
 

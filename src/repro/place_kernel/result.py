@@ -71,30 +71,21 @@ def converge_history(
 
 @dataclass(frozen=True)
 class StitchStats:
-    """Instrumentation of one placement run.
+    """Deterministic instrumentation of one placement run.
 
-    A thin view over the run's trace: each timing is the duration of the
-    matching optimizer span (monotonic, :func:`time.perf_counter`
-    based), and the four phases *tile* the run — ``fill_s`` includes the
-    post-optimization finalization (deterministic fill, convergence
-    scan, final cost/occupancy extraction), so ``total_s`` equals the
-    wall time of the whole placement call.  Counters split the move mix
-    into attempts and acceptances and mirror the optimizer's span
-    counters.  All counters are deterministic for a fixed seed; the
-    timings are not, so the whole object is excluded from
-    :class:`StitchResult` equality.
-
-    For the SA stitcher the four phases are setup/initial/anneal/fill;
-    the GA evolver maps its init/generations/repair spans onto
-    ``initial_s``/``anneal_s``/``fill_s`` so the shape stays identical.
+    Counters split the move mix into attempts and acceptances and mirror
+    the optimizer's span counters; each trajectory field is named after
+    what it records.  No field holds a time: the phase durations live
+    only in the run's spans (``stitch.setup`` / ``stitch.initial`` /
+    ``stitch.anneal`` / ``stitch.fill`` and the other placers' phase
+    spans), so pass a :class:`~repro.obs.tracer.Tracer` to read them.
+    Everything here is fixed by the seed.  The object is excluded from
+    :class:`StitchResult` equality because it names the kernel, and both
+    kernels produce the same placement.
     """
 
     kernel: str
     seed: int
-    setup_s: float
-    initial_s: float
-    anneal_s: float
-    fill_s: float
     move_attempts: int
     place_attempts: int
     swap_attempts: int
@@ -102,14 +93,14 @@ class StitchStats:
     place_accepts: int
     swap_accepts: int
     illegal_moves: int
-    #: ``(iteration, temperature)`` at the end of each temperature step
-    #: (SA); ``(move_budget_used, best_cost)`` per generation (GA).
+    #: ``(iteration, temperature)`` at the end of each temperature step:
+    #: the SA schedule, or the coldest chain's under parallel tempering.
+    #: Empty for the GA (its best-cost curve is ``StitchResult.history``)
+    #: and for the analytic placer.
     temperature_trace: tuple[tuple[int, float], ...] = ()
-
-    @property
-    def total_s(self) -> float:
-        """Wall-clock total across all phases."""
-        return self.setup_s + self.initial_s + self.anneal_s + self.fill_s
+    #: ``(gradient_step, smooth_objective)`` per descent step of the
+    #: analytic placer; empty for every other placer.
+    objective_trace: tuple[tuple[int, float], ...] = ()
 
     @property
     def accept_rate(self) -> float:
@@ -147,7 +138,8 @@ class StitchResult:
     occupancy:
         Final occupancy grid (columns x CLB rows), for rendering.
     stats:
-        Per-phase timings, move counters and the temperature trace.
+        Move counters and the optimizer's trajectory
+        (:class:`StitchStats`).
     congestion_cost, timing_cost:
         The routing-aware cost terms at the final placement (0.0 when
         the run's weights were 0.0 — the default).  ``final_cost`` ==

@@ -70,7 +70,10 @@ class SpanContractCheck:
 
 @pytest.fixture(autouse=True)
 def span_contract(monkeypatch: pytest.MonkeyPatch):
-    """Record every tracer the test builds; fail if a trace breaks the contract."""
+    """Record every tracer the test builds; fail if a trace breaks the contract.
+
+    An untraced call builds no tracer, so only traced calls are checked.
+    """
     check = SpanContractCheck(json.loads(SPAN_CONTRACT_PATH.read_text(encoding="utf-8")))
     init, graft = Tracer.__init__, Tracer.graft
 

@@ -126,7 +126,7 @@ class TestCommands:
         # Second run hits the disk cache and says so.
         assert main(argv) == 0
         warm = capsys.readouterr().out
-        assert "[cache," in warm
+        assert "[cache]" in warm
 
     def test_dataset_json_and_report(self, tmp_path, capsys):
         import json

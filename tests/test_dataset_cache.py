@@ -113,6 +113,9 @@ class TestStore:
         warm, report = generate_dataset(8, seed=1, grid=grid, cache=fresh)
         assert not report.cache_hit
         assert warm == records
+        # Counted as a miss, never as a hit of the stray entry.
+        assert fresh.stats.disk_hits == 0
+        assert fresh.stats.misses == 1 and fresh.stats.stores == 1
         # The regeneration replaced the stray entry.
         assert pickle.loads(pkl.read_bytes())[0] == records
 

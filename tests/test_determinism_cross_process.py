@@ -171,7 +171,7 @@ best = place_best(placer, d, {"m": fp}, xc7z020(),
 wp = sorted((k, v) for k, v in warm.placements.items())
 placement = sorted((k, v) for k, v in best.placements.items())
 payload = json.dumps([wp, warm.final_cost,
-                      list(warm.stats.temperature_trace),
+                      list(warm.stats.objective_trace),
                       placement, best.final_cost, best.stats.seed])
 print(hashlib.sha256(payload.encode()).hexdigest())
 """

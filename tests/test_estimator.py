@@ -7,7 +7,9 @@ from repro.dataset.balance import balance_dataset
 from repro.estimator.cf_estimator import CFEstimator, train_estimator
 from repro.estimator.strategy import EstimatedCF
 from repro.features.registry import make_record
+from repro.flow.blockdesign import BlockDesign
 from repro.flow.policy import MinimalCFPolicy
+from repro.flow.preimpl import implement_design
 from repro.ml.metrics import mean_relative_error
 from repro.netlist.stats import compute_stats
 from repro.place.quick import quick_place
@@ -73,7 +75,6 @@ class TestEstimatedCFPolicy:
         out = policy.choose(stats, quick_place(stats), z020)
         assert out.result.feasible
         assert out.n_runs >= 1
-        assert policy.modules_seen == 1
 
     def test_near_minimal(self, trained, z020):
         """The refined CF must not exceed minimal + the coarse step."""
@@ -103,9 +104,20 @@ class TestEstimatedCFPolicy:
         assert fat.cf >= lean.cf
 
     def test_first_run_rate_tracked(self, trained, z020):
+        """The flow's FlowStats count the policy's first-run successes."""
+        design = BlockDesign(name="first-run")
+        for i in range(3):
+            design.add_module(
+                RTLModule.make(f"fr{i}", [RandomLogicCloud(n_luts=500, avg_inputs=4.8)])
+            )
+            design.add_instance(f"u{i}", f"fr{i}")
         policy = EstimatedCF(estimator=trained, overhead=0.5)
+        res = implement_design(design, z020, policy)
+        assert res.ok
+        first = [res[f"fr{i}"].outcome.n_runs == 1 for i in range(3)]
+        assert res.stats.first_run_rate == sum(first) / 3
+        # The same rate as choosing each module directly.
         for i in range(3):
             stats = self._fresh_stats(name=f"fr{i}")
-            policy.choose(stats, quick_place(stats), z020)
-        assert 0.0 <= policy.first_run_rate <= 1.0
-        assert policy.modules_seen == 3
+            out = policy.choose(stats, quick_place(stats), z020)
+            assert (out.n_runs == 1) == first[i]

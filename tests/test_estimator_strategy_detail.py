@@ -52,7 +52,6 @@ class TestRefinementLoop:
         out = policy.choose(stats, report, z020)
         assert out.n_runs == 1
         assert out.cf == pytest.approx(true_min)
-        assert policy.first_run_rate == 1.0
 
     def test_overestimate_accepted_first_run(self, z020, target):
         stats, report, true_min = target
@@ -72,7 +71,6 @@ class TestRefinementLoop:
         assert out.cf >= true_min - 1e-9
         # Run accounting: 1 initial + coarse climbs + fine steps.
         assert out.n_runs >= 3
-        assert policy.first_run_hits == 0
 
     def test_fine_step_granularity(self, z020, target):
         stats, report, true_min = target

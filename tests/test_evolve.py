@@ -112,9 +112,10 @@ class TestEvolve:
         res = evolve(d, fps, z020, GAParams(move_budget=800, seed=0))
         st = res.stats
         assert st.kernel == "fast" and st.seed == 0
-        assert st.setup_s == 0.0
-        # temperature_trace carries the (budget_used, best_cost) curve.
-        assert all(b >= 0 and c >= 0 for b, c in st.temperature_trace)
+        # The GA has no temperature; its (budget_used, best_cost) curve
+        # is the result's history.
+        assert st.temperature_trace == ()
+        assert all(b >= 0 and c >= 0 for b, c in res.history)
 
     def test_matches_or_beats_sa_at_equal_budget(self, chain, z020):
         """The acceptance gate in miniature (perf-smoke runs cnvW1A1)."""

@@ -16,7 +16,7 @@ from repro.flow.cache import (
     policy_fingerprint,
 )
 from repro.flow.policy import FixedCF, FlowInfeasibleError, SweepCF
-from repro.flow.preimpl import implement_design, implement_module
+from repro.flow.preimpl import ImplementedModule, implement_design, implement_module
 from repro.flow.rwflow import run_rw_flow
 from repro.flow.stitcher import SAParams
 from repro.rtlgen.base import RTLModule
@@ -116,9 +116,9 @@ class TestModuleCacheStore:
         cache = ModuleCache()
         impl = implement_module(_module("rt", 100), z020, FixedCF(1.5))
         key = cache.key(_module("rt", 100), z020, FixedCF(1.5))
-        assert cache.get(key) is None
+        assert cache.get(key, ImplementedModule) is None
         cache.put(key, impl)
-        assert cache.get(key) is impl
+        assert cache.get(key, ImplementedModule) is impl
         assert cache.stats.misses == 1 and cache.stats.mem_hits == 1
         assert cache.stats.stores == 1
 
@@ -131,13 +131,13 @@ class TestModuleCacheStore:
         assert [p.name for p in tmp_path.glob("*.pkl")] == [f"{key}.pkl"]
 
         second = ModuleCache(tmp_path)  # fresh process, same directory
-        loaded = second.get(key)
+        loaded = second.get(key, ImplementedModule)
         assert loaded is not None
         assert loaded.used_slices == impl.used_slices
         assert loaded.outcome.cf == impl.outcome.cf
         assert second.stats.disk_hits == 1
         # Promoted to memory: the next get is a mem hit.
-        second.get(key)
+        second.get(key, ImplementedModule)
         assert second.stats.mem_hits == 1
 
     def test_corrupt_disk_entry_is_a_miss(self, z020, tmp_path):
@@ -156,7 +156,7 @@ class TestModuleCacheStore:
         ):
             path.write_bytes(payload)
             fresh = ModuleCache(tmp_path)
-            assert fresh.get(key) is None, payload
+            assert fresh.get(key, ImplementedModule) is None, payload
             assert fresh.stats.misses == 1
             assert not path.exists()  # corrupt entry dropped
 
@@ -167,7 +167,24 @@ class TestModuleCacheStore:
         cache.put(key, implement_module(m, z020, FixedCF(1.5)))
         path = tmp_path / f"{key}.pkl"
         path.write_bytes(path.read_bytes()[:20])
-        assert ModuleCache(tmp_path).get(key) is None
+        assert ModuleCache(tmp_path).get(key, ImplementedModule) is None
+
+    def test_wrong_type_entry_is_a_miss(self, z020, tmp_path):
+        """A readable entry of another type is a miss, not a crash."""
+        design = _design()
+        policy = FixedCF(1.5)
+        cold = implement_design(design, z020, policy, cache_dir=str(tmp_path))
+        key = ModuleCache.key(design.modules["a"], z020, policy)
+        path = tmp_path / f"{key}.pkl"
+        path.write_bytes(pickle.dumps([1, 2, 3]))
+        fresh = ModuleCache(tmp_path)
+        warm = implement_design(design, z020, policy, cache=fresh)
+        assert warm.ok
+        assert warm.stats.cache_hits == 2 and warm.stats.cache_misses == 1
+        assert fresh.stats.disk_hits == 2 and fresh.stats.misses == 1
+        assert warm["a"].outcome.cf == cold["a"].outcome.cf
+        # The re-implementation replaced the stray entry.
+        assert isinstance(pickle.loads(path.read_bytes()), ImplementedModule)
 
 
 class TestParallelDeterminism:

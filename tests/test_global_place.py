@@ -100,7 +100,7 @@ class TestGlobalPlaceLegality:
         b = global_place(d, fps, _GRID, GPParams(seed=3))
         assert a.placements == b.placements
         assert a.final_cost == b.final_cost
-        assert a.stats.temperature_trace == b.stats.temperature_trace
+        assert a.stats.objective_trace == b.stats.objective_trace
 
     def test_zero_iters_still_legalizes(self):
         """n_iters=0 skips the descent but still snaps a legal start."""
@@ -144,8 +144,9 @@ class TestGlobalPlaceTrace:
     def test_stats_record_descent_trajectory(self):
         d, fps = _design_from_specs([((_LL,), 6), ((_LM,), 6)])
         res = global_place(d, fps, _GRID, GPParams(n_iters=7))
-        assert len(res.stats.temperature_trace) == 7
-        assert [t for t, _f in res.stats.temperature_trace] == list(range(7))
+        assert len(res.stats.objective_trace) == 7
+        assert [t for t, _f in res.stats.objective_trace] == list(range(7))
+        assert res.stats.temperature_trace == ()  # no anneal, no schedule
 
 
 class TestWarmStartPipeline:
@@ -298,7 +299,7 @@ class TestDensityAccounting:
             d, fps, _GRID,
             GPParams(n_iters=60, density_weight=0.0, seed=0),
         )
-        fs = [f for _t, f in res.stats.temperature_trace]
+        fs = [f for _t, f in res.stats.objective_trace]
         assert all(b <= a + 1e-9 for a, b in zip(fs, fs[1:]))
 
     def test_cost_matches_kernel_scoring(self):

@@ -74,7 +74,8 @@ class TestRWFlowEndToEnd:
             sa_params=SAParams(max_iters=4000, seed=0),
         )
         assert res.stitch.n_unplaced == 0
-        assert policy.modules_seen == 3
+        assert res.flow_stats.n_modules == 3
+        assert res.flow_stats.n_infeasible == 0
 
     def test_stitch_on_larger_device(self, pipeline_design, z020, z045):
         res = run_rw_flow(

@@ -11,17 +11,21 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.dataset.generate import generate_dataset
 from repro.device.column import ColumnKind
 from repro.dse.explorer import DSEExplorer
 from repro.flow.blockdesign import BlockDesign
+from repro.flow.evolve import GAParams, evolve
+from repro.flow.global_place import GPParams, global_place
 from repro.flow.policy import FixedCF
 from repro.flow.preimpl import implement_design
 from repro.flow.placers import SAPlacer
 from repro.flow.restarts import place_best
 from repro.flow.rwflow import run_rw_flow
 from repro.flow.stitcher import SAParams, stitch
+from repro.flow.tempering import PTParams, temper
 from repro.obs.export import load_trace
-from repro.obs.tracer import Tracer, use_tracer
+from repro.obs.tracer import NULL_TRACER, Tracer, current_tracer, use_tracer
 from repro.place.shapes import Footprint
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import RandomLogicCloud
@@ -82,17 +86,6 @@ class TestStitchTrace:
         assert anneal.counters["illegal_moves"] == st.illegal_moves
         assert anneal.counters["iterations"] == res.iterations
 
-    def test_stats_durations_are_span_durations(self, z020):
-        d, fps = _stitch_case()
-        tr = Tracer()
-        res = stitch(d, fps, z020, SAParams(max_iters=2000, seed=0), tracer=tr)
-        st = res.stats
-        by_name = {c.name: c.dur_s for c in tr.roots[0].children}
-        assert st.setup_s == by_name["stitch.setup"]
-        assert st.initial_s == by_name["stitch.initial"]
-        assert st.anneal_s == by_name["stitch.anneal"]
-        assert st.fill_s == by_name["stitch.fill"]
-
     def test_ambient_tracer_used_when_no_explicit(self, z020):
         d, fps = _stitch_case()
         tr = Tracer()
@@ -103,7 +96,7 @@ class TestStitchTrace:
     def test_disabled_ambient_records_nothing(self, z020):
         d, fps = _stitch_case()
         res = stitch(d, fps, z020, SAParams(max_iters=1000, seed=0))
-        assert res.stats is not None  # private trace still feeds the stats
+        assert res.stats is not None  # the counts need no trace
 
     def test_result_identical_with_and_without_tracing(self, z020):
         d, fps = _stitch_case()
@@ -113,6 +106,30 @@ class TestStitchTrace:
         assert plain.placements == traced.placements
         assert plain.final_cost == traced.final_cost
         assert plain.stats.move_attempts == traced.stats.move_attempts
+
+
+#: The six traced entry points, each called without a tracer.
+_UNTRACED = {
+    "stitch": lambda d, fps, g: stitch(d, fps, g, SAParams(max_iters=500)),
+    "evolve": lambda d, fps, g: evolve(d, fps, g, GAParams(move_budget=500)),
+    "global_place": lambda d, fps, g: global_place(d, fps, g, GPParams(n_iters=5)),
+    "temper": lambda d, fps, g: temper(d, fps, g, PTParams(max_iters=800)),
+    "implement_design": lambda d, fps, g: implement_design(
+        _flow_design(), g, FixedCF(1.5)
+    ),
+    "generate_dataset": lambda d, fps, g: generate_dataset(6, seed=0),
+}
+
+
+class TestUntraced:
+    @pytest.mark.parametrize("entry", list(_UNTRACED))
+    def test_builds_no_tracer(self, z020, span_contract, entry):
+        """With the ambient tracer disabled an entry point records
+        nothing: it builds no :class:`Tracer`, private or worker-local."""
+        assert current_tracer() is NULL_TRACER
+        d, fps = _stitch_case()
+        _UNTRACED[entry](d, fps, z020)
+        assert span_contract.tracers == []
 
 
 class TestRestartsTrace:
@@ -157,7 +174,7 @@ class TestPreimplTrace:
         st = result.stats
         assert root.counters["total_tool_runs"] == st.total_tool_runs
         assert sum(s.counters["n_runs"] for s in modules) == st.new_tool_runs
-        assert tr.metrics.counter("preimpl.cache.misses").value == st.cache_misses
+        assert tr.find("preimpl.cache").counters["misses"] == st.cache_misses
 
     # One worker span per cache miss regardless of worker count — the
     # ISSUE's cross-process merge requirement (exactly once, any pool size).
@@ -187,8 +204,6 @@ class TestPreimplTrace:
 class TestDatasetTrace:
     @pytest.mark.parametrize("workers", [None, 2])
     def test_module_spans_merge_exactly_once(self, workers):
-        from repro.dataset.generate import generate_dataset
-
         tr = Tracer()
         records, report = generate_dataset(
             6, seed=0, workers=workers, tracer=tr

@@ -10,9 +10,9 @@ from repro.obs.export import (
     summarize_trace,
     trace_document,
 )
-from repro.obs.metrics import Metrics
 from repro.obs.tracer import (
     NULL_TRACER,
+    TRACE_VERSION,
     NullTracer,
     Span,
     Tracer,
@@ -58,13 +58,6 @@ class TestSpan:
         with tr.span("s", kernel="fast") as sp:
             sp.set_attr("seed", 3)
         assert sp.attrs == {"kernel": "fast", "seed": 3}
-
-    def test_elapsed_while_open_then_frozen(self):
-        tr = Tracer()
-        with tr.span("s") as sp:
-            mid = sp.elapsed()
-            assert mid >= 0.0
-        assert sp.elapsed() == sp.dur_s
 
     def test_walk_find_find_all(self):
         tr = Tracer()
@@ -119,13 +112,14 @@ class TestTracer:
 
     def test_to_json_dict_schema(self):
         tr = Tracer()
-        with tr.span("a"):
-            pass
-        tr.metrics.counter("c").inc(3)
+        with tr.span("a") as sp:
+            sp.incr("c", 3)
         doc = tr.to_json_dict()
-        assert doc["version"] == 1
-        assert [s["name"] for s in doc["spans"]] == ["a"]
-        assert doc["metrics"]["counters"] == {"c": 3}
+        assert doc == {
+            "version": 2,
+            "spans": [{"name": "a", "dur_s": sp.dur_s, "counters": {"c": 3}}],
+        }
+        assert TRACE_VERSION == 2
 
     def test_exception_still_closes_span(self):
         tr = Tracer()
@@ -145,7 +139,6 @@ class TestNullTracer:
         with s1 as sp:
             sp.incr("n")
             sp.set_attr("k", 2)
-            assert sp.elapsed() == 0.0
         NULL_TRACER.graft({"name": "x"})  # swallowed
 
     def test_fresh_null_tracer_is_disabled(self):
@@ -173,49 +166,6 @@ class TestAmbient:
         assert current_tracer() is prev
 
 
-class TestMetrics:
-    def test_counter_gauge_histogram(self):
-        m = Metrics()
-        m.counter("c").inc()
-        m.counter("c").inc(2)
-        m.gauge("g").set(4.5)
-        h = m.histogram("h")
-        for v in (1.0, 3.0, 2.0):
-            h.observe(v)
-        assert m.counter("c").value == 3
-        assert m.gauge("g").value == 4.5
-        assert h.count == 3 and h.min == 1.0 and h.max == 3.0
-        assert h.mean == pytest.approx(2.0)
-        assert len(m) == 3 and "c" in m and "zzz" not in m
-
-    def test_counter_cannot_decrease(self):
-        m = Metrics()
-        with pytest.raises(ValueError):
-            m.counter("c").inc(-1)
-
-    def test_kind_conflict_raises(self):
-        m = Metrics()
-        m.counter("x")
-        with pytest.raises(TypeError):
-            m.gauge("x")
-
-    def test_to_json_dict(self):
-        m = Metrics()
-        m.counter("c").inc(2)
-        m.gauge("g").set(1.0)
-        m.histogram("h").observe(0.5)
-        doc = m.to_json_dict()
-        assert doc["counters"] == {"c": 2}
-        assert doc["gauges"] == {"g": 1.0}
-        assert doc["histograms"]["h"]["count"] == 1
-        assert doc["histograms"]["h"]["mean"] == 0.5
-
-    def test_empty_histogram_exports_zeros(self):
-        m = Metrics()
-        doc = m.histogram("h").to_json_dict()
-        assert doc == {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0}
-
-
 def _sample_tracer() -> Tracer:
     tr = Tracer()
     with tr.span("root", kernel="fast") as sp:
@@ -224,17 +174,14 @@ def _sample_tracer() -> Tracer:
             pass
         with tr.span("root.child"):
             pass
-    tr.metrics.counter("tool_runs").inc(7)
-    tr.metrics.gauge("workers").set(2)
-    tr.metrics.histogram("wall").observe(0.25)
     return tr
 
 
 class TestExport:
     def test_trace_document_passthrough_and_null(self):
-        doc = {"version": 1, "spans": [], "metrics": {}}
+        doc = {"version": 2, "spans": []}
         assert trace_document(doc) is doc
-        assert trace_document(NULL_TRACER)["spans"] == []
+        assert trace_document(NULL_TRACER) == doc
 
     def test_json_round_trip(self, tmp_path):
         tr = _sample_tracer()
@@ -243,14 +190,14 @@ class TestExport:
         assert doc == tr.to_json_dict()
         # plain JSON on disk
         raw = json.loads(path.read_text())
-        assert raw["version"] == 1
+        assert raw["version"] == 2
+        assert "metrics" not in raw
 
     def test_jsonl_round_trip(self, tmp_path):
         tr = _sample_tracer()
         path = save_trace(tr, tmp_path / "t.jsonl")
         lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
-        assert header["metrics"]["counters"] == {"tool_runs": 7}
+        assert json.loads(lines[0]) == {"version": 2}
         # one flat record per span, depth-annotated
         depths = [json.loads(line)["depth"] for line in lines[1:]]
         assert depths == [0, 1, 1]
@@ -259,15 +206,42 @@ class TestExport:
     def test_jsonl_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        assert load_trace(path) == {"version": 1, "spans": [], "metrics": {}}
+        assert load_trace(path) == {"version": 2, "spans": []}
+
+    @pytest.mark.parametrize("suffix", [".json", ".jsonl"])
+    def test_reads_version_1_with_metrics(self, tmp_path, suffix):
+        """A version-1 trace also carried a metrics registry; it still
+        loads and summarizes, and the registry is not rendered."""
+        spans = [{"name": "root", "dur_s": 0.5, "counters": {"n": 2},
+                  "children": [{"name": "root.child", "dur_s": 0.25}]}]
+        metrics = {"counters": {"preimpl.cache.hits": 3}, "gauges": {},
+                   "histograms": {}}
+        path = tmp_path / f"v1{suffix}"
+        if suffix == ".json":
+            path.write_text(json.dumps(
+                {"version": 1, "spans": spans, "metrics": metrics}
+            ))
+        else:
+            path.write_text("\n".join(json.dumps(r) for r in (
+                {"version": 1, "metrics": metrics},
+                {"depth": 0, "name": "root", "dur_s": 0.5, "counters": {"n": 2}},
+                {"depth": 1, "name": "root.child", "dur_s": 0.25},
+            )) + "\n")
+        doc = load_trace(path)
+        assert doc["version"] == 1
+        assert doc["spans"] == spans
+        text = summarize_trace(doc)
+        assert "root.child" in text and "n=2" in text
+        assert "preimpl.cache.hits" not in text
 
     def test_summarize_renders_spans_and_metrics(self):
+        """Spans with their counters and attrs; no separate registry."""
         text = summarize_trace(_sample_tracer())
         assert "Trace breakdown" in text
         assert "root" in text and "root.child" in text
         assert "100.0" in text  # root is 100% of itself
-        assert "iterations=100" in text
-        assert "tool_runs" in text and "workers" in text and "wall" in text
+        assert "iterations=100 [kernel=fast]" in text
+        assert "Metrics" not in text
 
     def test_summarize_indents_children(self):
         text = summarize_trace(_sample_tracer())

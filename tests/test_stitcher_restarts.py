@@ -179,8 +179,7 @@ class TestParetoWinner:
         from repro.flow.stitcher import StitchResult, StitchStats
 
         stats = StitchStats(
-            kernel="fast", seed=seed, setup_s=0.0, initial_s=0.0,
-            anneal_s=0.0, fill_s=0.0, move_attempts=0, place_attempts=0,
+            kernel="fast", seed=seed, move_attempts=0, place_attempts=0,
             swap_attempts=0, move_accepts=0, place_accepts=0,
             swap_accepts=0, illegal_moves=0,
         )

@@ -185,18 +185,9 @@ class TestTemperSpans:
 
     def test_stats_map_phases(self, chain, z020):
         d, fps = chain
-        tr = Tracer()
-        res = temper(d, fps, z020, _PARAMS, tracer=tr)
-        root = tr.roots[0]
+        res = temper(d, fps, z020, _PARAMS)
         st = res.stats
         assert st.kernel == "fast" and st.seed == 0
-        assert st.setup_s == 0.0
-        init = [c for c in root.children if c.name == "tempering.init"]
-        rounds = [c for c in root.children if c.name == "tempering.rounds"]
-        exch = [c for c in root.children if c.name == "tempering.exchange"]
-        assert st.initial_s == init[0].dur_s
-        assert st.anneal_s == pytest.approx(sum(c.dur_s for c in rounds))
-        assert st.fill_s == pytest.approx(sum(c.dur_s for c in exch))
         # The temperature trace is the coldest chain's cooling curve.
         ops = [op for op, _t in st.temperature_trace]
         temps = [t for _op, t in st.temperature_trace]
