@@ -1,5 +1,5 @@
 """Dataset pipeline perf smoke: cache cold vs warm, parallel fan-out,
-fast vs reference tree growth.
+forest fit vs the reference grower.
 
 Three gates keep the PR's perf work honest:
 
@@ -9,9 +9,9 @@ Three gates keep the PR's perf work honest:
   sweep — and actually faster when the machine has the cores to show it
   (the speedup assertion is skipped on boxes with fewer than 4 CPUs,
   where a process pool can only add overhead);
-* the vectorized ``engine="fast"`` forest fit must beat the
-  ``engine="reference"`` oracle while growing bitwise identical trees on
-  the Table 2 config (depth 20, a third of the features per split).
+* the forest fit must beat the reference grower of
+  ``tests/tree_oracle.py`` while growing bitwise identical trees on the
+  Table 2 config (depth 20, a third of the features per split).
 
 The generation reports and measured timings are dumped as JSON so CI can
 archive them as an artifact next to the FlowStats one.
@@ -28,6 +28,7 @@ from repro.device.parts import xc7z020
 from repro.features.registry import extract_matrix
 from repro.flow.cache import ModuleCache
 from repro.ml.forest import RandomForestRegressor
+from tests.tree_oracle import fit_reference_forest
 
 #: Where the report JSON lands (CI uploads this as an artifact).
 STATS_PATH = os.environ.get("REPRO_DATASET_STATS", "dataset_report.json")
@@ -116,28 +117,22 @@ def test_perf_dataset_parallel_generation():
 
 
 def test_perf_forest_fast_vs_reference(dataset_records):
-    """The vectorized split engine must beat the per-feature oracle.
+    """The forest fit must beat the reference grower.
 
-    Both engines grow bitwise identical forests on the Table 2 config
-    (depth 20, ``max_features="third"``); this gate fails if a
-    regression makes the fast engine slower than the reference one.
+    Both grow bitwise identical forests on the Table 2 config (depth 20,
+    ``max_features="third"``); this gate fails if a regression makes the
+    library's grower slower than the reference one.
     """
     X, y = extract_matrix(dataset_records, "additional")
     n_trees = max(10, min(40, len(dataset_records) // 20))
+    params = dict(n_estimators=n_trees, max_depth=20, min_samples_leaf=1, seed=0)
 
-    def fit(engine: str) -> tuple[RandomForestRegressor, float]:
-        t0 = time.perf_counter()
-        model = RandomForestRegressor(
-            n_estimators=n_trees,
-            max_depth=20,
-            min_samples_leaf=1,
-            seed=0,
-            engine=engine,
-        ).fit(X, y)
-        return model, time.perf_counter() - t0
-
-    fast, t_fast = fit("fast")
-    ref, t_ref = fit("reference")
+    t0 = time.perf_counter()
+    fast = RandomForestRegressor(**params).fit(X, y)
+    t_fast = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    ref = fit_reference_forest(X, y, **params)
+    t_ref = time.perf_counter() - t0
 
     pred_fast = fast.predict(X)
     pred_ref = ref.predict(X)
@@ -158,10 +153,10 @@ def test_perf_forest_fast_vs_reference(dataset_records):
     _dump()
     print(
         f"forest fit ({n_trees} trees, {X.shape[0]}x{X.shape[1]}): "
-        f"fast {t_fast * 1e3:.1f} ms vs reference {t_ref * 1e3:.1f} ms "
+        f"{t_fast * 1e3:.1f} ms vs reference {t_ref * 1e3:.1f} ms "
         f"({speedup:.1f}x)"
     )
     assert t_fast < t_ref, (
-        f"fast engine ({t_fast * 1e3:.1f} ms) slower than reference "
-        f"({t_ref * 1e3:.1f} ms)"
+        f"forest fit ({t_fast * 1e3:.1f} ms) slower than the reference "
+        f"grower ({t_ref * 1e3:.1f} ms)"
     )

@@ -2,8 +2,8 @@
 
 Unlike the experiment benches (which run once), these use real
 pytest-benchmark rounds: they track the throughput of the detailed
-packer, the minimal-CF sweep, the tree fit and the stitcher move loop —
-the four kernels every experiment's wall-clock depends on.
+packer, the minimal-CF sweep, the tree and forest fits and the stitcher
+move loop — the kernels every experiment's wall-clock depends on.
 """
 
 import numpy as np
@@ -12,6 +12,7 @@ import pytest
 from repro.device.parts import xc7z020
 from repro.flow.blockdesign import BlockDesign
 from repro.flow.stitcher import SAParams, stitch
+from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import DecisionTreeRegressor
 from repro.netlist.stats import compute_stats
 from repro.pblock.cf_search import minimal_cf
@@ -22,6 +23,7 @@ from repro.place.shapes import Footprint
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import RandomLogicCloud, SumOfSquares
 from repro.synth.mapper import synthesize
+from tests.tree_oracle import fit_reference_forest
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +77,50 @@ def test_perf_tree_fit(benchmark):
 
     model = benchmark(fit)
     assert model.depth() > 2
+
+
+def test_perf_forest_fit():
+    """The forest fit at the label-train shape must grow the reference
+    grower's trees bit for bit, at least twice as fast.
+
+    154 rows x 7 features, 50 trees of depth 20, two features drawn per
+    split and CF-like labels on a 0.02 grid, as ``train_estimator``
+    fits them in the benchmark's ``label-train`` workload.  Most nodes
+    there hold a few samples, so the gate measures per-node cost.
+    """
+    import time
+
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(154, 7))
+    y = np.round((1.2 + 0.3 * np.tanh(X @ rng.normal(size=7))) / 0.02) * 0.02
+    params = dict(n_estimators=50, max_depth=20, max_features="third", seed=0)
+
+    def best_of(fit, results: list) -> float:
+        elapsed = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            results.append(fit())
+            elapsed.append(time.perf_counter() - t0)
+        return min(elapsed)
+
+    models: list = []
+    refs: list = []
+    t_fit = best_of(lambda: RandomForestRegressor(**params).fit(X, y), models)
+    t_ref = best_of(lambda: fit_reference_forest(X, y, **params), refs)
+    model, ref = models[0], refs[0]
+    for tree, spec in zip(model.trees_, ref.trees_, strict=True):
+        for a, b in zip(tree._flat_arrays(), spec._flat_arrays()):
+            assert a.tobytes() == b.tobytes()
+    assert model.feature_importances_.tobytes() == ref.feature_importances_.tobytes()
+    assert model.predict(X).tobytes() == ref.predict(X).tobytes()
+    print(
+        f"forest fit: {t_fit * 1e3:.1f} ms vs reference {t_ref * 1e3:.1f} ms "
+        f"({t_ref / t_fit:.2f}x)"
+    )
+    assert 2.0 * t_fit <= t_ref, (
+        f"forest fit ({t_fit * 1e3:.1f} ms) less than 2x faster than the "
+        f"reference grower ({t_ref * 1e3:.1f} ms)"
+    )
 
 
 def _stitch_case() -> tuple[BlockDesign, dict[str, Footprint]]:

@@ -1,33 +1,80 @@
-"""Graph analysis of block designs (networkx-backed).
+"""Graph analysis of block designs.
 
 Structural diagnostics a frontend wants before compiling: connectivity,
 dataflow layering (pipeline stages), cut size between stages, and the
 reuse profile that makes a design a good fit for a pre-implemented-block
 flow (the paper's §III argument for partition granularity).
+
+The graph is small (cnvW1A1 has 175 instances), so plain Python serves:
+union-find counts the weak components, and Kahn's topological
+generations give the DAG check, the pipeline depth and the layers.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-
-import networkx as nx
 
 from repro.flow.blockdesign import BlockDesign
 
-__all__ = ["DesignGraphStats", "analyze_design", "to_networkx"]
+__all__ = ["DesignGraphStats", "analyze_design", "edge_widths"]
 
 
-def to_networkx(design: BlockDesign) -> "nx.DiGraph":
-    """The design's instance-connectivity graph (edge weight = bus width)."""
-    g = nx.DiGraph(name=design.name)
-    for inst in design.instances:
-        g.add_node(inst.name, module=inst.module)
+def edge_widths(design: BlockDesign) -> dict[tuple[str, str], int]:
+    """The instance-connectivity edges: ``(src, dst)`` to the summed width
+    of every bus between the two (parallel buses merge)."""
+    widths: dict[tuple[str, str], int] = {}
     for e in design.edges:
-        if g.has_edge(e.src, e.dst):
-            g[e.src][e.dst]["weight"] += e.width
-        else:
-            g.add_edge(e.src, e.dst, weight=e.width)
-    return g
+        widths[(e.src, e.dst)] = widths.get((e.src, e.dst), 0) + e.width
+    return widths
+
+
+def _n_weak_components(nodes: list[str], edges: list[tuple[str, str]]) -> int:
+    """Connected components ignoring edge direction (union-find)."""
+    parent = {v: v for v in nodes}
+
+    def root(v: str) -> str:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    n = len(parent)
+    for u, v in edges:
+        ru, rv = root(u), root(v)
+        if ru != rv:
+            parent[ru] = rv
+            n -= 1
+    return n
+
+
+def _generations(
+    nodes: list[str], edges: list[tuple[str, str]]
+) -> list[list[str]] | None:
+    """Kahn's topological generations, or ``None`` if there is a cycle.
+
+    Generation ``i`` holds the nodes whose longest incoming path has
+    ``i`` edges.
+    """
+    succ: dict[str, list[str]] = {v: [] for v in nodes}
+    indegree = dict.fromkeys(nodes, 0)
+    for u, v in edges:
+        succ[u].append(v)
+        indegree[v] += 1
+    layer = [v for v in nodes if indegree[v] == 0]
+    layers: list[list[str]] = []
+    while layer:
+        layers.append(layer)
+        nxt = []
+        for u in layer:
+            for v in succ[u]:
+                indegree[v] -= 1
+                if indegree[v] == 0:
+                    nxt.append(v)
+        layer = nxt
+    if sum(len(g) for g in layers) < len(nodes):
+        return None  # the nodes on or behind a cycle never free up
+    return layers
 
 
 @dataclass(frozen=True)
@@ -71,34 +118,31 @@ class DesignGraphStats:
 def analyze_design(design: BlockDesign) -> DesignGraphStats:
     """Compute structural diagnostics for ``design``."""
     design.validate()
-    g = to_networkx(design)
-    n_components = nx.number_weakly_connected_components(g) if len(g) else 0
-    is_dag = nx.is_directed_acyclic_graph(g)
+    nodes = [inst.name for inst in design.instances]
+    widths = edge_widths(design)
+    edges = list(widths)
+    layers = _generations(nodes, edges)
+    is_dag = layers is not None
 
     depth = -1
     max_cut = 0
-    if is_dag and len(g):
-        depth = nx.dag_longest_path_length(g, weight=None)  # hops, not bits
-        # Layer nodes topologically and measure the bus width crossing
-        # each boundary.
-        layer_of: dict[str, int] = {}
-        for i, layer in enumerate(nx.topological_generations(g)):
-            for node in layer:
-                layer_of[node] = i
-        n_layers = max(layer_of.values(), default=0) + 1
-        cuts = [0] * max(1, n_layers)
-        for u, v, data in g.edges(data=True):
+    if layers:
+        depth = len(layers) - 1  # hops, not bits
+        # Measure the bus width crossing each layer boundary.
+        layer_of = {v: i for i, layer in enumerate(layers) for v in layer}
+        cuts = [0] * len(layers)
+        for (u, v), width in widths.items():
             for boundary in range(layer_of[u], layer_of[v]):
-                cuts[boundary] += data["weight"]
-        max_cut = max(cuts) if cuts else 0
+                cuts[boundary] += width
+        max_cut = max(cuts)
 
-    max_fan_out = max((d for _, d in g.out_degree()), default=0)
+    fan_out = Counter(u for u, _ in edges)
     reuse = design.n_instances / design.n_unique if design.n_unique else 0.0
     return DesignGraphStats(
-        n_components=n_components,
+        n_components=_n_weak_components(nodes, edges),
         is_dag=is_dag,
         depth=depth,
-        max_fan_out=max_fan_out,
+        max_fan_out=max(fan_out.values(), default=0),
         reuse_ratio=reuse,
         max_cut_width=max_cut,
     )

@@ -7,11 +7,10 @@ scikit-learn is deliberately not used: the models are small and fully
 specified in the paper, and owning the implementation lets the tree/forest
 expose the impurity-based feature importances Figs. 9/12 analyze.
 
-Tree growth ships two split-search engines (``engine="fast"``, the
-vectorized default, and ``engine="reference"``, the per-feature oracle)
-that produce bitwise identical trees; the forest draws every bootstrap
-from one seeded stream, fits its trees in order, and batches prediction
-across trees (:mod:`repro.ml.ensemble`).
+One tree grower (:mod:`repro.ml.tree`) builds every tree, bitwise
+identical to the reference grower kept in ``tests/tree_oracle.py``; the
+forest draws every bootstrap from one seeded stream, fits its trees in
+order, and batches prediction across trees (:mod:`repro.ml.ensemble`).
 """
 
 from repro.ml.ensemble import StackedTrees, stack_trees
@@ -26,14 +25,13 @@ from repro.ml.metrics import (
 )
 from repro.ml.mlp import MLPRegressor
 from repro.ml.split import kfold_indices, train_test_split
-from repro.ml.tree import SPLIT_ENGINES, DecisionTreeRegressor
+from repro.ml.tree import DecisionTreeRegressor
 
 __all__ = [
     "DecisionTreeRegressor",
     "LinearRegression",
     "MLPRegressor",
     "RandomForestRegressor",
-    "SPLIT_ENGINES",
     "StackedTrees",
     "stack_trees",
     "kfold_indices",

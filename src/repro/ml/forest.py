@@ -6,10 +6,12 @@ The paper's configuration is 1,000 trees of depth 20 trained on MSE
 
 Fitting is seed-stable: every tree's bootstrap sample is drawn in tree
 order from one sequential stream and every tree gets its own derived
-seed, so the forest is a pure function of ``(seed, data)``.  Prediction
-batches all trees through one stacked node arena
-(:mod:`repro.ml.ensemble`) and accumulates rows in tree order, so
-results stay bitwise identical to the historical per-tree loop.
+seed, so the forest is a pure function of ``(seed, data)``.  Its trees
+are bitwise those of the reference grower in ``tests/tree_oracle.py``
+(see :mod:`repro.ml.tree`).  Prediction batches all trees through one
+stacked node arena (:mod:`repro.ml.ensemble`) and accumulates rows in
+tree order, so results stay bitwise identical to the historical
+per-tree loop.
 """
 
 from __future__ import annotations
@@ -40,9 +42,6 @@ class RandomForestRegressor:
         Minimum samples per leaf.
     seed:
         Root seed; trees get independent derived streams.
-    engine:
-        Split-search engine of the member trees (``"fast"`` or
-        ``"reference"``); both grow bitwise identical forests.
     """
 
     def __init__(
@@ -52,7 +51,6 @@ class RandomForestRegressor:
         max_features: int | str | None = "third",
         min_samples_leaf: int = 1,
         seed: int = 0,
-        engine: str = "fast",
     ) -> None:
         if n_estimators < 1:
             raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
@@ -61,7 +59,6 @@ class RandomForestRegressor:
         self.max_features = max_features
         self.min_samples_leaf = min_samples_leaf
         self.seed = seed
-        self.engine = engine
         self.trees_: list[DecisionTreeRegressor] = []
         self.feature_importances_: np.ndarray | None = None
         self._stacked: StackedTrees | None = None
@@ -88,7 +85,6 @@ class RandomForestRegressor:
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=self.max_features,
                 seed=derive_seed(self.seed, "forest", "tree", t),
-                engine=self.engine,
             )
             trees.append(tree.fit(X[idx], y[idx]))
         self.trees_ = trees

@@ -3,14 +3,27 @@
 The paper's single-DT estimator uses depth 20 (§VI-B); Figs. 9/12 read the
 impurity-based importances off this implementation.
 
-Split search comes in two engines.  ``engine="fast"`` (the default)
-evaluates every threshold of every candidate feature in one 2-D numpy
-pass: one stable argsort over the node's feature block, cumulative-sum
-variance reduction per column, and a single argmax across the whole gain
-matrix.  ``engine="reference"`` is the original per-feature Python loop,
-retained as the equivalence oracle — both engines produce bitwise
-identical trees (same splits, same thresholds, same importances), which
-the test suite asserts on random matrices.
+One grower builds every tree, depth first from an explicit stack, and a
+node costs a few numpy calls whatever its size.  Per-tree work happens
+once: the feature-major copy of ``X``, its stable root argsort and the
+squared targets.  One 1-D ``np.add.reduce`` of a node's targets gives
+both its value and its split's total.  The split search takes one of two
+paths, chosen by the node's work (samples x candidate features):
+
+* up to ``_PY_WORK_MAX``, plain Python over the node's ascending sample
+  list: a stable ``sorted`` per drawn feature, which equals the stable
+  root sort filtered to the node, and running sums, which equal
+  ``np.cumsum``;
+* above it, one 2-D numpy pass over the node's presorted columns,
+  filtered down from the root sort: cumulative-sum variance reduction
+  per column and a first-max argmax across the gain matrix.
+
+Both paths make the same IEEE operations in the same order as the
+reference grower kept in ``tests/tree_oracle.py`` (a recursive
+per-feature loop with ``y[idx].mean()`` and ``np.ptp``), so on finite
+inputs a tree is bitwise identical to it: the same ``rng.choice``
+feature draws in the same depth-first order, and the same splits,
+thresholds, leaf values and importances.
 """
 
 from __future__ import annotations
@@ -19,10 +32,17 @@ import numpy as np
 
 from repro.utils.rng import stream
 
-__all__ = ["DecisionTreeRegressor", "SPLIT_ENGINES"]
+__all__ = ["DecisionTreeRegressor"]
 
-#: Split-search implementations; "fast" and "reference" grow identical trees.
-SPLIT_ENGINES = ("fast", "reference")
+#: Node work (samples x candidate features) up to which the split search
+#: runs in plain Python: below it numpy's per-call cost outweighs the
+#: arithmetic.  Both paths grow the same tree; this only trades speed.
+_PY_WORK_MAX = 256
+
+
+#: A pending node's samples, ascending: a list on the Python path, or an
+#: array with its ``(n_features, n)`` x-sorted sample ids on the numpy path.
+_Samples = tuple["list[int] | np.ndarray", "np.ndarray | None"]
 
 
 class _Node:
@@ -57,10 +77,6 @@ class DecisionTreeRegressor:
         de-correlation.
     seed:
         Seed for feature subsampling.
-    engine:
-        Split-search implementation, ``"fast"`` (vectorized across
-        features) or ``"reference"`` (per-feature loop).  Both grow
-        bitwise identical trees; the knob only trades speed.
     """
 
     def __init__(
@@ -70,22 +86,16 @@ class DecisionTreeRegressor:
         min_samples_split: int = 2,
         max_features: int | str | None = None,
         seed: int = 0,
-        engine: str = "fast",
     ) -> None:
         if max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {max_depth}")
         if min_samples_leaf < 1 or min_samples_split < 2:
             raise ValueError("min_samples_leaf >= 1 and min_samples_split >= 2")
-        if engine not in SPLIT_ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; known: {SPLIT_ENGINES}"
-            )
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.min_samples_split = min_samples_split
         self.max_features = max_features
         self.seed = seed
-        self.engine = engine
         self._root: _Node | None = None
         self._n_features = 0
         self.feature_importances_: np.ndarray | None = None
@@ -112,164 +122,15 @@ class DecisionTreeRegressor:
         if X.shape[0] == 0:
             raise ValueError("empty training set")
         self._n_features = X.shape[1]
-        self._importance = np.zeros(self._n_features)
-        self._rng = stream(self.seed, "dtree")
         self._flat = None  # invalidate the prediction cache
-        if self.engine == "fast":
-            # One stable sort at the root; nodes filter it down instead of
-            # re-sorting.  Stable filtering of a stable order equals the
-            # stable sort of the subset, so splits stay bitwise identical
-            # to the reference engine.
-            sort0 = np.argsort(X, axis=0, kind="stable").astype(np.int64)
-        else:
-            sort0 = None
-        self._root = self._grow(X, y, np.arange(X.shape[0]), sort0, depth=0)
-        total = self._importance.sum()
+        grower = _Grower(self, X, y)
+        self._root = grower.grow()
+        importance = np.array(grower.importance)
+        total = importance.sum()
         self.feature_importances_ = (
-            self._importance / total if total > 0 else self._importance.copy()
+            importance / total if total > 0 else importance
         )
         return self
-
-    def _grow(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        idx: np.ndarray,
-        sort: np.ndarray | None,
-        depth: int,
-    ) -> _Node:
-        node = _Node()
-        node.value = float(y[idx].mean())
-        n = idx.size
-        if (
-            depth >= self.max_depth
-            or n < self.min_samples_split
-            or np.ptp(y[idx]) == 0.0
-        ):
-            return node
-
-        k = self._n_candidate_features()
-        if k < self._n_features:
-            features = self._rng.choice(self._n_features, size=k, replace=False)
-        else:
-            features = np.arange(self._n_features)
-
-        if self.engine == "fast":
-            best = self._best_split_fast(X, y, idx, sort, features)
-        else:
-            best = self._best_split_reference(X, y, idx, features)
-        if best is None:
-            return node
-        feat, thr, gain, left_mask = best
-        node.feature = int(feat)
-        node.threshold = float(thr)
-        self._importance[feat] += gain
-        if sort is not None:
-            in_left = np.zeros(X.shape[0], dtype=bool)
-            in_left[idx[left_mask]] = True
-            keep = in_left[sort]  # (n, F): same column-wise sample sets
-            n_left = int(left_mask.sum())
-            sort_left = sort.T[keep.T].reshape(self._n_features, n_left).T
-            sort_right = sort.T[~keep.T].reshape(self._n_features, n - n_left).T
-        else:
-            sort_left = sort_right = None
-        node.left = self._grow(X, y, idx[left_mask], sort_left, depth + 1)
-        node.right = self._grow(X, y, idx[~left_mask], sort_right, depth + 1)
-        return node
-
-    def _best_split_reference(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        idx: np.ndarray,
-        features: np.ndarray,
-    ) -> tuple[int, float, float, np.ndarray] | None:
-        """Per-feature loop, vectorized over thresholds (the oracle)."""
-        yv = y[idx]
-        n = idx.size
-        sum_all = yv.sum()
-        sq_all = float((yv**2).sum())
-        node_sse = sq_all - sum_all**2 / n
-
-        best_gain = 1e-12
-        best: tuple[int, float, float, np.ndarray] | None = None
-        m = self.min_samples_leaf
-        for f in features:
-            xv = X[idx, f]
-            order = np.argsort(xv, kind="stable")
-            xs = xv[order]
-            ys = yv[order]
-            csum = np.cumsum(ys)
-            csq = np.cumsum(ys**2)
-            # Split after position i (1-based count of left samples).
-            counts = np.arange(1, n)
-            valid = (xs[:-1] < xs[1:]) & (counts >= m) & (n - counts >= m)
-            if not valid.any():
-                continue
-            left_sse = csq[:-1] - csum[:-1] ** 2 / counts
-            right_sum = sum_all - csum[:-1]
-            right_sq = sq_all - csq[:-1]
-            right_sse = right_sq - right_sum**2 / (n - counts)
-            gain = node_sse - (left_sse + right_sse)
-            gain[~valid] = -np.inf
-            i = int(np.argmax(gain))
-            if gain[i] > best_gain:
-                thr = (xs[i] + xs[i + 1]) / 2.0
-                best_gain = float(gain[i])
-                best = (int(f), thr, best_gain, X[idx, f] <= thr)
-        return best
-
-    def _best_split_fast(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        idx: np.ndarray,
-        sort: np.ndarray,
-        features: np.ndarray,
-    ) -> tuple[int, float, float, np.ndarray] | None:
-        """All candidate features in one 2-D pass over presorted columns.
-
-        ``sort`` holds the node's samples per feature column in stable
-        x-sorted order (filtered down from the root sort, which equals a
-        stable sort of the subset).  Column ``j`` of every intermediate
-        equals the reference engine's 1-D arrays for feature
-        ``features[j]`` — same values, same operation order — and the
-        final first-max argmaxes reproduce the reference's tie-breaking
-        (earliest threshold within a feature, earliest feature across
-        equal gains), so the chosen split is bitwise identical.
-        """
-        yv = y[idx]
-        n = idx.size
-        sum_all = yv.sum()
-        sq_all = float((yv**2).sum())
-        node_sse = sq_all - sum_all**2 / n
-        m = self.min_samples_leaf
-
-        cols = sort[:, features]  # (n, k) global sample ids, x-sorted
-        xs = X[cols, features]
-        ys = y[cols]
-        csum = np.cumsum(ys, axis=0)[:-1]
-        csq = np.cumsum(ys**2, axis=0)[:-1]
-        counts = np.arange(1, n, dtype=np.float64)[:, None]
-        valid = (xs[:-1] < xs[1:]) & (counts >= m) & (n - counts >= m)
-        if not valid.any():
-            return None
-        left_sse = csq - csum**2 / counts
-        right_sum = sum_all - csum
-        right_sq = sq_all - csq
-        right_sse = right_sq - right_sum**2 / (n - counts)
-        gain = node_sse - (left_sse + right_sse)
-        gain[~valid] = -np.inf
-
-        pos = np.argmax(gain, axis=0)  # first max per column, as np.argmax
-        per_feature = gain[pos, np.arange(len(features))]
-        j = int(np.argmax(per_feature))  # first max across columns
-        if not per_feature[j] > 1e-12:
-            return None
-        i = int(pos[j])
-        f = int(features[j])
-        thr = (xs[i, j] + xs[i + 1, j]) / 2.0
-        return (f, thr, float(per_feature[j]), X[idx, f] <= thr)
 
     # ------------------------------------------------------------------ predict
 
@@ -363,3 +224,185 @@ class DecisionTreeRegressor:
             todo.append((node.left, d + 1))
             todo.append((node.right, d + 1))
         return best
+
+
+class _Grower:
+    """One tree's growth: the per-tree arrays and the depth-first loop.
+
+    Children are popped left first, so feature draws and importance sums
+    run in the reference's preorder.
+    """
+
+    def __init__(
+        self, tree: DecisionTreeRegressor, X: np.ndarray, y: np.ndarray
+    ) -> None:
+        self.max_depth = tree.max_depth
+        self.min_leaf = tree.min_samples_leaf
+        self.min_split = tree.min_samples_split
+        self.n_features = X.shape[1]
+        self.k = tree._n_candidate_features()
+        self.rng = stream(tree.seed, "dtree")
+        self.Xt = np.ascontiguousarray(X.T)
+        self.y = y
+        self.y2 = y * y  # exact squares, as the reference's ``ys**2``
+        self.cols = self.Xt.tolist()
+        self.yl = y.tolist()
+        self.y2l = self.y2.tolist()
+        self.importance = [0.0] * self.n_features
+
+    def grow(self) -> _Node:
+        root = _Node()
+        n = self.y.size
+        if n * self.k <= _PY_WORK_MAX:
+            todo = [(root, list(range(n)), None, 0)]
+        else:
+            # One stable sort at the root; nodes filter it down instead of
+            # re-sorting, and a stable order filtered to a subset is that
+            # subset's stable sort.
+            sort = np.argsort(self.Xt, axis=1, kind="stable")
+            todo = [(root, np.arange(n), sort, 0)]
+        while todo:
+            node, idx, sort, depth = todo.pop()
+            if sort is None:
+                children = self._split_small(node, idx, depth)
+            else:
+                children = self._split_large(node, idx, sort, depth)
+            if children is None:
+                continue
+            (left_idx, left_sort), (right_idx, right_sort) = children
+            node.left = _Node()
+            node.right = _Node()
+            todo.append((node.right, right_idx, right_sort, depth + 1))
+            todo.append((node.left, left_idx, left_sort, depth + 1))
+        return root
+
+    def _draw(self) -> np.ndarray:
+        """The node's candidate features, one ``rng.choice`` when subsampling."""
+        if self.k < self.n_features:
+            return self.rng.choice(self.n_features, size=self.k, replace=False)
+        return np.arange(self.n_features)
+
+    def _split_small(
+        self, node: _Node, idx: list[int], depth: int
+    ) -> tuple[_Samples, _Samples] | None:
+        """Value and split of a node on the Python path; ``None`` for a leaf."""
+        n = len(idx)
+        yl = self.yl
+        if n == 1:
+            # numpy's sum starts from +0.0, so a -0.0 target averages to 0.0.
+            node.value = 0.0 + yl[idx[0]]
+            return None
+        rows = np.fromiter(idx, np.intp, n)
+        total = np.add.reduce(self.y[rows])
+        node.value = float(total / n)
+        if depth >= self.max_depth or n < self.min_split:
+            return None
+        ys = [yl[i] for i in idx]
+        if max(ys) - min(ys) == 0.0:
+            return None
+        feats = self._draw().tolist()
+        m = self.min_leaf
+        last = n - m  # the largest left count a split may take
+        if m > last:
+            return None
+        sq = float(np.add.reduce(self.y2[rows]))
+        node_sse = float(sq - total**2 / n)
+        s = float(total)
+        y2l = self.y2l
+        best_gain = 1e-12
+        best = None
+        for f in feats:
+            col = self.cols[f]
+            order = sorted(idx, key=col.__getitem__)
+            xs = [col[i] for i in order]
+            # -0.0 + v == v for every v, so the running sums equal np.cumsum.
+            cs = cq = -0.0
+            gain = -np.inf
+            at = 0
+            for c in range(1, last + 1):
+                i = order[c - 1]
+                cs += yl[i]
+                cq += y2l[i]
+                if c >= m and xs[c - 1] < xs[c]:
+                    r = s - cs
+                    g = node_sse - ((cq - cs * cs / c) + ((sq - cq) - r * r / (n - c)))
+                    if g > gain:
+                        gain = g
+                        at = c
+            if gain > best_gain:
+                best_gain = gain
+                best = (f, (xs[at - 1] + xs[at]) / 2.0)
+        if best is None:
+            return None
+        f, thr = best
+        node.feature = f
+        node.threshold = thr
+        self.importance[f] += best_gain
+        col = self.cols[f]
+        left = [i for i in idx if col[i] <= thr]
+        right = [i for i in idx if not col[i] <= thr]
+        return (left, None), (right, None)
+
+    def _split_large(
+        self, node: _Node, idx: np.ndarray, sort: np.ndarray, depth: int
+    ) -> tuple[_Samples, _Samples] | None:
+        """Value and split of a node on the numpy path; ``None`` for a leaf.
+
+        Row ``j`` of every intermediate equals the reference's 1-D arrays
+        for feature ``feats[j]``, and the first-max argmaxes reproduce its
+        tie-breaking (earliest threshold within a feature, earliest
+        feature across equal gains).
+        """
+        n = idx.size
+        yv = self.y[idx]
+        total = np.add.reduce(yv)
+        node.value = float(total / n)
+        if (
+            depth >= self.max_depth
+            or n < self.min_split
+            or yv.max() - yv.min() == 0.0
+        ):
+            return None
+        feats = self._draw()
+        m = self.min_leaf
+        sq = float(np.add.reduce(self.y2[idx]))
+        node_sse = sq - total**2 / n
+
+        cols = sort[feats]  # (k, n) sample ids, x-sorted per feature
+        xs = np.take_along_axis(self.Xt[feats], cols, axis=1)
+        csum = np.cumsum(self.y[cols], axis=1)[:, :-1]
+        csq = np.cumsum(self.y2[cols], axis=1)[:, :-1]
+        counts = np.arange(1, n, dtype=np.float64)
+        valid = (xs[:, :-1] < xs[:, 1:]) & (counts >= m) & (n - counts >= m)
+        if not valid.any():
+            return None
+        left_sse = csq - csum**2 / counts
+        right_sum = total - csum
+        right_sse = (sq - csq) - right_sum**2 / (n - counts)
+        gain = node_sse - (left_sse + right_sse)
+        gain[~valid] = -np.inf
+
+        pos = np.argmax(gain, axis=1)  # first max per feature
+        per_feature = gain[np.arange(feats.size), pos]
+        j = int(np.argmax(per_feature))  # first max across features
+        if not per_feature[j] > 1e-12:
+            return None
+        i = int(pos[j])
+        f = int(feats[j])
+        thr = float((xs[j, i] + xs[j, i + 1]) / 2.0)
+        node.feature = f
+        node.threshold = thr
+        self.importance[f] += float(per_feature[j])
+
+        go_left = self.Xt[f, idx] <= thr
+        left, right = idx[go_left], idx[~go_left]
+        in_left = np.zeros(self.y.size, dtype=bool)
+        in_left[left] = True
+        keep = in_left[sort]  # (n_features, n): which sorted ids go left
+        return self._pending(left, sort, keep), self._pending(right, sort, ~keep)
+
+    def _pending(self, idx: np.ndarray, sort: np.ndarray, keep: np.ndarray) -> _Samples:
+        """A child of a numpy-path node, on the path its work calls for."""
+        if idx.size * self.k <= _PY_WORK_MAX:
+            return idx.tolist(), None
+        return idx, sort[keep].reshape(self.n_features, idx.size)

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from functools import singledispatch
 
+import numpy as np
+
 from repro.netlist.netlist import Netlist, NetlistBuilder
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import (
@@ -175,12 +177,14 @@ def _(c: RandomLogicCloud, builder: NetlistBuilder) -> None:
     lo = int(math.floor(c.avg_inputs))
     hi = min(6, lo + 1)
     p_hi = c.avg_inputs - lo if hi > lo else 0.0
-    inputs = rng.random(c.n_luts) < p_hi
+    wide = rng.random(c.n_luts) < p_hi
     fanouts = rng.geometric(0.55, size=c.n_luts)
-    for i in range(c.n_luts):
-        builder.add_lut(
-            inputs=hi if inputs[i] else max(1, lo), fanout=int(fanouts[i])
-        )
+    # The statistics only count LUTs, pins and fanouts, none of which
+    # depend on order: add each (input width, fanout) class in one call.
+    for mask, width in ((wide, hi), (~wide, max(1, lo))):
+        for fanout, n in enumerate(np.bincount(fanouts[mask]).tolist()):
+            if n:
+                builder.add_luts(n, inputs=width, fanout=fanout)
     n_ff = int(round(c.n_luts * c.registered_fraction))
     if n_ff > 0:
         n_cs = max(1, min(8, n_ff // 32))

@@ -1,7 +1,5 @@
 """Tests for the tfcW1A1 generalization workload."""
 
-import pytest
-
 from repro.cnv.tfc import tfc_design, tfc_inventory
 from repro.flow.analysis_graph import analyze_design
 from repro.flow.monolithic import monolithic_flow

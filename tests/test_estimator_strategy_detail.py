@@ -4,7 +4,6 @@ These pin the exact search behavior: predicted CF first, coarse +0.1
 climb, then a fine 0.02 re-search of the last interval.
 """
 
-import numpy as np
 import pytest
 
 from repro.estimator.cf_estimator import CFEstimator

@@ -15,7 +15,6 @@ import pytest
 
 import repro.flow.fanout as fanout_mod
 from repro.dataset.generate import generate_dataset
-from repro.device.column import ColumnKind
 from repro.flow.blockdesign import BlockDesign
 from repro.flow.cache import ModuleCache
 from repro.flow.fanout import FanOut

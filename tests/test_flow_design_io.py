@@ -1,8 +1,14 @@
 """Tests for block-design serialization and graph analysis."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.flow.analysis_graph import analyze_design, to_networkx
+import repro
+from repro.flow.analysis_graph import analyze_design, edge_widths
 from repro.flow.blockdesign import BlockDesign
 from repro.flow.design_io import (
     design_from_dict,
@@ -107,11 +113,28 @@ class TestGraphAnalysis:
         assert stats.depth > 10  # deep streaming pipeline
         assert stats.reuse_ratio == pytest.approx(175 / 74)
 
-    def test_to_networkx_weights_merge(self):
+    def test_edge_widths_merge(self):
         d = _design()
         d.connect("a0", "b0", width=8)  # parallel edge merges
-        g = to_networkx(d)
-        assert g["a0"]["b0"]["weight"] == 24
+        assert edge_widths(d) == {("a0", "b0"): 24, ("a1", "b0"): 16}
+
+    def test_runs_without_networkx(self):
+        # A clean install has no networkx: importing repro and analyzing a
+        # design must not need it.
+        code = (
+            "import sys; sys.modules['networkx'] = None\n"
+            "import repro\n"
+            "from repro.cnv.tfc import tfc_design\n"
+            "from repro.flow.analysis_graph import analyze_design\n"
+            "print(analyze_design(tfc_design()).render())\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "components=1 dag=True" in out.stdout
 
     def test_disconnected_detected(self):
         d = BlockDesign(name="disc")

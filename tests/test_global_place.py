@@ -11,7 +11,6 @@ invariants, the ``nearest_fit_y`` kernel primitive the legalizer snaps
 through, and the process-wide site-table cache.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

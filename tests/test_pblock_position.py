@@ -1,7 +1,5 @@
 """Tests for PBlock position optimization (future-work extension)."""
 
-import pytest
-
 from repro.netlist.stats import compute_stats
 from repro.pblock.cf_search import minimal_cf
 from repro.pblock.pblock import PBlock
