@@ -23,6 +23,7 @@ from repro.place.shapes import Footprint
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import RandomLogicCloud, SumOfSquares
 from repro.synth.mapper import synthesize
+from tests.kernel_oracle import kernel
 from tests.tree_oracle import fit_reference_forest
 
 
@@ -152,7 +153,8 @@ def test_perf_stitch_fast_vs_reference(grid):
     """The fast kernel must beat the reference kernel on the same run.
 
     This is the CI perf-smoke gate: it fails if a regression makes the
-    bitmask kernel slower than the straightforward one, and doubles as
+    bitmask kernel slower than the straightforward one in
+    ``tests/kernel_oracle.py``, and doubles as
     an equivalence check on the benchmark workload.  The equivalence
     covers every draw-dependent output: a fast path that skips or
     double-counts a probe shows in the history, the illegal-move count
@@ -163,12 +165,13 @@ def test_perf_stitch_fast_vs_reference(grid):
     d, fps = _stitch_case()
     params = SAParams(max_iters=2000, seed=0)
 
-    def best_of(kernel: str, results: list) -> float:
+    def best_of(name: str, results: list) -> float:
         elapsed = []
-        for _ in range(3):
-            t0 = time.perf_counter()
-            results.append(stitch(d, fps, grid, params, kernel=kernel))
-            elapsed.append(time.perf_counter() - t0)
+        with kernel(name):
+            for _ in range(3):
+                t0 = time.perf_counter()
+                results.append(stitch(d, fps, grid, params))
+                elapsed.append(time.perf_counter() - t0)
         return min(elapsed)
 
     fast_results: list = []

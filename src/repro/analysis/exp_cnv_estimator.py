@@ -10,7 +10,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,8 +136,6 @@ class EstimatorImpactResult:
     estimator_flow: RWFlowResult
     const_flow: RWFlowResult
     const_cf: float
-    estimator_stitch_seconds: float = 0.0
-    const_stitch_seconds: float = 0.0
     #: Per-SA-seed stitch results (seed-averaged metrics below).
     estimator_stitches: tuple = ()
     const_stitches: tuple = ()
@@ -241,19 +238,17 @@ def run_estimator_impact(
 
     from dataclasses import replace as _replace
 
-    def _timed_flow(policy, n_seeds=1):
+    def _flow(policy, n_seeds=1):
         implemented = implement_design(design, ctx.z020, policy)
         footprints = {
             name: impl.outcome.result.footprint
             for name, impl in implemented.items()
             if impl.outcome.result.footprint is not None
         }
-        t0 = time.perf_counter()
         stitches = tuple(
             stitch(design, footprints, ctx.z045, _replace(sa, seed=sa.seed + k))
             for k in range(n_seeds)
         )
-        seconds = (time.perf_counter() - t0) / n_seeds
         runs = sum(m.outcome.n_runs for m in implemented.values())
         return (
             RWFlowResult(
@@ -262,19 +257,18 @@ def run_estimator_impact(
                 total_tool_runs=runs,
                 flow_stats=implemented.stats,
             ),
-            seconds,
             stitches,
         )
 
-    est_flow, est_seconds, est_stitches = _timed_flow(
+    est_flow, est_stitches = _flow(
         EstimatedCF(estimator=estimator), n_sa_seeds
     )
 
     # Baseline 1: constant CF = 0.9 with upward sweep (run-count baseline).
-    sweep_flow, _, _ = _timed_flow(SweepCF(start=0.9))
+    sweep_flow, _ = _flow(SweepCF(start=0.9))
     # Baseline 2: the constant worst-case CF (quality baseline, paper 1.68).
     const_cf = max(r.min_cf for r in ctx.cnv_records())
-    const_flow, const_seconds, const_stitches = _timed_flow(
+    const_flow, const_stitches = _flow(
         FixedCF(round(const_cf + 1e-9, 2)), n_sa_seeds
     )
     return EstimatorImpactResult(
@@ -284,8 +278,6 @@ def run_estimator_impact(
         estimator_flow=est_flow,
         const_flow=const_flow,
         const_cf=const_cf,
-        estimator_stitch_seconds=est_seconds,
-        const_stitch_seconds=const_seconds,
         estimator_stitches=est_stitches,
         const_stitches=const_stitches,
     )

@@ -12,7 +12,6 @@ Usage::
     python -m repro place design.json --placer ga --budget 20000  # any portfolio placer
     python -m repro place design.json --profile --trace-out trace.json
     python -m repro trace summarize trace.json  # render a saved trace
-    python -m repro lint src benchmarks perfbench --format github  # static analysis
     python -m repro report [-n 2000] [-o EXPERIMENTS.md]  # all experiments
 """
 
@@ -177,37 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="weight of the block-level critical-path cost "
                       "term (0 = off, the default)")
     _add_trace_args(p_pl)
-
-    p_lint = sub.add_parser(
-        "lint",
-        help="determinism & parallel-safety static analysis",
-    )
-    p_lint.add_argument(
-        "paths", nargs="*", default=["src"],
-        help="files or directories to check (default: src)",
-    )
-    p_lint.add_argument(
-        "--select", type=_rule_patterns, default=None, metavar="IDS",
-        help="comma-separated rule ids or family prefixes to run "
-        "(e.g. DET003 or DET,PAR)",
-    )
-    p_lint.add_argument(
-        "--ignore", type=_rule_patterns, default=None, metavar="IDS",
-        help="comma-separated rule ids or family prefixes to skip",
-    )
-    p_lint.add_argument(
-        "--format", choices=["text", "json", "github"], default="text",
-        dest="fmt", help="report format",
-    )
-    p_lint.add_argument(
-        "--statistics", nargs="?", const="-", default=None, metavar="PATH",
-        help="print the per-rule count table, or write it as JSON to PATH "
-        "(to stderr under --format json, whose document already holds it)",
-    )
-    p_lint.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule pack and exit",
-    )
 
     p_trace = sub.add_parser("trace", help="inspect a saved span trace")
     trace_sub = p_trace.add_subparsers(dest="trace_command", required=True)
@@ -450,7 +418,7 @@ def _cmd_place(args: argparse.Namespace) -> int:
     if s.stats is not None:
         st = s.stats
         print(
-            f"  placer={args.placer} kernel={st.kernel} seed={st.seed} "
+            f"  placer={args.placer} seed={st.seed} "
             f"accept rate {st.accept_rate * 100:.1f}%"
         )
     print(
@@ -475,68 +443,6 @@ def _cmd_place(args: argparse.Namespace) -> int:
         print(res.infeasible.describe())
         return 1
     return 0
-
-
-def _find_git_root(start: Path) -> Path | None:
-    """Nearest ancestor (inclusive) containing ``.git``, or None."""
-    for candidate in [start, *start.parents]:
-        if (candidate / ".git").exists():
-            return candidate
-    return None
-
-
-def _rule_patterns(value: str) -> list[str]:
-    """Parse ``--select``/``--ignore``: every pattern must name a rule.
-
-    A pattern is a rule id or a family prefix; one that matches no id
-    (a typo, or a rule that no longer exists) would silently switch the
-    gate off, so it is a usage error instead.
-    """
-    from repro.lint import rule_ids
-
-    ids = rule_ids()
-    patterns = [p.strip() for p in value.split(",") if p.strip()]
-    for pattern in patterns:
-        if not any(rid.startswith(pattern) for rid in ids):
-            raise argparse.ArgumentTypeError(
-                f"{pattern!r} matches no rule id (see --list-rules)"
-            )
-    return patterns
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import (
-        iter_python_files,
-        lint_paths,
-        render,
-        render_rule_table,
-        render_statistics,
-    )
-    from repro.lint.report import statistics_json
-
-    if args.list_rules:
-        print(render_rule_table())
-        return 0
-
-    try:
-        files = iter_python_files(args.paths)
-    except (FileNotFoundError, ValueError) as exc:
-        # A mistyped or non-Python path is a usage error (2), not a lint
-        # finding (1).
-        print(f"repro lint: error: {exc}", file=sys.stderr)
-        return 2
-    result = lint_paths(files, select=args.select, ignore=args.ignore)
-
-    root = _find_git_root(Path.cwd()) if args.fmt == "github" else None
-    print(render(result, args.fmt, root=root))
-    # Keep a json stdout one parseable document: notes go to stderr.
-    notes = sys.stderr if args.fmt == "json" else sys.stdout
-    if args.statistics == "-":
-        print(render_statistics(result), file=notes)
-    elif args.statistics:
-        Path(args.statistics).write_text(statistics_json(result) + "\n")
-        print(f"statistics written to {args.statistics}", file=notes)
-    return 0 if result.ok else 1
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -572,7 +478,6 @@ _COMMANDS = {
     "train": _cmd_train,
     "preimpl": _cmd_preimpl,
     "place": _cmd_place,
-    "lint": _cmd_lint,
     "trace": _cmd_trace,
     "report": _cmd_report,
 }

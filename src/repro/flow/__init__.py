@@ -10,9 +10,8 @@
   (fixed, sweep-from-0.9, ground-truth minimal; the learned policy lives
   in :mod:`repro.estimator`);
 * :mod:`repro.flow.stitcher` — the simulated-annealing macro placer that
-  assembles pre-implemented blocks into a full-device placement (two
-  equivalence-tested move kernels: ``"fast"`` and ``"reference"``,
-  shared via :mod:`repro.place_kernel`);
+  assembles pre-implemented blocks into a full-device placement (its
+  move kernel is shared via :mod:`repro.place_kernel`);
 * :mod:`repro.flow.evolve` — the evolutionary (GA) macro placer driving
   the same move kernel and objective as the stitcher;
 * :mod:`repro.flow.tempering` — cooperative parallel tempering (replica
@@ -92,7 +91,6 @@ from repro.flow.restarts import place_best
 from repro.flow.results import FlowComparison, compare_flows
 from repro.flow.rwflow import RWFlowResult, run_rw_flow
 from repro.flow.stitcher import (
-    KERNELS,
     SAParams,
     StitchResult,
     StitchStats,
@@ -119,7 +117,6 @@ __all__ = [
     "GPParams",
     "ImplementedModule",
     "Instance",
-    "KERNELS",
     "MinimalCFPolicy",
     "ModuleCache",
     "ModuleFailure",

@@ -41,7 +41,7 @@ from repro.device.grid import DeviceGrid
 from repro.flow.blockdesign import BlockDesign
 from repro.obs.tracer import NullTracer, Tracer, current_tracer
 from repro.place.shapes import Footprint
-from repro.place_kernel.kernel import KERNELS, PlacementKernel, run_move_batch
+from repro.place_kernel.kernel import PlacementKernel, run_move_batch
 from repro.place_kernel.problem import PlacementProblem
 from repro.place_kernel.result import StitchResult, StitchStats, converge_history
 from repro.place_kernel.route_cost import build_route_model
@@ -211,7 +211,6 @@ def evolve(
     grid: DeviceGrid,
     params: GAParams | None = None,
     *,
-    kernel: str = "fast",
     module_delays: Mapping[str, float] | None = None,
     tracer: Tracer | NullTracer | None = None,
 ) -> StitchResult:
@@ -227,9 +226,6 @@ def evolve(
     module_delays:
         Per-module delays (ns) seeding the timing cost term; ignored
         unless ``params.timing_weight`` is nonzero.
-    kernel:
-        Move-kernel choice (``"fast"`` or ``"reference"``); the GA
-        produces identical results on either for a fixed seed.
     tracer:
         Where the run's ``evolve`` span tree (``evolve.init`` /
         ``evolve.generations`` / ``evolve.repair`` — the three phases
@@ -245,12 +241,10 @@ def evolve(
         improvement trajectory.
     """
     params = params or GAParams()
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
     tr = tracer if tracer is not None else current_tracer()
 
     with tr.span(
-        "evolve", kernel=kernel, seed=params.seed, move_budget=params.move_budget
+        "evolve", seed=params.seed, move_budget=params.move_budget
     ) as sp_root:
         # ---------------------------------------------------------- init
         with tr.span("evolve.init") as sp_init:
@@ -262,7 +256,7 @@ def evolve(
                 timing_weight=params.timing_weight,
                 module_delays=module_delays,
             )
-            st = problem.make_kernel(kernel, params.unplaced_weight, route)
+            st = problem.make_kernel(params.unplaced_weight, route)
             swappable = problem.swappable
             n = st.n
             budget = _Budget(max(1, params.move_budget))
@@ -400,7 +394,6 @@ def evolve(
             sp_root.set_attr("cost.timing", timing_cost)
 
     stats = StitchStats(
-        kernel=kernel,
         seed=params.seed,
         move_attempts=st.move_attempts,
         place_attempts=st.place_attempts,

@@ -25,7 +25,7 @@ repo's scale, following the ``eval_f`` / ``eval_grad_f`` /
 * **Legalize-to-column snap** — instances walk the greedy
   tallest-first order; each snaps to the compatible anchor column
   nearest its continuous x and the legal anchor row nearest its
-  continuous y, through the move kernels' shared compatible-site
+  continuous y, through the move kernel's shared compatible-site
   tables (:meth:`~repro.place_kernel.kernel.PlacementKernel.nearest_fit_y`).
   Leftovers fall to the deterministic first-fit fill.
 
@@ -36,8 +36,8 @@ a gp-warm-started anneal's kernel-op spend is exactly its own
 stopping), a single seeded jitter draw via
 :func:`repro.utils.rng.stream`, and pure single-threaded numpy, so
 results are bitwise identical across processes and worker counts and
-on both move kernels (``tests/test_golden_costs.py`` pins them on
-each).
+on the reference kernel in ``tests/kernel_oracle.py``
+(``tests/test_golden_costs.py`` pins them on both).
 
 The three phase spans ``gplace.init`` / ``gplace.descent`` /
 ``gplace.legalize`` tile the ``gplace`` root span, exactly like the
@@ -55,7 +55,6 @@ from repro.device.grid import DeviceGrid
 from repro.flow.blockdesign import BlockDesign
 from repro.obs.tracer import NullTracer, Tracer, current_tracer
 from repro.place.shapes import Footprint
-from repro.place_kernel.kernel import KERNELS
 from repro.place_kernel.problem import PlacementProblem
 from repro.place_kernel.result import StitchResult, StitchStats, converge_history
 from repro.place_kernel.route_cost import build_route_model
@@ -110,7 +109,6 @@ def global_place(
     grid: DeviceGrid,
     params: GPParams | None = None,
     *,
-    kernel: str = "fast",
     module_delays: Mapping[str, float] | None = None,
     tracer: Tracer | NullTracer | None = None,
 ) -> StitchResult:
@@ -122,9 +120,6 @@ def global_place(
         As for :func:`~repro.flow.stitcher.stitch`.
     params:
         Descent schedule and objective weights.
-    kernel:
-        Move kernel used for the legalization snap (``"fast"`` or
-        ``"reference"``); bitwise-identical results on either.
     tracer:
         Where the run's ``gplace`` span tree is recorded; defaults to
         the ambient tracer.  An untraced run records nothing.
@@ -139,8 +134,6 @@ def global_place(
         anneal's budget.
     """
     params = params or GPParams()
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
     if params.n_iters < 0:
         raise ValueError(f"n_iters must be >= 0, got {params.n_iters}")
     if params.gamma <= 0.0:
@@ -152,7 +145,7 @@ def global_place(
     # The three phase spans tile the root span (every statement between
     # root entry and exit lives inside exactly one phase), mirroring the
     # stitcher's contract so trace summaries compare directly.
-    with tr.span("gplace", kernel=kernel, seed=params.seed) as sp_root:
+    with tr.span("gplace", seed=params.seed) as sp_root:
         with tr.span("gplace.init") as sp_init:
             problem = PlacementProblem.from_design(design, footprints, grid)
             names = problem.names
@@ -162,7 +155,7 @@ def global_place(
                 timing_weight=params.timing_weight,
                 module_delays=module_delays,
             )
-            st = problem.make_kernel(kernel, params.unplaced_weight, route)
+            st = problem.make_kernel(params.unplaced_weight, route)
             n = st.n
             height = float(grid.height_clbs)
 
@@ -411,7 +404,6 @@ def global_place(
             sp_root.set_attr("cost.timing", timing_cost)
 
     stats = StitchStats(
-        kernel=kernel,
         seed=params.seed,
         move_attempts=0,
         place_attempts=0,

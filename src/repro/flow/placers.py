@@ -51,7 +51,6 @@ class SAPlacer:
     """The SA stitcher as a portfolio member."""
 
     params: SAParams = field(default_factory=SAParams)
-    kernel: str = "fast"
     name: str = "sa"
 
     def place(
@@ -65,7 +64,7 @@ class SAPlacer:
     ) -> StitchResult:
         return stitch(
             design, dict(footprints), grid, self.params,
-            kernel=self.kernel, module_delays=module_delays, tracer=tracer,
+            module_delays=module_delays, tracer=tracer,
         )
 
 
@@ -74,7 +73,6 @@ class GAPlacer:
     """The evolutionary placer as a portfolio member."""
 
     params: GAParams = field(default_factory=GAParams)
-    kernel: str = "fast"
     name: str = "ga"
 
     def place(
@@ -88,7 +86,7 @@ class GAPlacer:
     ) -> StitchResult:
         return evolve(
             design, dict(footprints), grid, self.params,
-            kernel=self.kernel, module_delays=module_delays, tracer=tracer,
+            module_delays=module_delays, tracer=tracer,
         )
 
 
@@ -103,7 +101,6 @@ class AnalyticPlacer:
     """
 
     params: GPParams = field(default_factory=GPParams)
-    kernel: str = "fast"
     name: str = "gp"
 
     def place(
@@ -117,7 +114,7 @@ class AnalyticPlacer:
     ) -> StitchResult:
         return global_place(
             design, dict(footprints), grid, self.params,
-            kernel=self.kernel, module_delays=module_delays, tracer=tracer,
+            module_delays=module_delays, tracer=tracer,
         )
 
 
@@ -145,7 +142,6 @@ class WarmStartedSAPlacer:
     """
 
     params: SAParams = field(default_factory=SAParams)
-    kernel: str = "fast"
     #: Warm-start producer: ``"ga"`` or ``"gp"``.
     warm: str = "ga"
     #: GA warm-start budget fraction (``warm="ga"`` only).
@@ -182,8 +178,7 @@ class WarmStartedSAPlacer:
             )
             warm = global_place(
                 design, dict(footprints), grid, gp,
-                kernel=self.kernel, module_delays=module_delays,
-                tracer=tracer,
+                module_delays=module_delays, tracer=tracer,
             )
             anneal = replace(
                 self.params,
@@ -202,7 +197,6 @@ class WarmStartedSAPlacer:
                     congestion_weight=self.params.congestion_weight,
                     timing_weight=self.params.timing_weight,
                 ),
-                kernel=self.kernel,
                 module_delays=module_delays,
                 tracer=tracer,
             )
@@ -215,7 +209,6 @@ class WarmStartedSAPlacer:
             dict(footprints),
             grid,
             anneal,
-            kernel=self.kernel,
             initial_placements=warm.placements,
             module_delays=module_delays,
             tracer=tracer,
@@ -242,7 +235,6 @@ class TemperedSAPlacer:
     """
 
     params: PTParams = field(default_factory=PTParams)
-    kernel: str = "fast"
     name: str = "pt"
 
     def place(
@@ -256,7 +248,7 @@ class TemperedSAPlacer:
     ) -> StitchResult:
         return temper(
             design, dict(footprints), grid, self.params,
-            kernel=self.kernel, module_delays=module_delays, tracer=tracer,
+            module_delays=module_delays, tracer=tracer,
         )
 
 

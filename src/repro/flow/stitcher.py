@@ -9,15 +9,14 @@ collide more, slowing convergence and inflating the final cost (§VIII:
 the estimator's tighter, more rectangular footprints converge 1.37x
 faster with 40% lower cost than constant CF = 1.68).
 
-The geometry/cost primitives live in :mod:`repro.place_kernel`: two
-interchangeable move kernels (``"fast"`` bitmask/vectorized and
-``"reference"``, the executable specification) drive one shared driver
-loop here.  Both kernels draw from the same batched uniform stream, so a
-fixed seed produces identical placements, costs and history on either
-kernel — enforced by ``tests/test_stitcher_equivalence.py`` and pinned
-by the golden costs in ``tests/test_golden_costs.py``.  The same kernel
-also powers the GA placer (:mod:`repro.flow.evolve`), which is what
-makes SA-vs-GA costs directly comparable.
+The geometry/cost primitives live in :mod:`repro.place_kernel`; this
+module is the annealing driver around them.  For a fixed seed the
+bitmask kernel produces the placements, costs and history of the
+reference kernel in ``tests/kernel_oracle.py`` — enforced by
+``tests/test_stitcher_equivalence.py`` and pinned by the golden costs in
+``tests/test_golden_costs.py``.  The same kernel also powers the GA
+placer (:mod:`repro.flow.evolve`), which is what makes SA-vs-GA costs
+directly comparable.
 """
 
 from __future__ import annotations
@@ -31,13 +30,13 @@ from repro.device.grid import DeviceGrid
 from repro.flow.blockdesign import BlockDesign
 from repro.obs.tracer import NullTracer, Tracer, current_tracer
 from repro.place.shapes import Footprint
-from repro.place_kernel.kernel import KERNELS, run_move_batch
+from repro.place_kernel.kernel import run_move_batch
 from repro.place_kernel.problem import PlacementProblem
 from repro.place_kernel.result import StitchResult, StitchStats, converge_history
 from repro.place_kernel.route_cost import build_route_model
 from repro.place_kernel.uniform import UniformBuffer
 
-__all__ = ["KERNELS", "SAParams", "StitchResult", "StitchStats", "stitch"]
+__all__ = ["SAParams", "StitchResult", "StitchStats", "stitch"]
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,6 @@ def stitch(
     grid: DeviceGrid,
     params: SAParams | None = None,
     *,
-    kernel: str = "fast",
     initial_placements: Mapping[str, tuple[int, int] | None] | None = None,
     module_delays: Mapping[str, float] | None = None,
     tracer: Tracer | NullTracer | None = None,
@@ -87,10 +85,6 @@ def stitch(
         Target device.
     params:
         Annealing parameters.
-    kernel:
-        ``"fast"`` (bitmask occupancy, cached centers, vectorized sums)
-        or ``"reference"`` (the straightforward implementation).  Both
-        produce identical results for a fixed seed.
     initial_placements:
         Optional warm start: anchor per instance name (``None`` entries
         and missing names stay unplaced).  Anchors are applied in
@@ -114,15 +108,13 @@ def stitch(
         instrumentation.
     """
     params = params or SAParams()
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
     tr = tracer if tracer is not None else current_tracer()
 
     # The four phase spans tile the root span: every statement between
     # root entry and exit lives inside exactly one phase, so the phase
     # durations sum to the run's wall time (pinned by
     # tests/test_stitcher.py::test_phase_timings_tile_wall_time).
-    with tr.span("stitch", kernel=kernel, seed=params.seed) as sp_root:
+    with tr.span("stitch", seed=params.seed) as sp_root:
         with tr.span("stitch.setup") as sp_setup:
             problem = PlacementProblem.from_design(design, footprints, grid)
             names = problem.names
@@ -132,7 +124,7 @@ def stitch(
                 timing_weight=params.timing_weight,
                 module_delays=module_delays,
             )
-            st = problem.make_kernel(kernel, params.unplaced_weight, route)
+            st = problem.make_kernel(params.unplaced_weight, route)
             swappable = problem.swappable
             edges = problem.edges
 
@@ -218,7 +210,6 @@ def stitch(
             sp_root.set_attr("cost.timing", timing_cost)
 
     stats = StitchStats(
-        kernel=kernel,
         seed=params.seed,
         move_attempts=st.move_attempts,
         place_attempts=st.place_attempts,

@@ -65,7 +65,7 @@ from repro.flow.blockdesign import BlockDesign
 from repro.flow.fanout import FanOut
 from repro.obs.tracer import NullTracer, Tracer, current_tracer
 from repro.place.shapes import Footprint
-from repro.place_kernel.kernel import KERNELS, PlacementKernel, run_move_batch
+from repro.place_kernel.kernel import PlacementKernel, run_move_batch
 from repro.place_kernel.problem import PlacementProblem
 from repro.place_kernel.result import StitchResult, StitchStats, converge_history
 from repro.place_kernel.route_cost import build_route_model
@@ -145,7 +145,6 @@ def _build_kernel(
     design: BlockDesign,
     footprints: dict[str, Footprint],
     grid: DeviceGrid,
-    kernel: str,
     unplaced_weight: float,
     congestion_weight: float = 0.0,
     timing_weight: float = 0.0,
@@ -161,7 +160,7 @@ def _build_kernel(
         timing_weight=timing_weight,
         module_delays=module_delays,
     )
-    st = problem.make_kernel(kernel, unplaced_weight, route)
+    st = problem.make_kernel(unplaced_weight, route)
     return st, problem.swappable, len(problem.edges)
 
 
@@ -169,7 +168,6 @@ def _init_worker(
     design: BlockDesign,
     footprints: dict[str, Footprint],
     grid: DeviceGrid,
-    kernel: str,
     unplaced_weight: float,
     congestion_weight: float = 0.0,
     timing_weight: float = 0.0,
@@ -177,7 +175,7 @@ def _init_worker(
 ) -> None:
     """FanOut initializer: build this process's kernel exactly once."""
     _WORKER["ctx"] = _build_kernel(
-        design, footprints, grid, kernel, unplaced_weight,
+        design, footprints, grid, unplaced_weight,
         congestion_weight, timing_weight, module_delays,
     )
 
@@ -268,7 +266,6 @@ def temper(
     grid: DeviceGrid,
     params: PTParams | None = None,
     *,
-    kernel: str = "fast",
     n_workers: int | None = None,
     initial_placements: Mapping[str, tuple[int, int] | None] | None = None,
     module_delays: Mapping[str, float] | None = None,
@@ -284,9 +281,6 @@ def temper(
         Ladder, schedule and move-mix configuration;
         ``params.max_iters`` is the SA-comparable total kernel-operation
         budget across all chains.
-    kernel:
-        Move-kernel choice (``"fast"`` or ``"reference"``); identical
-        results on either for a fixed seed.
     initial_placements:
         Optional warm start every chain begins from (same contract as
         :func:`~repro.flow.stitcher.stitch`: anchors apply in instance
@@ -319,8 +313,6 @@ def temper(
         the coldest chain's per-round ``(ops_done, temperature)``.
     """
     params = params or PTParams()
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
     if params.max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {params.max_iters}")
     if params.n_chains < 1:
@@ -349,7 +341,6 @@ def temper(
     # (tests/test_tempering.py::test_phase_timings_tile_wall_time).
     with tr.span(
         "tempering",
-        kernel=kernel,
         seed=params.seed,
         n_chains=n_chains,
         max_iters=params.max_iters,
@@ -363,7 +354,7 @@ def temper(
                     n_chains,
                     initializer=_init_worker,
                     initargs=(
-                        design, footprints, grid, kernel,
+                        design, footprints, grid,
                         params.unplaced_weight,
                         params.congestion_weight, params.timing_weight,
                         delays,
@@ -371,7 +362,7 @@ def temper(
                 )
                 if fan.pooled:
                     st, swappable, n_edges = _build_kernel(
-                        design, footprints, grid, kernel,
+                        design, footprints, grid,
                         params.unplaced_weight,
                         params.congestion_weight, params.timing_weight,
                         delays,
@@ -560,7 +551,6 @@ def temper(
     # numbers (the parent kernel only sees greedy-initial + restore).
     cdict = dict(zip(_COUNTER_FIELDS, counters))
     stats = StitchStats(
-        kernel=kernel,
         seed=params.seed,
         move_attempts=cdict["move_attempts"],
         place_attempts=cdict["place_attempts"],

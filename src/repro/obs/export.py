@@ -7,7 +7,7 @@ One trace document is the JSON dict produced by
       "version": 2,
       "spans": [
         {"name": "stitch", "dur_s": 0.41,
-         "attrs": {"kernel": "fast", "seed": 0},
+         "attrs": {"seed": 0},
          "counters": {"iterations": 20000},
          "children": [{"name": "stitch.anneal", ...}, ...]},
       ]

@@ -6,9 +6,9 @@ drives the *same* primitives:
 
 * :mod:`repro.place_kernel.sites` — per-footprint compatible-site
   tables (anchor columns, hard-block pitch, occupancy bitmasks);
-* :mod:`repro.place_kernel.kernel` — the two equivalence-tested move
-  kernels (``"fast"`` bitmask/vectorized, ``"reference"`` the
-  executable specification) with move, packing and HPWL primitives;
+* :mod:`repro.place_kernel.kernel` — the bitmask move kernel with
+  move, packing and HPWL primitives, tested bit for bit against the
+  reference kernel in ``tests/kernel_oracle.py``;
 * :mod:`repro.place_kernel.uniform` — the batched uniform stream all
   optimizer randomness flows through;
 * :mod:`repro.place_kernel.problem` — the flattened
@@ -23,13 +23,7 @@ hard-block pitch) are enforced across optimizers by
 ``tests/test_place_kernel.py``.
 """
 
-from repro.place_kernel.kernel import (
-    KERNELS,
-    FastKernel,
-    PlacementKernel,
-    ReferenceKernel,
-    make_kernel,
-)
+from repro.place_kernel.kernel import FastKernel, PlacementKernel
 from repro.place_kernel.problem import PlacementProblem
 from repro.place_kernel.protocol import Placer
 from repro.place_kernel.result import StitchResult, StitchStats
@@ -54,12 +48,10 @@ __all__ = [
     "CHANNEL_CAPACITY",
     "HARD_KINDS",
     "HARD_PITCH",
-    "KERNELS",
     "FastKernel",
     "Placer",
     "PlacementKernel",
     "PlacementProblem",
-    "ReferenceKernel",
     "RouteCostModel",
     "SiteTable",
     "StitchResult",
@@ -70,6 +62,5 @@ __all__ = [
     "column_capacities",
     "dilate_down",
     "edge_criticality",
-    "make_kernel",
     "site_table",
 ]

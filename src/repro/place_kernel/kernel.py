@@ -1,34 +1,34 @@
-"""Move kernels: the geometry/cost primitives of macro placement.
+"""Move kernel: the geometry/cost primitives of macro placement.
 
-Two interchangeable kernels implement overlap probing, occupancy
-painting, incremental HPWL and greedy packing under one shared contract:
+:class:`FastKernel` implements overlap probing, occupancy painting,
+incremental HPWL and greedy packing over per-column occupancy bitmasks
+stored as Python big-ints.  An overlap probe is one shift+AND per
+column; a relocation probe masks out the block's own rows instead of
+lifting the block, so a rejected move never repaints; the greedy packer
+finds the lowest legal row with a logarithmic bit dilation instead of a
+row scan.  Compatible-site tables are shared by every instance of a
+module, and instance centers live in Python lists that the per-move cost
+deltas read directly.
 
-* ``kernel="fast"`` (default) — per-column occupancy bitmasks stored as
-  Python big-ints.  An overlap probe is one shift+AND per column; a
-  relocation probe masks out the block's own rows instead of lifting the
-  block, so a rejected move never repaints; the greedy packer finds the
-  lowest legal row with a logarithmic bit dilation instead of a row
-  scan.  Compatible-site tables are shared by every instance of a
-  module, and instance centers live in Python lists that the per-move
-  cost deltas read directly.
-* ``kernel="reference"`` — the original straightforward implementation
-  (numpy occupancy slicing, lift/probe/put-back relocation probes,
-  per-edge Python sums).  Kept forever as the executable specification
-  that the fast kernel is tested against.
-
-Both kernels draw from the same batched uniform stream (see
-:class:`~repro.place_kernel.uniform.UniformBuffer`), so a fixed seed
-produces identical placements, costs and history on either kernel —
+:class:`PlacementKernel` holds everything that draws, decides or counts,
+once, and leaves the primitives abstract.  The tests subclass it with
+the original straightforward primitives (numpy occupancy slicing,
+lift/probe/put-back relocation probes, per-edge Python sums):
+``tests/kernel_oracle.py`` is the executable specification the fast
+kernel is tested against.  Both draw from the same batched uniform
+stream (see :class:`~repro.place_kernel.uniform.UniformBuffer`), so a
+fixed seed produces identical placements, costs and history on either —
 enforced by ``tests/test_stitcher_equivalence.py``.  With the integer
 edge widths ``BlockDesign`` produces, every HPWL term is a dyadic
 rational that float64 evaluates exactly in any summation order, which
 is what makes the equivalence bitwise rather than approximate.
 
-The kernels are optimizer-agnostic: the SA stitcher
-(:mod:`repro.flow.stitcher`) and the GA evolver
-(:mod:`repro.flow.evolve`) both drive the same move/cost primitives,
-which is what makes their costs directly comparable and their legality
-guarantees shared (``tests/test_place_kernel.py``).
+The kernel is optimizer-agnostic: the SA stitcher
+(:mod:`repro.flow.stitcher`), the GA evolver (:mod:`repro.flow.evolve`),
+the tempering chains and the analytic placer's legalizer all drive the
+same move/cost primitives, which is what makes their costs directly
+comparable and their legality guarantees shared
+(``tests/test_place_kernel.py``).
 """
 
 from __future__ import annotations
@@ -44,17 +44,7 @@ from repro.place_kernel.route_cost import RouteCostModel
 from repro.place_kernel.sites import SiteTable, dilate_down, site_table, site_tables
 from repro.place_kernel.uniform import UniformBuffer
 
-__all__ = [
-    "KERNELS",
-    "FastKernel",
-    "PlacementKernel",
-    "ReferenceKernel",
-    "make_kernel",
-    "run_move_batch",
-]
-
-#: Selectable move-kernel implementations.
-KERNELS = ("fast", "reference")
+__all__ = ["FastKernel", "PlacementKernel", "run_move_batch"]
 
 
 class PlacementKernel:
@@ -62,14 +52,14 @@ class PlacementKernel:
 
     Subclasses provide the geometry/cost primitives (``fits``,
     ``fits_moved``, ``paint``, ``set_pos``, ``incident_cost``,
-    ``wirelength``, ``lowest_fit_y``, ``occupancy_array``); everything
-    that touches the random stream or decides moves lives here, once, so
-    both kernels behave identically regardless of which optimizer drives
-    them.  A primitive answers a geometry or cost question and nothing
-    else: it never draws, decides or counts.
+    ``wirelength``, ``timing_cost``, ``congestion_overflow``,
+    ``lowest_fit_y``, ``nearest_fit_y``, ``occupancy_array``);
+    everything that touches the random stream or decides moves lives
+    here, once, so :class:`FastKernel` and the reference kernel the
+    tests hold it to behave identically regardless of which optimizer
+    drives them.  A primitive answers a geometry or cost question and
+    nothing else: it never draws, decides or counts.
     """
-
-    name = "?"
 
     def __init__(
         self,
@@ -154,14 +144,11 @@ class PlacementKernel:
     def fits_moved(self, i: int, old: tuple[int, int], x: int, y: int) -> bool:
         """Would ``i``, placed at ``old``, fit at ``(x, y)`` once lifted?
 
-        Leaves the occupancy as it found it.  This lift, probe and
-        put-back is the specification; :class:`FastKernel` answers from
-        its bitmasks without lifting.
+        Leaves the occupancy as it found it.  The specification lifts
+        the block, probes and puts it back; :class:`FastKernel` answers
+        from its bitmasks without lifting.
         """
-        self.paint(i, old[0], old[1], -1)
-        ok = self.fits(i, x, y)
-        self.paint(i, old[0], old[1], +1)
-        return ok
+        raise NotImplementedError
 
     def paint(self, i: int, x: int, y: int, delta: int) -> None:
         raise NotImplementedError
@@ -186,30 +173,13 @@ class PlacementKernel:
     def nearest_fit_y(self, i: int, x: int, y_target: int) -> int | None:
         """Legal anchor row for ``i`` in column ``x`` nearest ``y_target``.
 
-        Candidate rows walk outward from the snapped target on the
-        footprint's anchor-row grid; distance ties break toward the
-        lower row.  The analytic placer's legalization snap uses this to
-        keep the gradient solution's vertical position as closely as the
-        occupancy allows.  :class:`FastKernel` overrides this with a
-        free-mask bit scan producing the identical row.
+        The row on the footprint's anchor-row grid closest to the
+        snapped target; distance ties break toward the lower row.  The
+        analytic placer's legalization snap uses this to keep the
+        gradient solution's vertical position as closely as the
+        occupancy allows.
         """
-        y_max = self.y_max[i]
-        if y_max < 0:
-            return None
-        step = self.y_step[i]
-        t = min(max(y_target, 0), y_max)
-        t -= t % step
-        below, above = t, t + step
-        while below >= 0 or above <= y_max:
-            if below >= 0 and (above > y_max or t - below <= above - t):
-                if self.fits(i, x, below):
-                    return below
-                below -= step
-            else:
-                if self.fits(i, x, above):
-                    return above
-                above += step
-        return None
+        raise NotImplementedError
 
     def occupancy_array(self) -> np.ndarray:
         raise NotImplementedError
@@ -301,42 +271,10 @@ class PlacementKernel:
         r1 = min(route.n_row_channels - 1, math.ceil(by) - 2)
         return c0, c1, r0, r1
 
-    def _scratch_congestion(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """From-scratch integer channel demand and total overflow.
-
-        The executable specification of the fast kernel's incremental
-        overflow: ``(column_demand, row_demand, overflow)`` recomputed
-        from the current positions.  All-integer, so it agrees with the
-        incremental path exactly, not approximately.
-        """
-        route = self.route
-        col = np.zeros(route.n_col_channels, dtype=np.int64)
-        row = np.zeros(route.n_row_channels, dtype=np.int64)
-        for ei, e in enumerate(self.edges):
-            win = self._edge_window(ei)
-            if win is None:
-                continue
-            c0, c1, r0, r1 = win
-            w = e[2]
-            if c1 >= c0:
-                col[c0 : c1 + 1] += w
-            if r1 >= r0:
-                row[r0 : r1 + 1] += w
-        cap = route.capacity
-        over = int(np.maximum(col - cap, 0).sum()) + int(
-            np.maximum(row - cap, 0).sum()
-        )
-        return col, row, over
-
     def congestion_overflow(self) -> int:
-        """Total wires above channel capacity, summed over all channels.
-
-        Only meaningful when the congestion term is enabled; the fast
-        kernel overrides this with its incrementally maintained count.
-        """
-        if self.route is None:
-            return 0
-        return self._scratch_congestion()[2]
+        """Total wires above channel capacity, summed over all channels
+        (0 unless the congestion term is enabled)."""
+        raise NotImplementedError
 
     def congestion_cost(self) -> float:
         """``congestion_weight * overflow`` (0.0 when disabled)."""
@@ -350,24 +288,7 @@ class PlacementKernel:
         ``sum_e tw_e * (|dx| + |dy|)`` over placed-placed edges with the
         quantized criticality weights — exact in any summation order.
         """
-        tw = self._tw
-        if tw is None:
-            return 0.0
-        pos = self.pos
-        chw = self._chw
-        chh = self._chh
-        total = 0.0
-        for ei, (a, b, _w) in enumerate(self.edges):
-            wt = tw[ei]
-            if not wt:
-                continue
-            pa, pb = pos[a], pos[b]
-            if pa is None or pb is None:
-                continue
-            dx = abs((pa[0] + chw[a]) - (pb[0] + chw[b]))
-            dy = abs((pa[1] + chh[a]) - (pb[1] + chh[b]))
-            total += wt * (dx + dy)
-        return total
+        raise NotImplementedError
 
     # ------------------------------------------------------------ initial
 
@@ -507,87 +428,8 @@ class PlacementKernel:
         return 0.0
 
 
-class ReferenceKernel(PlacementKernel):
-    """The original straightforward primitives (executable specification)."""
-
-    name = "reference"
-
-    def __init__(
-        self, grid, names, footprints, edges, unplaced_weight, route=None
-    ) -> None:
-        super().__init__(grid, names, footprints, edges, unplaced_weight, route)
-        self.occ = np.zeros((grid.n_cols, grid.height_clbs), dtype=np.int16)
-        self.heights = [self.tables[t].heights_arr for t in self.table_of]
-
-    # ------------------------------------------------------------ geometry
-
-    def fits(self, i: int, x: int, y: int) -> bool:
-        hs = self.heights[i]
-        occ = self.occ
-        for c in range(hs.shape[0]):
-            h = hs[c]
-            if h and occ[x + c, y : y + h].any():
-                return False
-        return True
-
-    def paint(self, i: int, x: int, y: int, delta: int) -> None:
-        hs = self.heights[i]
-        for c in range(hs.shape[0]):
-            h = hs[c]
-            if h:
-                self.occ[x + c, y : y + h] += delta
-
-    def lowest_fit_y(self, i: int, x: int, bound: int | None = None) -> int | None:
-        for y in range(0, self.y_max[i] + 1, self.y_step[i]):
-            if bound is not None and y >= bound:
-                return None
-            if self.fits(i, x, y):
-                return y
-        return None
-
-    def occupancy_array(self) -> np.ndarray:
-        return self.occ.copy()
-
-    # ------------------------------------------------------------ cost
-
-    def center(self, i: int) -> tuple[float, float]:
-        p = self.pos[i]
-        assert p is not None
-        fp = self.fps[i]
-        return (p[0] + fp.width / 2.0, p[1] + fp.max_height / 2.0)
-
-    def edge_cost(self, ei: int) -> float:
-        a, b, w = self.edges[ei]
-        if self.pos[a] is None or self.pos[b] is None:
-            return 0.0
-        ax, ay = self.center(a)
-        bx, by = self.center(b)
-        return w * (abs(ax - bx) + abs(ay - by))
-
-    def incident_cost(self, i: int) -> float:
-        effw = self._effw
-        if effw is None:
-            return sum(self.edge_cost(ei) for ei in self.incident[i])
-        # Timing-aware: the same per-edge distances, weighted by the
-        # effective (HPWL + quantized timing) weights.
-        total = 0.0
-        for ei in self.incident[i]:
-            a, b, _w = self.edges[ei]
-            if self.pos[a] is None or self.pos[b] is None:
-                continue
-            ax, ay = self.center(a)
-            bx, by = self.center(b)
-            total += effw[ei] * (abs(ax - bx) + abs(ay - by))
-        return total
-
-    def wirelength(self) -> float:
-        return sum(self.edge_cost(ei) for ei in range(len(self.edges)))
-
-
 class FastKernel(PlacementKernel):
-    """Bitmask primitives over list-held centers (the default move kernel)."""
-
-    name = "fast"
+    """Bitmask primitives over list-held centers (the move kernel)."""
 
     def __init__(
         self, grid, names, footprints, edges, unplaced_weight, route=None
@@ -716,9 +558,7 @@ class FastKernel(PlacementKernel):
                 self._cong_apply(ei, win, +1)
 
     def congestion_overflow(self) -> int:
-        if not self._cong:
-            return super().congestion_overflow()
-        return self._ovf
+        return self._ovf if self._cong else 0
 
     def lowest_fit_y(self, i: int, x: int, bound: int | None = None) -> int | None:
         t = self.tables[self.table_of[i]]
@@ -742,8 +582,8 @@ class FastKernel(PlacementKernel):
     def nearest_fit_y(self, i: int, x: int, y_target: int) -> int | None:
         # Same free-mask as lowest_fit_y, then one bit scan each way from
         # the snapped target: highest set bit at-or-below vs lowest set
-        # bit above, ties toward the lower row — identical to the base
-        # class's outward probe walk.
+        # bit above, ties toward the lower row — identical to the
+        # reference kernel's outward probe walk.
         t_tab = self.tables[self.table_of[i]]
         allowed = t_tab.allowed_mask
         if not allowed:
@@ -815,39 +655,11 @@ class FastKernel(PlacementKernel):
         return float(np.sum(self.ew * self._edge_distances()))
 
     def timing_cost(self) -> float:
-        # Vectorized peer of the base-class loop; dyadic weights make
-        # the different summation order bitwise-irrelevant.
+        # Vectorized peer of the reference kernel's loop; dyadic weights
+        # make the different summation order bitwise-irrelevant.
         if self._twa is None or self.ea.size == 0:
             return 0.0
         return float(np.sum(self._twa * self._edge_distances()))
-
-
-_KERNELS: dict[str, type[PlacementKernel]] = {
-    "fast": FastKernel,
-    "reference": ReferenceKernel,
-}
-
-
-def make_kernel(
-    kernel: str,
-    grid: DeviceGrid,
-    names: list[str],
-    footprints: list[Footprint],
-    edges: list[tuple[int, int, int]],
-    unplaced_weight: float,
-    route: RouteCostModel | None = None,
-) -> PlacementKernel:
-    """Instantiate a move kernel by name (``"fast"`` or ``"reference"``).
-
-    ``route`` enables the optional congestion/timing cost terms
-    (:mod:`repro.place_kernel.route_cost`); ``None`` keeps the pure
-    HPWL objective and the historical code paths byte-identical.
-    """
-    if kernel not in _KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
-    return _KERNELS[kernel](
-        grid, names, footprints, edges, unplaced_weight, route
-    )
 
 
 def run_move_batch(

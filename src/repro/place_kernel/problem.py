@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro.device.grid import DeviceGrid
 from repro.place.shapes import Footprint
-from repro.place_kernel.kernel import PlacementKernel, make_kernel
+from repro.place_kernel.kernel import FastKernel
 from repro.place_kernel.route_cost import RouteCostModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a flow cycle
@@ -100,18 +100,16 @@ class PlacementProblem:
 
     def make_kernel(
         self,
-        kernel: str,
         unplaced_weight: float,
         route: RouteCostModel | None = None,
-    ) -> PlacementKernel:
+    ) -> FastKernel:
         """A fresh move kernel over this problem.
 
         ``route`` enables the optional congestion/timing cost terms
         (see :func:`repro.place_kernel.route_cost.build_route_model`);
         ``None`` keeps the pure HPWL objective.
         """
-        return make_kernel(
-            kernel,
+        return FastKernel(
             self.grid,
             list(self.names),
             list(self.footprints),

@@ -80,11 +80,10 @@ class StitchStats:
     ``stitch.anneal`` / ``stitch.fill`` and the other placers' phase
     spans), so pass a :class:`~repro.obs.tracer.Tracer` to read them.
     Everything here is fixed by the seed.  The object is excluded from
-    :class:`StitchResult` equality because it names the kernel, and both
-    kernels produce the same placement.
+    :class:`StitchResult` equality, which compares the placement outcome
+    only.
     """
 
-    kernel: str
     seed: int
     move_attempts: int
     place_attempts: int

@@ -1,0 +1,244 @@
+"""The reference move kernel: the spec :class:`FastKernel` must match.
+
+:class:`ReferenceKernel` implements the primitives of
+:class:`~repro.place_kernel.kernel.PlacementKernel` the straightforward
+way: numpy occupancy slicing, a lift/probe/put-back relocation probe, a
+row walk for the legalizer's nearest fit, per-edge Python sums for the
+wirelength and timing terms, and channel demand recomputed from scratch.
+Every draw, accept/reject decision and counter stays in the shared base
+class, so for a fixed seed the fast kernel must reproduce this one bit
+for bit: the same placements, costs, history and counters.  The
+equivalence tests, the ``[reference-*]`` goldens and the fast-versus-
+reference benchmark compare against this module; nothing in ``src/``
+imports it.
+
+:func:`reference_kernel` runs the unchanged placers (``stitch``,
+``evolve``, ``temper``, ``global_place``) on the oracle: for the length
+of its body, :meth:`PlacementProblem.make_kernel` builds a
+:class:`ReferenceKernel`.  It is a context manager rather than a
+fixture so hypothesis ``@given`` tests can enter it per example.  The
+patch reaches only this process: run oracle placements serially.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager, nullcontext
+from typing import ContextManager, Iterator
+from unittest import mock
+
+import numpy as np
+
+from repro.place_kernel.kernel import PlacementKernel
+from repro.place_kernel.problem import PlacementProblem
+from repro.place_kernel.route_cost import RouteCostModel
+
+__all__ = ["KERNELS", "ReferenceKernel", "build", "kernel", "reference_kernel"]
+
+#: Kernel names the equivalence tests parametrize over.
+KERNELS = ("fast", "reference")
+
+
+class ReferenceKernel(PlacementKernel):
+    """The original straightforward primitives (executable specification)."""
+
+    def __init__(
+        self, grid, names, footprints, edges, unplaced_weight, route=None
+    ) -> None:
+        super().__init__(grid, names, footprints, edges, unplaced_weight, route)
+        self.occ = np.zeros((grid.n_cols, grid.height_clbs), dtype=np.int16)
+        self.heights = [self.tables[t].heights_arr for t in self.table_of]
+
+    # ------------------------------------------------------------ geometry
+
+    def fits(self, i: int, x: int, y: int) -> bool:
+        hs = self.heights[i]
+        occ = self.occ
+        for c in range(hs.shape[0]):
+            h = hs[c]
+            if h and occ[x + c, y : y + h].any():
+                return False
+        return True
+
+    def fits_moved(self, i: int, old: tuple[int, int], x: int, y: int) -> bool:
+        """Lift ``i`` off ``old``, probe ``(x, y)``, put it back."""
+        self.paint(i, old[0], old[1], -1)
+        ok = self.fits(i, x, y)
+        self.paint(i, old[0], old[1], +1)
+        return ok
+
+    def paint(self, i: int, x: int, y: int, delta: int) -> None:
+        hs = self.heights[i]
+        for c in range(hs.shape[0]):
+            h = hs[c]
+            if h:
+                self.occ[x + c, y : y + h] += delta
+
+    def lowest_fit_y(self, i: int, x: int, bound: int | None = None) -> int | None:
+        for y in range(0, self.y_max[i] + 1, self.y_step[i]):
+            if bound is not None and y >= bound:
+                return None
+            if self.fits(i, x, y):
+                return y
+        return None
+
+    def nearest_fit_y(self, i: int, x: int, y_target: int) -> int | None:
+        """Walk candidate rows outward from the snapped target on the
+        footprint's anchor-row grid; distance ties go to the lower row."""
+        y_max = self.y_max[i]
+        if y_max < 0:
+            return None
+        step = self.y_step[i]
+        t = min(max(y_target, 0), y_max)
+        t -= t % step
+        below, above = t, t + step
+        while below >= 0 or above <= y_max:
+            if below >= 0 and (above > y_max or t - below <= above - t):
+                if self.fits(i, x, below):
+                    return below
+                below -= step
+            else:
+                if self.fits(i, x, above):
+                    return above
+                above += step
+        return None
+
+    def occupancy_array(self) -> np.ndarray:
+        return self.occ.copy()
+
+    # ------------------------------------------------------------ cost
+
+    def center(self, i: int) -> tuple[float, float]:
+        p = self.pos[i]
+        assert p is not None
+        fp = self.fps[i]
+        return (p[0] + fp.width / 2.0, p[1] + fp.max_height / 2.0)
+
+    def edge_cost(self, ei: int) -> float:
+        a, b, w = self.edges[ei]
+        if self.pos[a] is None or self.pos[b] is None:
+            return 0.0
+        ax, ay = self.center(a)
+        bx, by = self.center(b)
+        return w * (abs(ax - bx) + abs(ay - by))
+
+    def incident_cost(self, i: int) -> float:
+        effw = self._effw
+        if effw is None:
+            return sum(self.edge_cost(ei) for ei in self.incident[i])
+        # Timing-aware: the same per-edge distances, weighted by the
+        # effective (HPWL + quantized timing) weights.
+        total = 0.0
+        for ei in self.incident[i]:
+            a, b, _w = self.edges[ei]
+            if self.pos[a] is None or self.pos[b] is None:
+                continue
+            ax, ay = self.center(a)
+            bx, by = self.center(b)
+            total += effw[ei] * (abs(ax - bx) + abs(ay - by))
+        return total
+
+    def wirelength(self) -> float:
+        return sum(self.edge_cost(ei) for ei in range(len(self.edges)))
+
+    def timing_cost(self) -> float:
+        tw = self._tw
+        if tw is None:
+            return 0.0
+        pos = self.pos
+        chw = self._chw
+        chh = self._chh
+        total = 0.0
+        for ei, (a, b, _w) in enumerate(self.edges):
+            wt = tw[ei]
+            if not wt:
+                continue
+            pa, pb = pos[a], pos[b]
+            if pa is None or pb is None:
+                continue
+            dx = abs((pa[0] + chw[a]) - (pb[0] + chw[b]))
+            dy = abs((pa[1] + chh[a]) - (pb[1] + chh[b]))
+            total += wt * (dx + dy)
+        return total
+
+    # ------------------------------------------------------------ route cost
+
+    def _scratch_congestion(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """From-scratch integer channel demand and total overflow.
+
+        The specification of the fast kernel's incremental overflow:
+        ``(column_demand, row_demand, overflow)`` recomputed from the
+        current positions.  All-integer, so it agrees with the
+        incremental path exactly, not approximately.  It reads only
+        positions, so ``ReferenceKernel._scratch_congestion(k)`` also
+        audits a :class:`FastKernel` ``k``.
+        """
+        route = self.route
+        col = np.zeros(route.n_col_channels, dtype=np.int64)
+        row = np.zeros(route.n_row_channels, dtype=np.int64)
+        for ei, e in enumerate(self.edges):
+            win = self._edge_window(ei)
+            if win is None:
+                continue
+            c0, c1, r0, r1 = win
+            w = e[2]
+            if c1 >= c0:
+                col[c0 : c1 + 1] += w
+            if r1 >= r0:
+                row[r0 : r1 + 1] += w
+        cap = route.capacity
+        over = int(np.maximum(col - cap, 0).sum()) + int(
+            np.maximum(row - cap, 0).sum()
+        )
+        return col, row, over
+
+    def congestion_overflow(self) -> int:
+        if not self._cong:
+            return 0
+        return self._scratch_congestion()[2]
+
+
+@contextmanager
+def reference_kernel() -> Iterator[list[ReferenceKernel]]:
+    """Every placement problem builds a :class:`ReferenceKernel` inside.
+
+    Yields the kernels built so far, so a test can check that the
+    placer it ran really reached the oracle.
+    """
+    built: list[ReferenceKernel] = []
+
+    def make(
+        problem: PlacementProblem,
+        unplaced_weight: float,
+        route: RouteCostModel | None = None,
+    ) -> ReferenceKernel:
+        k = ReferenceKernel(
+            problem.grid,
+            list(problem.names),
+            list(problem.footprints),
+            list(problem.edges),
+            unplaced_weight,
+            route,
+        )
+        built.append(k)
+        return k
+
+    with mock.patch.object(PlacementProblem, "make_kernel", make):
+        yield built
+
+
+def kernel(name: str) -> ContextManager[list]:
+    """Run the body on kernel ``name`` (one of :data:`KERNELS`)."""
+    if name not in KERNELS:
+        raise ValueError(f"unknown kernel {name!r}; choose from {KERNELS}")
+    return reference_kernel() if name == "reference" else nullcontext([])
+
+
+def build(
+    problem: PlacementProblem,
+    name: str,
+    unplaced_weight: float,
+    route: RouteCostModel | None = None,
+) -> PlacementKernel:
+    """A fresh kernel ``name`` over ``problem``."""
+    with kernel(name):
+        return problem.make_kernel(unplaced_weight, route)

@@ -238,7 +238,7 @@ class TestStitchCommand:
         out = capsys.readouterr().out
         assert "cli-stitch on xc7z020" in out
         assert "3 placed, 0 unplaced" in out
-        assert "placer=sa kernel=fast" in out
+        assert "placer=sa seed=" in out
 
     def test_evolve_runs(self, design_json, capsys):
         assert main(["place", design_json, "--placer", "ga",
@@ -263,7 +263,7 @@ class TestStitchCommand:
             == 0
         )
         out = capsys.readouterr().out
-        assert "placer=ga kernel=fast" in out
+        assert "placer=ga seed=" in out
 
     def test_temper_runs(self, design_json, capsys):
         assert main(["place", design_json, "--placer", "pt",
@@ -288,7 +288,7 @@ class TestStitchCommand:
             == 0
         )
         out = capsys.readouterr().out
-        assert "placer=pt kernel=fast" in out
+        assert "placer=pt seed=" in out
 
     def test_stitch_restarts_and_render(self, design_json, capsys):
         assert (
@@ -303,7 +303,7 @@ class TestStitchCommand:
             == 0
         )
         out = capsys.readouterr().out
-        assert "kernel=fast" in out
+        assert "placer=sa seed=" in out
         assert "#" in out  # the occupancy map
         assert "peak=" in out  # the congestion heat map
 

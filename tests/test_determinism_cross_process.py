@@ -1,7 +1,13 @@
 """Cross-process determinism: the whole pipeline must produce identical
 results in separate interpreter runs (no hidden global state, no salted
-hashing, no wall-clock)."""
+hashing, no wall-clock).
 
+Each interpreter a test compares runs under its own ``PYTHONHASHSEED``,
+so a result that depends on set or str-hash iteration order differs
+between the runs and fails the comparison.
+"""
+
+import os
 import subprocess
 import sys
 
@@ -70,7 +76,9 @@ best = place_best(SAPlacer(SAParams(max_iters=1500, seed=2)),
                   d, {"m": fp}, xc7z020(),
                   seeds=[2, 3, 4], n_workers=__N_WORKERS__)
 placement = sorted((k, v) for k, v in best.placements.items())
-payload = json.dumps([placement, best.final_cost, best.stats.seed])
+st = best.stats
+payload = json.dumps([placement, best.final_cost, st.seed, st.move_attempts,
+                      st.move_accepts, st.illegal_moves])
 print(hashlib.sha256(payload.encode()).hexdigest())
 """
 
@@ -101,7 +109,9 @@ best = place_best(GAPlacer(GAParams(move_budget=1500, seed=2)),
                   d, {"m": fp}, xc7z020(),
                   seeds=[2, 3, 4], n_workers=__N_WORKERS__)
 placement = sorted((k, v) for k, v in best.placements.items())
-payload = json.dumps([placement, best.final_cost, best.stats.seed])
+st = best.stats
+payload = json.dumps([placement, best.final_cost, st.seed, st.move_attempts,
+                      st.move_accepts, st.illegal_moves])
 print(hashlib.sha256(payload.encode()).hexdigest())
 """
 
@@ -177,12 +187,14 @@ print(hashlib.sha256(payload.encode()).hexdigest())
 """
 
 
-def _run(snippet: str = _SNIPPET) -> str:
+def _run(snippet: str, hash_seed: int) -> str:
+    """The last line ``snippet`` prints under ``PYTHONHASHSEED=hash_seed``."""
     out = subprocess.run(
         [sys.executable, "-c", snippet],
         capture_output=True,
         text=True,
         timeout=300,
+        env={**os.environ, "PYTHONHASHSEED": str(hash_seed)},
     )
     assert out.returncode == 0, out.stderr
     return out.stdout.strip().splitlines()[-1]
@@ -190,41 +202,41 @@ def _run(snippet: str = _SNIPPET) -> str:
 
 class TestCrossProcessDeterminism:
     def test_two_fresh_interpreters_agree(self):
-        assert _run() == _run()
+        assert _run(_SNIPPET, 0) == _run(_SNIPPET, 1)
 
     def test_stitch_best_worker_independent(self):
         """Same seed list => same winner, serial or parallel, any process."""
-        serial = _run(_RESTART_SNIPPET.replace("__N_WORKERS__", "0"))
-        serial_again = _run(_RESTART_SNIPPET.replace("__N_WORKERS__", "0"))
-        parallel = _run(_RESTART_SNIPPET.replace("__N_WORKERS__", "2"))
+        serial = _run(_RESTART_SNIPPET.replace("__N_WORKERS__", "0"), 0)
+        serial_again = _run(_RESTART_SNIPPET.replace("__N_WORKERS__", "0"), 1)
+        parallel = _run(_RESTART_SNIPPET.replace("__N_WORKERS__", "2"), 2)
         assert serial == serial_again == parallel
 
     def test_evolve_best_worker_independent(self):
         """GA runs are bitwise identical across processes and workers."""
-        serial = _run(_EVOLVE_SNIPPET.replace("__N_WORKERS__", "0"))
-        serial_again = _run(_EVOLVE_SNIPPET.replace("__N_WORKERS__", "0"))
-        parallel = _run(_EVOLVE_SNIPPET.replace("__N_WORKERS__", "2"))
+        serial = _run(_EVOLVE_SNIPPET.replace("__N_WORKERS__", "0"), 0)
+        serial_again = _run(_EVOLVE_SNIPPET.replace("__N_WORKERS__", "0"), 1)
+        parallel = _run(_EVOLVE_SNIPPET.replace("__N_WORKERS__", "2"), 2)
         assert serial == serial_again == parallel
 
     def test_temper_worker_independent(self):
         """One temper() run is bitwise identical across processes and
         for any chain-level worker count."""
-        serial = _run(_TEMPER_SNIPPET.replace("__N_WORKERS__", "0"))
-        serial_again = _run(_TEMPER_SNIPPET.replace("__N_WORKERS__", "0"))
-        parallel = _run(_TEMPER_SNIPPET.replace("__N_WORKERS__", "4"))
+        serial = _run(_TEMPER_SNIPPET.replace("__N_WORKERS__", "0"), 0)
+        serial_again = _run(_TEMPER_SNIPPET.replace("__N_WORKERS__", "0"), 1)
+        parallel = _run(_TEMPER_SNIPPET.replace("__N_WORKERS__", "4"), 2)
         assert serial == serial_again == parallel
 
     def test_gplace_warm_start_worker_independent(self):
         """The analytic warm start and its polish restarts are bitwise
         identical across processes and restart worker counts."""
-        serial = _run(_GPLACE_SNIPPET.replace("__N_WORKERS__", "0"))
-        serial_again = _run(_GPLACE_SNIPPET.replace("__N_WORKERS__", "0"))
-        parallel = _run(_GPLACE_SNIPPET.replace("__N_WORKERS__", "2"))
+        serial = _run(_GPLACE_SNIPPET.replace("__N_WORKERS__", "0"), 0)
+        serial_again = _run(_GPLACE_SNIPPET.replace("__N_WORKERS__", "0"), 1)
+        parallel = _run(_GPLACE_SNIPPET.replace("__N_WORKERS__", "2"), 2)
         assert serial == serial_again == parallel
 
     def test_dataset_generation_worker_independent(self):
         """Same sweep config => same labels, 1 or 4 workers, any process."""
-        serial = _run(_DATASET_SNIPPET.replace("__WORKERS__", "1"))
-        serial_again = _run(_DATASET_SNIPPET.replace("__WORKERS__", "1"))
-        parallel = _run(_DATASET_SNIPPET.replace("__WORKERS__", "4"))
+        serial = _run(_DATASET_SNIPPET.replace("__WORKERS__", "1"), 0)
+        serial_again = _run(_DATASET_SNIPPET.replace("__WORKERS__", "1"), 1)
+        parallel = _run(_DATASET_SNIPPET.replace("__WORKERS__", "4"), 2)
         assert serial == serial_again == parallel

@@ -1,8 +1,9 @@
 """Tests for the GA placer and the optimizer portfolio.
 
 The evolver must honor the same contracts the SA stitcher does — the
-shared :class:`StitchResult` shape, seeded bitwise determinism, fast/
-reference kernel equivalence, phase spans that tile the run — plus its
+shared :class:`StitchResult` shape, seeded bitwise determinism,
+equivalence with the reference kernel in ``tests/kernel_oracle.py``,
+phase spans that tile the run — plus its
 own: the kernel-operation budget is never exceeded, and at an equal
 budget it matches or beats single-seed SA on the reference fixtures
 (the perf-smoke gate checks the same on the cnvW1A1 stitch).
@@ -27,6 +28,7 @@ from repro.place.shapes import Footprint
 from repro.place_kernel import Placer, StitchResult
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import RandomLogicCloud
+from tests.kernel_oracle import reference_kernel
 
 _LL = ColumnKind.CLBLL
 _LM = ColumnKind.CLBLM
@@ -82,17 +84,13 @@ class TestEvolve:
         """Bitwise-identical GA runs on the fast and reference kernels."""
         d, fps = chain
         params = GAParams(move_budget=1200, seed=1)
-        fast = evolve(d, fps, z020, params, kernel="fast")
-        ref = evolve(d, fps, z020, params, kernel="reference")
+        fast = evolve(d, fps, z020, params)
+        with reference_kernel():
+            ref = evolve(d, fps, z020, params)
         assert fast.placements == ref.placements
         assert fast.final_cost == ref.final_cost
         assert fast.history == ref.history
         assert np.array_equal(fast.occupancy, ref.occupancy)
-
-    def test_unknown_kernel_rejected(self, chain, z020):
-        d, fps = chain
-        with pytest.raises(ValueError, match="unknown kernel"):
-            evolve(d, fps, z020, GAParams(move_budget=100), kernel="turbo")
 
     def test_spans_tile_run(self, chain, z020):
         """init + generations + repair phases tile the evolve span."""
@@ -111,7 +109,7 @@ class TestEvolve:
         d, fps = chain
         res = evolve(d, fps, z020, GAParams(move_budget=800, seed=0))
         st = res.stats
-        assert st.kernel == "fast" and st.seed == 0
+        assert st.seed == 0
         # The GA has no temperature; its (budget_used, best_cost) curve
         # is the result's history.
         assert st.temperature_trace == ()

@@ -23,7 +23,6 @@ from repro.flow.stitcher import SAParams, stitch
 from repro.obs.tracer import Tracer
 from repro.place.shapes import Footprint
 from repro.place_kernel import (
-    KERNELS,
     PlacementProblem,
     column_capacities,
     site_table,
@@ -31,6 +30,7 @@ from repro.place_kernel import (
 from repro.place_kernel.result import pareto_key
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import RandomLogicCloud
+from tests.kernel_oracle import KERNELS, build, kernel, reference_kernel
 from tests.test_place_kernel import (
     _GRID,
     _PATTERNS,
@@ -41,7 +41,7 @@ from tests.test_place_kernel import (
 _LL = ColumnKind.CLBLL
 _LM = ColumnKind.CLBLM
 
-_kernels = pytest.mark.parametrize("kernel", list(KERNELS))
+_kernels = pytest.mark.parametrize("name", list(KERNELS))
 
 
 def _design_from_specs(fp_specs):
@@ -64,13 +64,13 @@ class TestGlobalPlaceLegality:
     @_kernels
     @given(_footprints, st.integers(0, 3))
     @settings(max_examples=30, deadline=None)
-    def test_output_is_legal_and_reloadable(self, kernel, fp_specs, seed):
+    def test_output_is_legal_and_reloadable(self, name, fp_specs, seed):
         """Every gp anchor passes a fresh kernel's own fit check."""
         d, fps = _design_from_specs(fp_specs)
-        res = global_place(d, fps, _GRID, GPParams(n_iters=20, seed=seed),
-                          kernel=kernel)
+        with kernel(name):
+            res = global_place(d, fps, _GRID, GPParams(n_iters=20, seed=seed))
         problem = PlacementProblem.from_design(d, fps, _GRID)
-        kb = problem.make_kernel(kernel, 40.0)
+        kb = build(problem, name, 40.0)
         kb.load_placements(problem.names, res.placements)
         # load_placements silently skips non-fitting anchors; exact
         # equality proves none were skipped, i.e. the output is legal.
@@ -87,8 +87,9 @@ class TestGlobalPlaceLegality:
         """Both legalization kernels produce bitwise-identical results."""
         d, fps = _design_from_specs(fp_specs)
         p = GPParams(n_iters=20, seed=seed)
-        a = global_place(d, fps, _GRID, p, kernel="fast")
-        b = global_place(d, fps, _GRID, p, kernel="reference")
+        a = global_place(d, fps, _GRID, p)
+        with reference_kernel():
+            b = global_place(d, fps, _GRID, p)
         assert a.placements == b.placements
         assert a.final_cost == b.final_cost
         assert a.wirelength == b.wirelength
@@ -110,11 +111,6 @@ class TestGlobalPlaceLegality:
 
 
 class TestGlobalPlaceValidation:
-    def test_unknown_kernel_rejected(self):
-        d, fps = _design_from_specs([((_LL,), 4)])
-        with pytest.raises(ValueError, match="unknown kernel"):
-            global_place(d, fps, _GRID, kernel="turbo")
-
     @pytest.mark.parametrize("bad", [
         GPParams(n_iters=-1),
         GPParams(gamma=0.0),
@@ -206,12 +202,12 @@ class TestNearestFitY:
     @_kernels
     @given(_footprints, st.integers(0, 200), st.integers(0, 7))
     @settings(max_examples=40, deadline=None)
-    def test_result_fits_and_is_nearest(self, kernel, fp_specs, y_target,
+    def test_result_fits_and_is_nearest(self, name, fp_specs, y_target,
                                         salt):
         """nearest_fit_y returns the closest fitting row (ties lower)."""
         d, fps = _design_from_specs(fp_specs)
         problem = PlacementProblem.from_design(d, fps, _GRID)
-        kb = problem.make_kernel(kernel, 40.0)
+        kb = build(problem, name, 40.0)
         kb.greedy_initial()
         i = salt % kb.n
         xs = kb.anchors_x[i]
@@ -241,9 +237,9 @@ class TestNearestFitY:
     def test_kernels_agree(self, fp_specs, y_target, salt):
         d, fps = _design_from_specs(fp_specs)
         results = []
-        for kernel in KERNELS:
+        for name in KERNELS:
             problem = PlacementProblem.from_design(d, fps, _GRID)
-            kb = problem.make_kernel(kernel, 40.0)
+            kb = build(problem, name, 40.0)
             kb.greedy_initial()
             i = salt % kb.n
             xs = kb.anchors_x[i]
@@ -267,21 +263,21 @@ class TestSiteInfrastructure:
         assert site_table(_GRID, fp) is site_table(_GRID, fp)
         d, fps = _design_from_specs([((_LL, _LM), 6)])
         problem = PlacementProblem.from_design(d, fps, _GRID)
-        a = problem.make_kernel("fast", 40.0)
-        b = problem.make_kernel("fast", 40.0)
+        a = problem.make_kernel(40.0)
+        b = problem.make_kernel(40.0)
         assert a.tables[0] is b.tables[0]
 
     def test_cache_survives_restore_clear_cycles(self):
         """Snapshot/restore churn never invalidates the shared tables."""
         d, fps = _design_from_specs([((_LL,), 5), ((_LM,), 5)])
         problem = PlacementProblem.from_design(d, fps, _GRID)
-        kb = problem.make_kernel("fast", 40.0)
+        kb = problem.make_kernel(40.0)
         tables = list(kb.tables)
         kb.greedy_initial()
         snap = list(kb.pos)
         kb.clear()
         kb.restore(snap)
-        kb2 = problem.make_kernel("fast", 40.0)
+        kb2 = problem.make_kernel(40.0)
         assert all(x is y for x, y in zip(tables, kb2.tables))
 
     def test_distinct_grids_do_not_share(self, tiny_grid):
@@ -307,7 +303,7 @@ class TestDensityAccounting:
         d, fps = _design_from_specs([(p, 8) for p in _PATTERNS[:4]])
         res = global_place(d, fps, _GRID, GPParams(seed=0))
         problem = PlacementProblem.from_design(d, fps, _GRID)
-        kb = problem.make_kernel("fast", 40.0)
+        kb = problem.make_kernel(40.0)
         kb.load_placements(problem.names, res.placements)
         assert res.final_cost == kb.total_cost()
         assert res.wirelength == kb.wirelength()

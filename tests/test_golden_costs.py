@@ -3,7 +3,8 @@
 The SA goldens were captured on the pre-refactor stitcher (before the
 cost model moved into :mod:`repro.place_kernel`); pinning them proves
 the extraction is bitwise-neutral — same placements, costs and
-convergence for a fixed seed, on both kernels.  The GA goldens pin the
+convergence for a fixed seed, on the fast kernel and on the reference
+kernel in ``tests/kernel_oracle.py``.  The GA goldens pin the
 evolver's deterministic contract the same way.  Any change to the
 kernel's geometry, cost accounting or RNG consumption order shows up
 here first, as an exact-equality failure rather than a silent drift.
@@ -19,6 +20,7 @@ from repro.flow.tempering import PTParams, temper
 from repro.place.shapes import Footprint
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import RandomLogicCloud
+from tests.kernel_oracle import KERNELS, kernel
 
 _LL = ColumnKind.CLBLL
 _LM = ColumnKind.CLBLM
@@ -87,12 +89,12 @@ def _mixed_design(n: int) -> tuple[BlockDesign, dict[str, Footprint]]:
 
 
 @pytest.mark.parametrize("seed", sorted(_SA_GOLDEN))
-@pytest.mark.parametrize("kernel", ["fast", "reference"])
+@pytest.mark.parametrize("name", list(KERNELS))
 class TestSAGoldens:
-    def test_sa_matches_pre_refactor_golden(self, z020, seed, kernel):
+    def test_sa_matches_pre_refactor_golden(self, z020, seed, name):
         d, fps = _mixed_design(12)
-        res = stitch(d, fps, z020, SAParams(max_iters=3000, seed=seed),
-                     kernel=kernel)
+        with kernel(name):
+            res = stitch(d, fps, z020, SAParams(max_iters=3000, seed=seed))
         g = _SA_GOLDEN[seed]
         assert res.final_cost == g["final_cost"]
         assert res.wirelength == g["wirelength"]
@@ -101,12 +103,12 @@ class TestSAGoldens:
 
 
 @pytest.mark.parametrize("seed", sorted(_GA_GOLDEN))
-@pytest.mark.parametrize("kernel", ["fast", "reference"])
+@pytest.mark.parametrize("name", list(KERNELS))
 class TestGAGoldens:
-    def test_ga_matches_golden(self, z020, seed, kernel):
+    def test_ga_matches_golden(self, z020, seed, name):
         d, fps = _mixed_design(12)
-        res = evolve(d, fps, z020, GAParams(move_budget=3000, seed=seed),
-                     kernel=kernel)
+        with kernel(name):
+            res = evolve(d, fps, z020, GAParams(move_budget=3000, seed=seed))
         g = _GA_GOLDEN[seed]
         assert res.final_cost == g["final_cost"]
         assert res.wirelength == g["wirelength"]
@@ -115,16 +117,16 @@ class TestGAGoldens:
 
 
 @pytest.mark.parametrize("seed", sorted(_PT_GOLDEN))
-@pytest.mark.parametrize("kernel", ["fast", "reference"])
+@pytest.mark.parametrize("name", list(KERNELS))
 class TestPTGoldens:
-    def test_pt_matches_golden(self, z020, seed, kernel):
+    def test_pt_matches_golden(self, z020, seed, name):
         d, fps = _mixed_design(12)
-        res = temper(
-            d, fps, z020,
-            PTParams(max_iters=3000, n_chains=4, steps_per_round=100,
-                     seed=seed),
-            kernel=kernel,
-        )
+        with kernel(name):
+            res = temper(
+                d, fps, z020,
+                PTParams(max_iters=3000, n_chains=4, steps_per_round=100,
+                         seed=seed),
+            )
         g = _PT_GOLDEN[seed]
         assert res.final_cost == g["final_cost"]
         assert res.wirelength == g["wirelength"]
@@ -134,13 +136,14 @@ class TestPTGoldens:
 
 
 @pytest.mark.parametrize("seed", sorted(_GP_GOLDEN))
-@pytest.mark.parametrize("kernel", ["fast", "reference"])
+@pytest.mark.parametrize("name", list(KERNELS))
 class TestGPGoldens:
-    def test_gp_matches_golden(self, z020, seed, kernel):
+    def test_gp_matches_golden(self, z020, seed, name):
         from repro.flow.global_place import GPParams, global_place
 
         d, fps = _mixed_design(12)
-        res = global_place(d, fps, z020, GPParams(seed=seed), kernel=kernel)
+        with kernel(name):
+            res = global_place(d, fps, z020, GPParams(seed=seed))
         g = _GP_GOLDEN[seed]
         assert res.final_cost == g["final_cost"]
         assert res.wirelength == g["wirelength"]

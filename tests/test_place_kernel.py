@@ -7,7 +7,7 @@ move/repair sequences straight through the kernel API — the exact ops
 SA and GA compose (``greedy_initial``, ``try_move``/``try_place``/
 ``try_swap``, ``clear`` + genome-order re-decode, ``first_fit_fill``) —
 and assert the geometric contract after every sequence, on both the
-fast and the reference kernel:
+fast kernel and the reference kernel in ``tests/kernel_oracle.py``:
 
 * no overlap (occupancy never exceeds one anywhere);
 * anchors in bounds and on column runs matching the footprint kinds;
@@ -30,15 +30,13 @@ from repro.place.shapes import Footprint
 from repro.place_kernel import (
     HARD_KINDS,
     HARD_PITCH,
-    KERNELS,
-    PlacementKernel,
     PlacementProblem,
     UniformBuffer,
     dilate_down,
-    make_kernel,
 )
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import RandomLogicCloud
+from tests.kernel_oracle import KERNELS, ReferenceKernel, build
 
 _LL = ColumnKind.CLBLL
 _LM = ColumnKind.CLBLM
@@ -105,7 +103,7 @@ def _build(fp_specs):
 def _run_program(kernel, fp_specs, ops, seed):
     """Interpret a random op program on a fresh kernel."""
     problem = _build(fp_specs)
-    kb = problem.make_kernel(kernel, 40.0)
+    kb = build(problem, kernel, 40.0)
     kb.greedy_initial()
     u = UniformBuffer(np.random.default_rng(seed), block=256)
     for op, raw in ops:
@@ -199,7 +197,7 @@ class TestKernelLegality:
     def test_clear_then_greedy_is_idempotent(self, kernel, fp_specs, seed):
         """clear() fully unpaints: a re-decode reproduces the packing."""
         problem = _build(fp_specs)
-        kb = problem.make_kernel(kernel, 40.0)
+        kb = build(problem, kernel, 40.0)
         kb.greedy_initial()
         first = (list(kb.pos), kb.total_cost())
         kb.clear()
@@ -211,7 +209,7 @@ class TestKernelLegality:
 
 class TestLiftFreeProbe:
     """``FastKernel.fits_moved`` answers the lift/probe/put-back question
-    of the base class without lifting the block, and a rejected
+    of the reference kernel without lifting the block, and a rejected
     relocation never repaints."""
 
     #: Six identical columns, so every pair of anchors 0-2 columns apart
@@ -231,9 +229,7 @@ class TestLiftFreeProbe:
             "blk": Footprint((_LL,) * 3, (9, 0, 4)),
             "nbr": Footprint((_LL,) * 2, (5, 7)),
         }
-        kb = PlacementProblem.from_design(d, fps, self._SINGLE).make_kernel(
-            "fast", 40.0
-        )
+        kb = PlacementProblem.from_design(d, fps, self._SINGLE).make_kernel(40.0)
         kb.set_pos(1, (2, 20))
         kb.paint(1, 2, 20, +1)
         return kb
@@ -252,7 +248,7 @@ class TestLiftFreeProbe:
             kb.paint(0, *old, +1)
             before = list(kb.colmask)
             for x, y in anchors:
-                want = PlacementKernel.fits_moved(kb, 0, old, x, y)
+                want = ReferenceKernel.fits_moved(kb, 0, old, x, y)
                 assert kb.fits_moved(0, old, x, y) == want, (old, (x, y))
                 seen.add((abs(x - old[0]) < 3, want))
             assert kb.colmask == before
@@ -291,16 +287,10 @@ class TestLiftFreeProbe:
 class TestKernelPrimitives:
     def test_greedy_order_tallest_first(self):
         problem = _build([((_LL,), 30), ((_LM,), 5), ((_LL, _LM), 12)])
-        kb = problem.make_kernel("fast", 40.0)
+        kb = problem.make_kernel(40.0)
         order = kb.greedy_order()
         heights = [kb.tables[kb.table_of[i]].max_height for i in order]
         assert heights == sorted(heights, reverse=True)
-
-    def test_make_kernel_rejects_unknown(self):
-        problem = _build([((_LL,), 4)])
-        with pytest.raises(ValueError, match="unknown kernel"):
-            make_kernel("turbo", _GRID, list(problem.names),
-                        list(problem.footprints), list(problem.edges), 40.0)
 
     def test_problem_missing_footprint_raises(self):
         d = BlockDesign(name="missing")

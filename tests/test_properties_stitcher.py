@@ -1,8 +1,9 @@
 """Property-based tests for the stitcher (hypothesis).
 
-Every invariant runs against both move kernels (``fast`` and
-``reference``), so the vectorized data structures are held to the same
-geometric contract as the straightforward implementation.
+Every invariant runs against both move kernels (``fast`` and the
+``reference`` kernel in ``tests/kernel_oracle.py``), so the vectorized
+data structures are held to the same geometric contract as the
+straightforward implementation.
 """
 
 import numpy as np
@@ -13,10 +14,11 @@ from hypothesis import strategies as st
 from repro.device.column import ColumnKind
 from repro.device.grid import DeviceGrid
 from repro.flow.blockdesign import BlockDesign
-from repro.flow.stitcher import KERNELS, SAParams, stitch
+from repro.flow.stitcher import SAParams, stitch
 from repro.place.shapes import Footprint
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import RandomLogicCloud
+from tests.kernel_oracle import KERNELS, kernel
 
 _LL = ColumnKind.CLBLL
 _LM = ColumnKind.CLBLM
@@ -47,7 +49,12 @@ _footprints = st.lists(
     max_size=8,
 )
 
-_kernels = pytest.mark.parametrize("kernel", list(KERNELS))
+_kernels = pytest.mark.parametrize("name", list(KERNELS))
+
+
+def _stitch(name, d, fps, params):
+    with kernel(name):
+        return stitch(d, fps, _GRID, params)
 
 
 def _build(fp_specs):
@@ -67,18 +74,18 @@ class TestStitcherInvariants:
     @_kernels
     @given(_footprints, st.integers(0, 5))
     @settings(max_examples=25, deadline=None)
-    def test_no_overlap_ever(self, kernel, fp_specs, seed):
+    def test_no_overlap_ever(self, name, fp_specs, seed):
         d, fps = _build(fp_specs)
-        res = stitch(d, fps, _GRID, SAParams(max_iters=800, seed=seed), kernel=kernel)
+        res = _stitch(name, d, fps, SAParams(max_iters=800, seed=seed))
         assert res.occupancy.max() <= 1
 
     @_kernels
     @given(_footprints, st.integers(0, 5))
     @settings(max_examples=25, deadline=None)
-    def test_occupancy_equals_painted_footprints(self, kernel, fp_specs, seed):
+    def test_occupancy_equals_painted_footprints(self, name, fp_specs, seed):
         """The occupancy grid is exactly the sum of the placed skylines."""
         d, fps = _build(fp_specs)
-        res = stitch(d, fps, _GRID, SAParams(max_iters=800, seed=seed), kernel=kernel)
+        res = _stitch(name, d, fps, SAParams(max_iters=800, seed=seed))
         expected = np.zeros((_GRID.n_cols, _GRID.height_clbs), dtype=np.int16)
         for k in range(len(d.instances)):
             pos = res.placements[f"i{k}"]
@@ -93,10 +100,10 @@ class TestStitcherInvariants:
     @_kernels
     @given(_footprints, st.integers(0, 5))
     @settings(max_examples=25, deadline=None)
-    def test_placements_pattern_compatible(self, kernel, fp_specs, seed):
+    def test_placements_pattern_compatible(self, name, fp_specs, seed):
         """Anchors sit on matching column kinds, in bounds, pitch-aligned."""
         d, fps = _build(fp_specs)
-        res = stitch(d, fps, _GRID, SAParams(max_iters=800, seed=seed), kernel=kernel)
+        res = _stitch(name, d, fps, SAParams(max_iters=800, seed=seed))
         all_kinds = _GRID.kinds()
         for k in range(len(d.instances)):
             pos = res.placements[f"i{k}"]
@@ -112,11 +119,11 @@ class TestStitcherInvariants:
     @_kernels
     @given(_footprints, st.integers(0, 5))
     @settings(max_examples=25, deadline=None)
-    def test_cost_decomposition(self, kernel, fp_specs, seed):
+    def test_cost_decomposition(self, name, fp_specs, seed):
         """``final_cost == wirelength + unplaced_weight * unplaced_area``."""
         d, fps = _build(fp_specs)
         params = SAParams(max_iters=800, seed=seed)
-        res = stitch(d, fps, _GRID, params, kernel=kernel)
+        res = _stitch(name, d, fps, params)
         unplaced_area = sum(
             fps[d.instances[k].module].occupied_clbs
             for k in range(len(d.instances))
@@ -127,10 +134,10 @@ class TestStitcherInvariants:
     @_kernels
     @given(_footprints)
     @settings(max_examples=15, deadline=None)
-    def test_deterministic_across_runs(self, kernel, fp_specs):
+    def test_deterministic_across_runs(self, name, fp_specs):
         d, fps = _build(fp_specs)
-        a = stitch(d, fps, _GRID, SAParams(max_iters=500, seed=7), kernel=kernel)
-        b = stitch(d, fps, _GRID, SAParams(max_iters=500, seed=7), kernel=kernel)
+        a = _stitch(name, d, fps, SAParams(max_iters=500, seed=7))
+        b = _stitch(name, d, fps, SAParams(max_iters=500, seed=7))
         assert a.placements == b.placements
 
     @given(_footprints, st.integers(0, 3))
@@ -139,8 +146,8 @@ class TestStitcherInvariants:
         """Random designs: both kernels produce the identical result."""
         d, fps = _build(fp_specs)
         params = SAParams(max_iters=600, seed=seed)
-        fast = stitch(d, fps, _GRID, params, kernel="fast")
-        ref = stitch(d, fps, _GRID, params, kernel="reference")
+        fast = _stitch("fast", d, fps, params)
+        ref = _stitch("reference", d, fps, params)
         assert fast.placements == ref.placements
         assert fast.final_cost == ref.final_cost
         assert fast.history == ref.history

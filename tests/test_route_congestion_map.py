@@ -142,15 +142,16 @@ class TestChannelCrossingRegression:
         """The map and the in-loop congestion term count the same wires."""
         from repro.place_kernel.problem import PlacementProblem
         from repro.place_kernel.route_cost import build_route_model
+        from tests.kernel_oracle import ReferenceKernel
 
         d, fps = _chain_design(8)
         res = stitch(d, fps, z020, SAParams(max_iters=3000, seed=2))
         cmap = congestion_map(d, fps, res, z020)
         problem = PlacementProblem.from_design(d, fps, z020)
         route = build_route_model(problem, congestion_weight=1.0)
-        st = problem.make_kernel("fast", 1.0, route)
+        st = problem.make_kernel(1.0, route)
         st.load_placements(problem.names, res.placements)
-        col, row, _over = st._scratch_congestion()
+        col, row, _over = ReferenceKernel._scratch_congestion(st)
         assert np.array_equal(cmap.column_demand, col)
         assert np.array_equal(cmap.row_demand, row)
 

@@ -5,8 +5,8 @@ The contract under test (see :mod:`repro.place_kernel.route_cost`):
 * the fast kernel's incremental channel-demand/overflow state equals a
   from-scratch recompute after *any* program of moves, swaps, clears and
   restores — bitwise, not approximately;
-* the fast and reference kernels agree bitwise on every cost term with
-  the route model enabled;
+* the fast kernel and the reference kernel in ``tests/kernel_oracle.py``
+  agree bitwise on every cost term with the route model enabled;
 * both weights at 0.0 disable the model entirely (``build_route_model``
   returns ``None``) and the stitcher's results stay byte-identical to
   the pure-HPWL path.
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.device.column import ColumnKind
 from repro.device.grid import DeviceGrid
 from repro.flow.blockdesign import BlockDesign
-from repro.flow.stitcher import KERNELS, SAParams, stitch
+from repro.flow.stitcher import SAParams, stitch
 from repro.place.shapes import Footprint
 from repro.place_kernel.problem import PlacementProblem
 from repro.place_kernel.route_cost import (
@@ -33,6 +33,7 @@ from repro.place_kernel.route_cost import (
 from repro.place_kernel.uniform import UniformBuffer
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import RandomLogicCloud
+from tests.kernel_oracle import KERNELS, ReferenceKernel, build, kernel, reference_kernel
 
 _LL = ColumnKind.CLBLL
 _LM = ColumnKind.CLBLM
@@ -43,7 +44,7 @@ _GRID = DeviceGrid.from_kinds(
     n_regions=1,
 )
 
-_kernels = pytest.mark.parametrize("kernel", list(KERNELS))
+_kernels = pytest.mark.parametrize("name", list(KERNELS))
 
 
 def _chain(n: int, feedback: bool = False):
@@ -148,9 +149,9 @@ class TestBuildRouteModel:
             assert w * 1024.0 == round(w * 1024.0)
 
 
-def _run_program(kernel, problem, route, ops, seed):
+def _run_program(name, problem, route, ops, seed):
     """Drive one kernel through a deterministic op program."""
-    k = problem.make_kernel(kernel, 1.0, route)
+    k = build(problem, name, 1.0, route)
     u = UniformBuffer(np.random.default_rng(seed), 128)
     k.greedy_initial()
     for kind, a, b in ops:
@@ -191,7 +192,7 @@ class TestIncrementalCongestion:
             capacity=4,
         )
         k = _run_program("fast", problem, route, ops, seed)
-        col, row, over = k._scratch_congestion()
+        col, row, over = ReferenceKernel._scratch_congestion(k)
         assert k._ovf == over
         assert np.array_equal(k._col_dem, col)
         assert np.array_equal(k._row_dem, row)
@@ -218,7 +219,7 @@ class TestIncrementalCongestion:
     def test_clear_zeroes_demand(self):
         problem = _problem(5)
         route = build_route_model(problem, congestion_weight=1.0, capacity=4)
-        k = problem.make_kernel("fast", 1.0, route)
+        k = problem.make_kernel(1.0, route)
         k.greedy_initial()
         assert k._ovf > 0  # tight capacity: the packed chain overflows
         k.clear()
@@ -229,7 +230,7 @@ class TestIncrementalCongestion:
     def test_restore_reconstructs_demand(self):
         problem = _problem(5)
         route = build_route_model(problem, congestion_weight=1.0, capacity=4)
-        k = problem.make_kernel("fast", 1.0, route)
+        k = problem.make_kernel(1.0, route)
         k.greedy_initial()
         snap = list(k.pos)
         before = (k._ovf, k._col_dem.copy(), k._row_dem.copy())
@@ -242,20 +243,21 @@ class TestIncrementalCongestion:
 
 class TestStitcherIntegration:
     @_kernels
-    def test_zero_weights_byte_identical(self, kernel):
+    def test_zero_weights_byte_identical(self, name):
         """weights == 0.0 must not perturb the historical SA path."""
         d, fps = _chain(8)
-        base = stitch(d, fps, _GRID, SAParams(max_iters=2000, seed=3), kernel=kernel)
-        routed = stitch(
-            d,
-            fps,
-            _GRID,
-            SAParams(
-                max_iters=2000, seed=3, congestion_weight=0.0, timing_weight=0.0
-            ),
-            kernel=kernel,
-            module_delays={"m": 2.0},
-        )
+        with kernel(name):
+            base = stitch(d, fps, _GRID, SAParams(max_iters=2000, seed=3))
+            routed = stitch(
+                d,
+                fps,
+                _GRID,
+                SAParams(
+                    max_iters=2000, seed=3, congestion_weight=0.0,
+                    timing_weight=0.0,
+                ),
+                module_delays={"m": 2.0},
+            )
         assert routed.placements == base.placements
         assert routed.final_cost == base.final_cost
         assert routed.history == base.history
@@ -263,14 +265,13 @@ class TestStitcherIntegration:
         assert routed.timing_cost == 0.0
 
     @_kernels
-    def test_cost_decomposition_with_route_terms(self, kernel):
+    def test_cost_decomposition_with_route_terms(self, name):
         d, fps = _chain(8, feedback=True)
         params = SAParams(
             max_iters=2000, seed=1, congestion_weight=0.25, timing_weight=0.5
         )
-        res = stitch(
-            d, fps, _GRID, params, kernel=kernel, module_delays={"m": 2.0}
-        )
+        with kernel(name):
+            res = stitch(d, fps, _GRID, params, module_delays={"m": 2.0})
         unplaced_area = sum(
             fps[d.instances[k].module].occupied_clbs
             for k in range(len(d.instances))
@@ -288,10 +289,9 @@ class TestStitcherIntegration:
         params = SAParams(
             max_iters=2000, seed=5, congestion_weight=0.25, timing_weight=0.5
         )
-        fast = stitch(d, fps, _GRID, params, kernel="fast",
-                      module_delays={"m": 2.0})
-        ref = stitch(d, fps, _GRID, params, kernel="reference",
-                     module_delays={"m": 2.0})
+        fast = stitch(d, fps, _GRID, params, module_delays={"m": 2.0})
+        with reference_kernel():
+            ref = stitch(d, fps, _GRID, params, module_delays={"m": 2.0})
         assert fast.placements == ref.placements
         assert fast.final_cost == ref.final_cost
         assert fast.congestion_cost == ref.congestion_cost

@@ -1,11 +1,12 @@
 """Fast-vs-reference kernel equivalence.
 
-The vectorized kernel must be a drop-in replacement: for a fixed seed it
-produces bitwise-identical placements, costs and history on designs of
-several sizes.  This holds exactly (not approximately) because both
-kernels share the driver's batched random stream and, with integer edge
-widths, every HPWL term is a dyadic rational that float64 evaluates
-exactly in any summation order.
+The bitmask kernel must reproduce the reference kernel in
+``tests/kernel_oracle.py``: for a fixed seed it produces
+bitwise-identical placements, costs and history on designs of several
+sizes.  This holds exactly (not approximately) because both kernels
+share the driver's batched random stream and, with integer edge widths,
+every HPWL term is a dyadic rational that float64 evaluates exactly in
+any summation order.
 """
 
 import numpy as np
@@ -14,10 +15,14 @@ import pytest
 from repro.device.column import ColumnKind
 from repro.device.grid import DeviceGrid
 from repro.flow.blockdesign import BlockDesign
+from repro.flow.evolve import GAParams, evolve
+from repro.flow.global_place import GPParams, global_place
 from repro.flow.stitcher import SAParams, stitch
+from repro.flow.tempering import PTParams, temper
 from repro.place.shapes import Footprint
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import RandomLogicCloud
+from tests.kernel_oracle import ReferenceKernel, reference_kernel
 
 _LL = ColumnKind.CLBLL
 _LM = ColumnKind.CLBLM
@@ -82,8 +87,9 @@ class TestKernelEquivalence:
     def test_identical_results(self, z020, n_instances, seed):
         d, fps = _mixed_design(n_instances)
         params = SAParams(max_iters=3000, seed=seed)
-        fast = stitch(d, fps, z020, params, kernel="fast")
-        ref = stitch(d, fps, z020, params, kernel="reference")
+        fast = stitch(d, fps, z020, params)
+        with reference_kernel():
+            ref = stitch(d, fps, z020, params)
         assert fast.placements == ref.placements
         assert fast.final_cost == ref.final_cost
         assert fast.wirelength == ref.wirelength
@@ -99,9 +105,9 @@ class TestKernelEquivalence:
         """Move/accept counters are part of the shared driver contract."""
         d, fps = _mixed_design(n_instances)
         params = SAParams(max_iters=1500, seed=seed)
-        fast = stitch(d, fps, z020, params, kernel="fast").stats
-        ref = stitch(d, fps, z020, params, kernel="reference").stats
-        assert fast.kernel == "fast" and ref.kernel == "reference"
+        fast = stitch(d, fps, z020, params).stats
+        with reference_kernel():
+            ref = stitch(d, fps, z020, params).stats
         for name in (
             "move_attempts",
             "place_attempts",
@@ -130,8 +136,9 @@ class TestGridShapeEquivalence:
         grid, fps = _GRID_CASES[case]
         d = _case_design(fps)
         params = SAParams(max_iters=2000, seed=seed)
-        fast = stitch(d, fps, grid, params, kernel="fast")
-        ref = stitch(d, fps, grid, params, kernel="reference")
+        fast = stitch(d, fps, grid, params)
+        with reference_kernel():
+            ref = stitch(d, fps, grid, params)
         assert fast.placements == ref.placements
         assert fast.final_cost == ref.final_cost
         assert fast.wirelength == ref.wirelength
@@ -157,10 +164,23 @@ class TestGridShapeEquivalence:
 
 
 class TestKernelSelection:
-    def test_unknown_kernel_rejected(self, z020):
-        d, fps = _mixed_design(2)
-        with pytest.raises(ValueError, match="unknown kernel"):
-            stitch(d, fps, z020, SAParams(max_iters=100), kernel="turbo")
+    @pytest.mark.parametrize(
+        "place",
+        [
+            lambda d, fps, g: stitch(d, fps, g, SAParams(max_iters=100)),
+            lambda d, fps, g: evolve(d, fps, g, GAParams(move_budget=100)),
+            lambda d, fps, g: temper(d, fps, g, PTParams(max_iters=100)),
+            lambda d, fps, g: global_place(d, fps, g, GPParams(n_iters=5)),
+        ],
+        ids=["stitch", "evolve", "temper", "global_place"],
+    )
+    def test_oracle_reaches_placer(self, z020, place):
+        """Inside ``reference_kernel()`` every placer runs on the oracle,
+        so the equivalence tests really compare two kernels."""
+        d, fps = _mixed_design(4)
+        with reference_kernel() as built:
+            place(d, fps, z020)
+        assert built and all(type(k) is ReferenceKernel for k in built)
 
     def test_crowded_device_equivalence(self, tiny_grid):
         """Equivalence holds when most moves are illegal (full device)."""
@@ -172,8 +192,9 @@ class TestKernelSelection:
         for i in range(7):
             d.connect(f"i{i}", f"i{i + 1}", width=2)
         params = SAParams(max_iters=2000, seed=1)
-        fast = stitch(d, fps, tiny_grid, params, kernel="fast")
-        ref = stitch(d, fps, tiny_grid, params, kernel="reference")
+        fast = stitch(d, fps, tiny_grid, params)
+        with reference_kernel():
+            ref = stitch(d, fps, tiny_grid, params)
         assert fast.placements == ref.placements
         assert fast.final_cost == ref.final_cost
         assert fast.history == ref.history

@@ -78,18 +78,6 @@ class TestStitchBest:
         best = place_best(SAPlacer(params), d, fps, z020, n_seeds=3)
         assert best.stats.seed in (7, 8, 9)
 
-    def test_kernel_forwarded(self, chain, z020):
-        d, fps = chain
-        params = SAParams(max_iters=800, seed=0)
-        fast = place_best(SAPlacer(params, kernel="fast"), d, fps, z020,
-                          n_seeds=2)
-        ref = place_best(SAPlacer(params, kernel="reference"), d, fps, z020,
-                         n_seeds=2)
-        assert fast.stats.kernel == "fast"
-        assert ref.stats.kernel == "reference"
-        assert fast.placements == ref.placements
-        assert fast.final_cost == ref.final_cost
-
     def test_invalid_arguments(self, chain, z020):
         d, fps = chain
         with pytest.raises(ValueError, match="n_seeds"):
@@ -179,7 +167,7 @@ class TestParetoWinner:
         from repro.flow.stitcher import StitchResult, StitchStats
 
         stats = StitchStats(
-            kernel="fast", seed=seed, move_attempts=0, place_attempts=0,
+            seed=seed, move_attempts=0, place_attempts=0,
             swap_attempts=0, move_accepts=0, place_accepts=0,
             swap_accepts=0, illegal_moves=0,
         )
@@ -197,7 +185,7 @@ class TestParetoWinner:
             1: self._fake_result(1, n_unplaced=0, cost=100.0),
         }
 
-        def fake_stitch(design, footprints, grid, params, *, kernel="fast",
+        def fake_stitch(design, footprints, grid, params, *,
                         initial_placements=None, module_delays=None,
                         tracer=None):
             return results[params.seed]
@@ -218,7 +206,7 @@ class TestParetoWinner:
             2: self._fake_result(2, n_unplaced=0, cost=70.0),
         }
 
-        def fake_stitch(design, footprints, grid, params, *, kernel="fast",
+        def fake_stitch(design, footprints, grid, params, *,
                         initial_placements=None, module_delays=None,
                         tracer=None):
             return results[params.seed]
@@ -235,7 +223,7 @@ class TestParetoWinner:
             4: self._fake_result(4, n_unplaced=0, cost=75.0),
         }
 
-        def fake_stitch(design, footprints, grid, params, *, kernel="fast",
+        def fake_stitch(design, footprints, grid, params, *,
                         initial_placements=None, module_delays=None,
                         tracer=None):
             return results[params.seed]

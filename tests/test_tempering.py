@@ -2,12 +2,12 @@
 
 The tempering driver must honor every contract the SA stitcher and GA
 evolver do — the shared :class:`StitchResult` shape, seeded bitwise
-determinism, fast/reference kernel equivalence, phase spans that tile
-the run — plus its own: the result is bitwise identical for *any*
-``n_workers`` value (rounds are the synchronization unit), and the
-chains together spend exactly ``PTParams.max_iters`` kernel operations
-so tempering costs are directly comparable to ``stitch``/``evolve`` at
-an equal budget.
+determinism, equivalence with the reference kernel in
+``tests/kernel_oracle.py``, phase spans that tile the run — plus its
+own: the result is bitwise identical for *any* ``n_workers`` value
+(rounds are the synchronization unit), and the chains together spend
+exactly ``PTParams.max_iters`` kernel operations so tempering costs are
+directly comparable to ``stitch``/``evolve`` at an equal budget.
 """
 
 import numpy as np
@@ -23,6 +23,7 @@ from repro.place.shapes import Footprint
 from repro.place_kernel import StitchResult
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import RandomLogicCloud
+from tests.kernel_oracle import reference_kernel
 
 _LL = ColumnKind.CLBLL
 _LM = ColumnKind.CLBLM
@@ -108,8 +109,9 @@ class TestTemper:
     def test_kernel_equivalence(self, chain, z020):
         """Bitwise-identical tempering on the fast and reference kernels."""
         d, fps = chain
-        fast = temper(d, fps, z020, _PARAMS, kernel="fast")
-        ref = temper(d, fps, z020, _PARAMS, kernel="reference")
+        fast = temper(d, fps, z020, _PARAMS)
+        with reference_kernel():
+            ref = temper(d, fps, z020, _PARAMS)
         assert _key(fast) == _key(ref)
         assert np.array_equal(fast.occupancy, ref.occupancy)
 
@@ -140,11 +142,6 @@ class TestTemper:
         )
         assert res.n_placed + res.n_unplaced == 12
         assert tr.roots[0].attrs["n_exchange_accepts"] == 0
-
-    def test_unknown_kernel_rejected(self, chain, z020):
-        d, fps = chain
-        with pytest.raises(ValueError, match="unknown kernel"):
-            temper(d, fps, z020, _PARAMS, kernel="turbo")
 
     @pytest.mark.parametrize(
         "bad, match",
@@ -187,7 +184,7 @@ class TestTemperSpans:
         d, fps = chain
         res = temper(d, fps, z020, _PARAMS)
         st = res.stats
-        assert st.kernel == "fast" and st.seed == 0
+        assert st.seed == 0
         # The temperature trace is the coldest chain's cooling curve.
         ops = [op for op, _t in st.temperature_trace]
         temps = [t for _op, t in st.temperature_trace]
