@@ -149,7 +149,30 @@ def test_perf_stitch_small(benchmark, grid):
     assert result.n_unplaced == 0
 
 
-def test_perf_stitch_fast_vs_reference(grid):
+def _cnv_case(grid) -> tuple[BlockDesign, dict[str, Footprint]]:
+    """cnvW1A1 pre-implemented at CF 1.3, less its infeasible modules.
+
+    On the xc7z020 the footprints crowd the device: most blocks stay
+    unplaced and most place attempts find no site anywhere.
+    """
+    from repro.cnv import cnv_design
+    from repro.flow.policy import FixedCF
+    from repro.flow.preimpl import implement_design
+
+    design = cnv_design()
+    pre = implement_design(design, grid, FixedCF(1.3))
+    footprints = {
+        name: impl.outcome.result.footprint
+        for name, impl in pre.items()
+        if impl.outcome.result.footprint is not None
+    }
+    if any(i.module not in footprints for i in design.instances):
+        design = design.subset(set(footprints))
+    return design, footprints
+
+
+@pytest.mark.parametrize("case", ["chain", "crowded"])
+def test_perf_stitch_fast_vs_reference(grid, case):
     """The fast kernel must beat the reference kernel on the same run.
 
     This is the CI perf-smoke gate: it fails if a regression makes the
@@ -159,10 +182,12 @@ def test_perf_stitch_fast_vs_reference(grid):
     covers every draw-dependent output: a fast path that skips or
     double-counts a probe shows in the history, the illegal-move count
     or an attempt/accept counter even when the placement survives.
+    The 40-macro chain places every block; the crowded cnvW1A1 case is
+    where the fast kernel skips place attempts it knows must miss.
     """
     import time
 
-    d, fps = _stitch_case()
+    d, fps = _stitch_case() if case == "chain" else _cnv_case(grid)
     params = SAParams(max_iters=2000, seed=0)
 
     def best_of(name: str, results: list) -> float:
@@ -179,6 +204,7 @@ def test_perf_stitch_fast_vs_reference(grid):
     t_fast = best_of("fast", fast_results)
     t_ref = best_of("reference", ref_results)
     fast, ref = fast_results[0], ref_results[0]
+    assert (fast.n_unplaced > 0) == (case == "crowded")
     assert fast.placements == ref.placements
     assert fast.final_cost == ref.final_cost
     assert fast.history == ref.history
@@ -208,21 +234,9 @@ def test_perf_ga_vs_sa_equal_budget(grid):
     import os
     import time
 
-    from repro.cnv import cnv_design
     from repro.flow.evolve import GAParams, evolve
-    from repro.flow.policy import FixedCF
-    from repro.flow.preimpl import implement_design
 
-    design = cnv_design()
-    pre = implement_design(design, grid, FixedCF(1.3))
-    footprints = {
-        name: impl.outcome.result.footprint
-        for name, impl in pre.items()
-        if impl.outcome.result.footprint is not None
-    }
-    if any(i.module not in footprints for i in design.instances):
-        design = design.subset(set(footprints))
-
+    design, footprints = _cnv_case(grid)
     budget = int(os.environ.get("REPRO_BENCH_GA_BUDGET", "4000"))
     t0 = time.perf_counter()
     sa = stitch(design, footprints, grid, SAParams(max_iters=budget, seed=0))

@@ -30,7 +30,16 @@ from repro.analysis.exp_resolution import run_resolution_study
 from repro.analysis.exp_table1 import run_fig3_footprints, run_table1
 from repro.flow.stitcher import SAParams
 
-__all__ = ["generate_report"]
+__all__ = ["generate_report", "report_command"]
+
+
+def report_command(ctx: ExperimentContext, sa: SAParams) -> str:
+    """The ``repro report`` command line that regenerates a report made
+    with ``ctx`` and ``sa``."""
+    return (
+        f"python -m repro report -n {ctx.n_modules} --rf-trees {ctx.rf_trees}"
+        f" --sa-iters {sa.max_iters} --seed {ctx.seed}"
+    )
 
 
 def generate_report(
@@ -227,6 +236,6 @@ def generate_report(
 
     out.write(
         f"\n---\nGenerated in {time.perf_counter() - t_start:.0f}s by "
-        "`python -m repro report`.\n"
+        f"`{report_command(ctx, sa)}`.\n"
     )
     return out.getvalue()

@@ -248,21 +248,41 @@ class ModuleCache:
             self.stats.mem_hits += 1
             return entry
         if self.cache_dir is not None:
-            path = self._path(key)
-            try:
-                with open(path, "rb") as fh:
-                    entry = pickle.load(fh)
-            except Exception:  # missing, unreadable or corrupt entry
-                entry = None
-            if isinstance(entry, kind):
+            entry = self._load(self._path(key), kind)
+            if entry is not None:
                 self._mem[key] = entry
                 self.stats.disk_hits += 1
                 return entry
-            try:  # drop it so the next run rebuilds it
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
         self.stats.misses += 1
+        return None
+
+    @staticmethod
+    def _load(path: Path, kind: type) -> Any:
+        """The ``kind`` entry stored at ``path``, else ``None``.
+
+        An absent file is a plain miss and is left alone: a concurrent
+        :meth:`put` may be about to rename its entry into place.  An
+        entry that exists but is unreadable, corrupt or of another type
+        is removed, so the next run rebuilds it.
+        """
+        try:
+            fh = open(path, "rb")
+        except FileNotFoundError:
+            return None
+        except OSError:
+            entry = None
+        else:
+            with fh:
+                try:
+                    entry = pickle.load(fh)
+                except Exception:  # unpickling runs arbitrary constructors
+                    entry = None
+        if isinstance(entry, kind):
+            return entry
+        try:
+            path.unlink(missing_ok=True)
+        except OSError:
+            pass
         return None
 
     def put(self, key: str, entry: Any) -> None:

@@ -133,12 +133,13 @@ def _decode(st: PlacementKernel, g: _Genome, budget: _Budget) -> float:
     Each instance tries its preferred column first and then the
     remaining compatible columns in rotation (the repair scan), taking
     the lowest fitting row in the first column that accepts it.
-    Instances with no legal site stay unplaced (penalized by cost).
+    Instances with no legal site stay unplaced (penalized by cost); a
+    footprint known to fit nowhere is not scanned again.
     """
     st.clear()
     for i in g.perm:
         xs = st.anchors_x[i]
-        if not xs or st.y_max[i] < 0:
+        if not xs or st.y_max[i] < 0 or st.fits_nowhere(i):
             continue
         start = g.cols[i] % len(xs)
         for k in range(len(xs)):
@@ -148,6 +149,8 @@ def _decode(st: PlacementKernel, g: _Genome, budget: _Budget) -> float:
                 st.set_pos(i, (x, y))
                 st.paint(i, x, y, +1)
                 break
+        else:
+            st.note_fits_nowhere(i)
     budget.charge(max(1, st.n))
     return st.total_cost()
 

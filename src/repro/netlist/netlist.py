@@ -136,10 +136,15 @@ class NetlistBuilder:
     def add_carry_chain(self, bits: int, fanout: int = 1) -> int:
         """Add a carry chain of ``bits`` bits (one CARRY4 per started
         4-bit segment) and its output net; returns the chain id."""
-        check_positive(bits, "bits")
-        self._add_outputs(1, fanout)
-        self._carry_chains.append(bits)
+        self.add_carry_chains(1, bits, fanout=fanout)
         return len(self._carry_chains) - 1
+
+    def add_carry_chains(self, n: int, bits: int, fanout: int = 1) -> None:
+        """Add ``n`` identical carry chains, in order after the chains
+        added so far."""
+        check_positive(bits, "bits")
+        self._add_outputs(n, fanout)
+        self._carry_chains.extend([bits] * n)
 
     def add_srl(self, cs_index: int, depth: int = 16, fanout: int = 1) -> None:
         """Add one shift-register LUT (M-slice site)."""

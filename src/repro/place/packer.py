@@ -20,9 +20,9 @@ features — bounding estimator accuracy away from zero, as in the paper.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 from repro.device.resources import LUTS_PER_SLICE, LUTRAM_PER_MSLICE
 from repro.netlist.stats import NetlistStats
@@ -38,7 +38,7 @@ from repro.utils.rng import module_noise, stream
 if TYPE_CHECKING:  # import only for annotations: pblock imports place
     from repro.pblock.pblock import PBlock
 
-__all__ = ["PackResult", "pack", "placer_noise_amplitude"]
+__all__ = ["PackResult", "pack", "pack_chains", "placer_noise_amplitude"]
 
 #: Amplitude of the deterministic per-module demand noise.
 _NOISE_HI = 0.07
@@ -157,19 +157,12 @@ def pack(stats: NetlistStats, pblock: PBlock) -> PackResult:
     # Carry-chain geometry (paper §V-C): first-fit-decreasing into the
     # PBlock's slice columns.
     height = pblock.height  # slices per slice column
-    chains = sorted(stats.carry_chain_slices, reverse=True)
-    if chains and chains[0] > height:
-        return PackResult(False, reason="chain_height")
-    n_slice_cols = pblock.n_slice_cols
+    chains = stats.carry_chain_slices
     if chains:
-        col_free = [height] * n_slice_cols
-        for chain in chains:
-            for i, free in enumerate(col_free):
-                if free >= chain:
-                    col_free[i] = free - chain
-                    break
-            else:
-                return PackResult(False, reason="chain_packing", demand_slices=sum(chains))
+        if max(chains) > height:
+            return PackResult(False, reason="chain_height")
+        if pack_chains(Counter(chains), height, pblock.n_slice_cols) is None:
+            return PackResult(False, reason="chain_packing", demand_slices=sum(chains))
 
     demand = slice_demand(stats)
 
@@ -202,6 +195,33 @@ def pack(stats: NetlistStats, pblock: PBlock) -> PackResult:
         utilization=used / caps.slices if caps.slices else 0.0,
         footprint=footprint,
     )
+
+
+def pack_chains(
+    counts: Mapping[int, int], height: int, n_cols: int
+) -> list[int] | None:
+    """First-fit-decreasing of carry chains into slice columns.
+
+    ``counts`` maps a chain length (slices) to how many chains have it;
+    each of the ``n_cols`` columns holds ``height`` slices.  Returns the
+    free slices left per column, or ``None`` when some chain fits in no
+    column.  Equal chains fill each column in turn, so one length at a
+    time a column takes ``min(left, free // length)`` of them: the
+    packing a chain-by-chain first fit makes, at a cost of distinct
+    lengths times columns instead of chains times columns.
+    """
+    col_free = [height] * n_cols
+    for length, left in sorted(counts.items(), reverse=True):
+        for i, free in enumerate(col_free):
+            if free >= length:
+                take = left if length == 0 else min(left, free // length)
+                col_free[i] = free - take * length
+                left -= take
+                if not left:
+                    break
+        else:
+            return None
+    return col_free
 
 
 def _build_footprint(stats: NetlistStats, pblock: PBlock, demand: int) -> Footprint:

@@ -23,7 +23,7 @@ hard-block pitch) are enforced across optimizers by
 ``tests/test_place_kernel.py``.
 """
 
-from repro.place_kernel.kernel import FastKernel, PlacementKernel
+from repro.place_kernel.kernel import PLACE_PROBES, FastKernel, PlacementKernel
 from repro.place_kernel.problem import PlacementProblem
 from repro.place_kernel.protocol import Placer
 from repro.place_kernel.result import StitchResult, StitchStats
@@ -39,7 +39,6 @@ from repro.place_kernel.sites import (
     HARD_PITCH,
     SiteTable,
     column_capacities,
-    dilate_down,
     site_table,
 )
 from repro.place_kernel.uniform import UniformBuffer
@@ -48,6 +47,7 @@ __all__ = [
     "CHANNEL_CAPACITY",
     "HARD_KINDS",
     "HARD_PITCH",
+    "PLACE_PROBES",
     "FastKernel",
     "Placer",
     "PlacementKernel",
@@ -60,7 +60,6 @@ __all__ = [
     "build_route_model",
     "channel_window",
     "column_capacities",
-    "dilate_down",
     "edge_criticality",
     "site_table",
 ]

@@ -5,17 +5,28 @@ incremental HPWL and greedy packing over per-column occupancy bitmasks
 stored as Python big-ints.  An overlap probe is one shift+AND per
 column; a relocation probe masks out the block's own rows instead of
 lifting the block, so a rejected move never repaints; the greedy packer
-finds the lowest legal row with a logarithmic bit dilation instead of a
-row scan.  Compatible-site tables are shared by every instance of a
-module, and instance centers live in Python lists that the per-move cost
-deltas read directly.
+finds the lowest legal row with a logarithmic bit dilation (each site
+table holds the shift schedule per column) instead of a row scan.
+Compatible-site tables are shared by every instance of a module, and
+instance centers live in Python lists that the per-move cost deltas
+read directly.
+
+On a crowded device most place attempts and packing scans look for a
+footprint that fits nowhere.  :class:`FastKernel` remembers that
+*verdict* per site table until a cell is freed (painting more cells
+cannot make a footprint fit), and every scan it answers is skipped: a
+place attempt consumes its probes' draws unread and counts their
+misses, and the packers (``greedy_initial``, ``first_fit_fill``, the
+GA's decode) pass the instance by.  A verdict is exact: it stands only
+when every anchor row a place attempt can draw fails ``fits``.
 
 :class:`PlacementKernel` holds everything that draws, decides or counts,
 once, and leaves the primitives abstract.  The tests subclass it with
 the original straightforward primitives (numpy occupancy slicing,
-lift/probe/put-back relocation probes, per-edge Python sums):
-``tests/kernel_oracle.py`` is the executable specification the fast
-kernel is tested against.  Both draw from the same batched uniform
+lift/probe/put-back relocation probes, per-edge Python sums) and no
+verdicts: ``tests/kernel_oracle.py`` is the executable specification
+the fast kernel is tested against, and it probes every attempt the
+fast kernel skips.  Both draw from the same batched uniform
 stream (see :class:`~repro.place_kernel.uniform.UniformBuffer`), so a
 fixed seed produces identical placements, costs and history on either —
 enforced by ``tests/test_stitcher_equivalence.py``.  With the integer
@@ -41,10 +52,14 @@ import numpy as np
 from repro.device.grid import DeviceGrid
 from repro.place.shapes import Footprint
 from repro.place_kernel.route_cost import RouteCostModel
-from repro.place_kernel.sites import SiteTable, dilate_down, site_table, site_tables
+from repro.place_kernel.sites import SiteTable, site_table, site_tables
 from repro.place_kernel.uniform import UniformBuffer
 
-__all__ = ["FastKernel", "PlacementKernel", "run_move_batch"]
+__all__ = ["PLACE_PROBES", "FastKernel", "PlacementKernel", "run_move_batch"]
+
+#: Random sites one place attempt probes; each probe draws a column and
+#: a row, so an attempt consumes ``2 * PLACE_PROBES`` draws.
+PLACE_PROBES = 8
 
 
 class PlacementKernel:
@@ -53,12 +68,13 @@ class PlacementKernel:
     Subclasses provide the geometry/cost primitives (``fits``,
     ``fits_moved``, ``paint``, ``set_pos``, ``incident_cost``,
     ``wirelength``, ``timing_cost``, ``congestion_overflow``,
-    ``lowest_fit_y``, ``nearest_fit_y``, ``occupancy_array``);
-    everything that touches the random stream or decides moves lives
-    here, once, so :class:`FastKernel` and the reference kernel the
-    tests hold it to behave identically regardless of which optimizer
-    drives them.  A primitive answers a geometry or cost question and
-    nothing else: it never draws, decides or counts.
+    ``lowest_fit_y``, ``nearest_fit_y``, ``occupancy_array``) and may
+    keep per-footprint verdicts (``fits_nowhere``, ``note_fits_nowhere``,
+    ``check_fits_nowhere``); everything that touches the random stream
+    or decides moves lives here, once, so :class:`FastKernel` and the
+    reference kernel the tests hold it to behave identically regardless
+    of which optimizer drives them.  A primitive answers a geometry or
+    cost question and nothing else: it never draws, decides or counts.
     """
 
     def __init__(
@@ -184,6 +200,31 @@ class PlacementKernel:
     def occupancy_array(self) -> np.ndarray:
         raise NotImplementedError
 
+    # ------------------------------------------------------------ verdicts
+    # A verdict records that a footprint fits at no anchor site on the
+    # current occupancy: every ``(x, y)`` a place attempt can draw fails
+    # ``fits``, and ``lowest_fit_y`` is ``None`` in every anchor column.
+    # The scans below skip what a standing verdict already answers.
+    # This base keeps no verdicts, so the reference kernel still probes
+    # everything and the equivalence tests compare skips with probes.
+
+    def fits_nowhere(self, i: int) -> bool:
+        """Is ``i``'s footprint known to fit nowhere right now?"""
+        return False
+
+    def note_fits_nowhere(self, i: int) -> None:
+        """Record that a full anchor scan for ``i`` found no legal row.
+
+        Only a scan of every anchor with no ``bound`` may record it.
+        """
+
+    def check_fits_nowhere(self, i: int) -> None:
+        """Scan every anchor for ``i`` and record a verdict if none fits.
+
+        Called when a place attempt's probes all missed; a kernel that
+        keeps no verdicts has nothing to scan for.
+        """
+
     def clear(self) -> None:
         """Unplace every instance and empty the occupancy.
 
@@ -302,12 +343,17 @@ class PlacementKernel:
         before shorter ones fragment them.
         """
         for i in self.greedy_order():
+            if self.fits_nowhere(i):
+                continue
             best: tuple[int, int] | None = None
             for x in self.anchors_x[i]:
                 y = self.lowest_fit_y(i, x, None if best is None else best[1])
                 if y is not None and (best is None or y < best[1]):
                     best = (x, y)
-            if best is not None:
+            if best is None:
+                # No fit, so no bound ever pruned the scan.
+                self.note_fits_nowhere(i)
+            else:
                 self.set_pos(i, best)
                 self.paint(i, best[0], best[1], +1)
 
@@ -324,7 +370,7 @@ class PlacementKernel:
         unplaced (random place moves only sample a few sites per
         attempt)."""
         for i in range(self.n):
-            if self.pos[i] is not None:
+            if self.pos[i] is not None or self.fits_nowhere(i):
                 continue
             for x in self.anchors_x[i]:
                 y = self.lowest_fit_y(i, x)
@@ -332,6 +378,8 @@ class PlacementKernel:
                     self.set_pos(i, (x, y))
                     self.paint(i, x, y, +1)
                     break
+            else:
+                self.note_fits_nowhere(i)
 
     # ------------------------------------------------------------ moves
 
@@ -372,22 +420,33 @@ class PlacementKernel:
         return 0.0
 
     def try_place(self, i: int, u: UniformBuffer) -> float:
-        """Attempt to place an unplaced instance (always beneficial)."""
+        """Attempt to place an unplaced instance (always beneficial).
+
+        Probes :data:`PLACE_PROBES` random sites and takes the first
+        that fits.  When ``i``'s footprint is known to fit nowhere, the
+        attempt skips the probes' draws and counts their misses instead
+        of probing: the stream and the counters end as the probes would
+        leave them.
+        """
         self.place_attempts += 1
+        xs = self.anchors_x[i]
+        if not xs or self.y_max[i] < 0:
+            return 0.0
+        if self.fits_nowhere(i):
+            u.skip(2 * PLACE_PROBES)
+            self.illegal += PLACE_PROBES
+            return 0.0
         cong_before = (
             self.route.congestion_weight * self.congestion_overflow()
             if self._cong
             else 0.0
         )
-        xs = self.anchors_x[i]
-        if not xs or self.y_max[i] < 0:
-            return 0.0
         n_x = len(xs)
         n_y = self.n_y[i]
         step = self.y_step[i]
         index = u.index
         fits = self.fits
-        for _ in range(8):
+        for _ in range(PLACE_PROBES):
             x = xs[index(n_x)]
             y = index(n_y) * step
             if fits(i, x, y):
@@ -403,6 +462,7 @@ class PlacementKernel:
                     )
                 return gain
             self.illegal += 1
+        self.check_fits_nowhere(i)
         return 0.0
 
     def try_swap(self, i: int, j: int, temp: float, u: UniformBuffer) -> float:
@@ -443,6 +503,8 @@ class FastKernel(PlacementKernel):
         # indexed by column offset that fits_moved reads the block's own
         # rows from.
         self.masks = [self.tables[t].masks for t in self.table_of]
+        self.dilations = [self.tables[t].dilations for t in self.table_of]
+        self.allowed = [self.tables[t].allowed_mask for t in self.table_of]
         self.skyline = [self.tables[t].skyline for t in self.table_of]
         self.half_w = [self.tables[t].half_w for t in self.table_of]
         self.half_h = [self.tables[t].half_h for t in self.table_of]
@@ -483,6 +545,13 @@ class FastKernel(PlacementKernel):
             self._ewin: list[tuple[int, int, int, int] | None] = (
                 [None] * len(edges)
             )
+        # Verdicts: ``_nowhere[t] == _epoch`` says table ``t``'s footprint
+        # fits nowhere on the current occupancy.  Freeing cells (a paint
+        # with delta -1, ``clear``, ``restore``) advances the epoch and so
+        # voids every verdict; painting more cells cannot make a footprint
+        # fit, so verdicts survive it.
+        self._epoch = 0
+        self._nowhere = [-1] * len(self.tables)
 
     # ------------------------------------------------------------ geometry
 
@@ -517,6 +586,31 @@ class FastKernel(PlacementKernel):
         else:
             for c, m, _h in self.masks[i]:
                 cm[x + c] &= ~(m << y)
+            self._epoch += 1
+
+    def clear(self) -> None:
+        if self._cong:
+            # The channel demand unwinds edge by edge through set_pos.
+            super().clear()
+        else:
+            self.colmask[:] = [0] * len(self.colmask)
+            self.pos[:] = [None] * self.n
+        self._epoch += 1
+
+    # ------------------------------------------------------------ verdicts
+
+    def fits_nowhere(self, i: int) -> bool:
+        return self._nowhere[self.table_of[i]] == self._epoch
+
+    def note_fits_nowhere(self, i: int) -> None:
+        self._nowhere[self.table_of[i]] = self._epoch
+
+    def check_fits_nowhere(self, i: int) -> None:
+        lowest_fit_y = self.lowest_fit_y
+        for x in self.anchors_x[i]:
+            if lowest_fit_y(i, x) is not None:
+                return
+        self.note_fits_nowhere(i)
 
     def set_pos(self, i: int, p: tuple[int, int] | None) -> None:
         self.pos[i] = p
@@ -561,16 +655,19 @@ class FastKernel(PlacementKernel):
         return self._ovf if self._cong else 0
 
     def lowest_fit_y(self, i: int, x: int, bound: int | None = None) -> int | None:
-        t = self.tables[self.table_of[i]]
-        allowed = t.allowed_mask
+        # Dilating a column's occupancy down by the footprint's height
+        # there marks exactly the anchor rows it collides at.
+        allowed = self.allowed[i]
         if not allowed:
             return None
         bad = 0
         cm = self.colmask
-        for c, _m, h in self.masks[i]:
+        for c, shifts in self.dilations[i]:
             col = cm[x + c]
             if col:
-                bad |= dilate_down(col, h)
+                for s in shifts:
+                    col |= col >> s
+                bad |= col
         free = allowed & ~bad
         if not free:
             return None
@@ -584,16 +681,17 @@ class FastKernel(PlacementKernel):
         # the snapped target: highest set bit at-or-below vs lowest set
         # bit above, ties toward the lower row — identical to the
         # reference kernel's outward probe walk.
-        t_tab = self.tables[self.table_of[i]]
-        allowed = t_tab.allowed_mask
+        allowed = self.allowed[i]
         if not allowed:
             return None
         bad = 0
         cm = self.colmask
-        for c, _m, h in self.masks[i]:
+        for c, shifts in self.dilations[i]:
             col = cm[x + c]
             if col:
-                bad |= dilate_down(col, h)
+                for s in shifts:
+                    col |= col >> s
+                bad |= col
         free = allowed & ~bad
         if not free:
             return None

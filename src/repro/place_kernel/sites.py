@@ -3,10 +3,11 @@
 A :class:`SiteTable` caches, per unique (trimmed) footprint, everything
 the move kernels need to probe and paint the device: compatible anchor
 columns, the hard-block row pitch, per-column occupancy bitmasks (as a
-list of occupied columns and as a skyline indexed by column offset) and
-the allowed-anchor-row mask.  Sharing one table across every instance of
-a module means a design with heavy reuse (cnvW1A1: 175 instances / 74
-modules) builds each table once.
+list of occupied columns and as a skyline indexed by column offset),
+each column's dilation shift schedule and the allowed-anchor-row mask.
+Sharing one table across every instance of a module means a design with
+heavy reuse (cnvW1A1: 175 instances / 74 modules) builds each table
+once.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "HARD_PITCH",
     "SiteTable",
     "column_capacities",
-    "dilate_down",
     "site_table",
     "site_tables",
 ]
@@ -36,8 +36,13 @@ HARD_PITCH = 5
 
 
 def _shift_schedule(h: int) -> tuple[int, ...]:
-    """Shifts that dilate a mask by height ``h``: 1, 2, 4, ... capped so
-    they sum to ``h - 1``."""
+    """Shifts that dilate a column mask down by height ``h``.
+
+    ORing ``mask >> s`` into ``mask`` for each ``s`` in turn (1, 2, 4,
+    ... capped so they sum to ``h - 1``) sets bit ``y`` iff ``mask`` had
+    any bit in ``[y, y + h)``: the anchor rows at which a column of
+    height ``h`` collides.
+    """
     shifts = []
     covered = 1
     while covered < h:
@@ -45,28 +50,6 @@ def _shift_schedule(h: int) -> tuple[int, ...]:
         shifts.append(s)
         covered += s
     return tuple(shifts)
-
-
-#: Memo of :func:`_shift_schedule` by height.  It is a pure function of
-#: the height, so one process-wide memo is safe; it holds only the
-#: heights dilated so far (16 after a cnvW1A1 DSE step).
-_SHIFTS: dict[int, tuple[int, ...]] = {}
-
-
-def dilate_down(mask: int, h: int) -> int:
-    """OR of ``mask >> k`` for ``k`` in ``[0, h)`` (logarithmic doubling).
-
-    Bit ``y`` of the result is set iff ``mask`` has any bit in
-    ``[y, y + h)`` — i.e. the set of anchor rows a column of height ``h``
-    collides at.
-    """
-    try:
-        shifts = _SHIFTS[h]
-    except KeyError:
-        shifts = _SHIFTS[h] = _shift_schedule(h)
-    for s in shifts:
-        mask |= mask >> s
-    return mask
 
 
 class SiteTable:
@@ -88,6 +71,7 @@ class SiteTable:
         "half_h",
         "heights_arr",
         "masks",
+        "dilations",
         "skyline",
         "allowed_mask",
     )
@@ -110,6 +94,10 @@ class SiteTable:
             for c, h in enumerate(fp.heights)
             if h
         )
+        # ``(c, shifts)`` per occupied column: the dilation that turns
+        # device column ``x + c``'s occupancy into the anchor rows this
+        # column collides at (see :func:`_shift_schedule`).
+        self.dilations = tuple((c, _shift_schedule(h)) for c, _m, h in self.masks)
         # ``skyline[c]``: the occupied-row mask of column offset ``c`` (0
         # for an empty interior column), so a probe finds the block's own
         # rows in any device column its span covers.

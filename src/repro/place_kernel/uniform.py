@@ -54,3 +54,18 @@ class UniformBuffer:
         self._i = i + 1
         k = int(buf[i] * n)
         return n - 1 if k >= n else k
+
+    def skip(self, n: int) -> None:
+        """Consume ``n`` draws unread, as ``n`` calls to :meth:`next` would.
+
+        A kernel that already knows how a run of draws ends (a place
+        attempt whose every probe must miss) skips them and stays in
+        step with one that draws them; the refills happen at the same
+        draws as ``next``'s.
+        """
+        i = self._i + n
+        buf = self._buf
+        while i > len(buf):
+            i -= len(buf)
+            self._buf = buf = self._rng.random(self._block).tolist()
+        self._i = i

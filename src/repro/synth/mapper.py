@@ -127,22 +127,17 @@ def _(c: SumOfSquares, builder: NetlistBuilder) -> None:
     w = c.width
     rows = max(1, w // 2)
     acc_width = 2 * w + max(1, math.ceil(math.log2(c.n_terms + 1)))
-    cs = builder.control_set("clk", reset="rst") if c.registered else -1
-    for _ in range(c.n_terms):
-        # Partial-product generation + row adders of the squarer.
-        builder.add_luts(rows * w, inputs=4)
-        for _ in range(rows):
-            builder.add_carry_chain(w + 2)
-        if c.registered:
-            builder.add_ffs(2 * w, cs)
-    # Balanced adder tree accumulating the squares.
-    n = c.n_terms
-    while n > 1:
-        pairs = n // 2
-        for _ in range(pairs):
-            builder.add_luts(acc_width, inputs=3)
-            builder.add_carry_chain(acc_width)
-        n = pairs + (n % 2)
+    # The statistics count cells and keep the chains in order, so each
+    # kind of cell is added by count.  Per squarer: partial-product
+    # generation plus one row adder per row.
+    builder.add_luts(c.n_terms * rows * w, inputs=4)
+    builder.add_carry_chains(c.n_terms * rows, w + 2)
+    if c.registered:
+        cs = builder.control_set("clk", reset="rst")
+        builder.add_ffs(c.n_terms * 2 * w, cs)
+    # A balanced adder tree over n terms has n - 1 adders.
+    builder.add_luts((c.n_terms - 1) * acc_width, inputs=3)
+    builder.add_carry_chains(c.n_terms - 1, acc_width)
     builder.bump_depth(rows + math.ceil(math.log2(c.n_terms + 1)))
     builder.set_min_depth(2)
 
@@ -155,15 +150,14 @@ def _(c: LFSRBank, builder: NetlistBuilder) -> None:
         if group == 0:
             continue
         cs = builder.control_set("clk", enable=f"run_{gi}")
-        for _ in range(group):
-            builder.add_lut(inputs=4)  # feedback XOR over the taps
-            if c.use_srl and c.width > 4:
-                body = c.width - 2
-                builder.add_srls(math.ceil(body / _SRL_DEPTH), cs,
-                                 depth=min(body, _SRL_DEPTH))
-                builder.add_ffs(2, cs)
-            else:
-                builder.add_ffs(c.width, cs)
+        builder.add_luts(group, inputs=4)  # feedback XOR over the taps
+        if c.use_srl and c.width > 4:
+            body = c.width - 2
+            builder.add_srls(group * math.ceil(body / _SRL_DEPTH), cs,
+                             depth=min(body, _SRL_DEPTH))
+            builder.add_ffs(2 * group, cs)
+        else:
+            builder.add_ffs(group * c.width, cs)
         # Per group: an output accumulator (adds carry usage, paper §VI-A).
         builder.add_luts(c.width, inputs=3)
         builder.add_carry_chain(c.width)

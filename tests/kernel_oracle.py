@@ -39,7 +39,13 @@ KERNELS = ("fast", "reference")
 
 
 class ReferenceKernel(PlacementKernel):
-    """The original straightforward primitives (executable specification)."""
+    """The original straightforward primitives (executable specification).
+
+    It keeps the base class's verdict hooks, which never know that a
+    footprint fits nowhere, so it probes every place attempt and scans
+    every instance that :class:`~repro.place_kernel.kernel.FastKernel`
+    skips.
+    """
 
     def __init__(
         self, grid, names, footprints, edges, unplaced_weight, route=None

@@ -61,6 +61,23 @@ class TestParser:
         assert args.n_modules == 100
         assert args.output == "out.md"
 
+    def test_report_footer_command_round_trips(self):
+        """The command a report's footer names parses back to the
+        configuration that made the report."""
+        from repro.analysis.context import ExperimentContext
+        from repro.analysis.report import report_command
+        from repro.flow.stitcher import SAParams
+
+        ctx = ExperimentContext(seed=3, n_modules=2000, rf_trees=300)
+        cmd = report_command(ctx, SAParams(max_iters=40000, seed=3))
+        assert cmd == (
+            "python -m repro report -n 2000 --rf-trees 300 --sa-iters 40000 --seed 3"
+        )
+        args = build_parser().parse_args(cmd.split()[3:])
+        assert (args.n_modules, args.rf_trees, args.sa_iters, args.seed) == (
+            2000, 300, 40000, 3
+        )
+
     def test_dataset_defaults(self):
         args = build_parser().parse_args(["dataset"])
         assert args.workers == 0

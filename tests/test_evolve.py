@@ -9,6 +9,8 @@ budget it matches or beats single-seed SA on the reference fixtures
 (the perf-smoke gate checks the same on the cnvW1A1 stitch).
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from repro.flow.restarts import place_best
 from repro.flow.stitcher import SAParams, stitch
 from repro.obs.tracer import Tracer
 from repro.place.shapes import Footprint
-from repro.place_kernel import Placer, StitchResult
+from repro.place_kernel import FastKernel, Placer, StitchResult
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import RandomLogicCloud
 from tests.kernel_oracle import reference_kernel
@@ -44,6 +46,26 @@ def chain():
     for i in range(11):
         d.connect(f"i{i}", f"i{i + 1}", width=4)
     return d, {"m": fp}
+
+
+@pytest.fixture()
+def crowded():
+    """A chain far too big for ``tiny_grid``: most placement scans find
+    nothing, so the fast kernel's fits-nowhere verdicts come into play."""
+    fps = {
+        "tall": Footprint((_LL,), (40,)),
+        "pair": Footprint((_LL, _LM), (20, 20)),
+        "side": Footprint((_LM,), (30,)),
+    }
+    d = BlockDesign(name="evolve-crowded")
+    for name in fps:
+        d.add_module(RTLModule.make(name, [RandomLogicCloud(n_luts=4)]))
+    mods = ["tall"] * 6 + ["pair"] * 3 + ["side"] * 5
+    for i, m in enumerate(mods):
+        d.add_instance(f"i{i}", m)
+    for i in range(len(mods) - 1):
+        d.connect(f"i{i}", f"i{i + 1}", width=1 + i % 3)
+    return d, fps
 
 
 class TestEvolve:
@@ -90,6 +112,39 @@ class TestEvolve:
         assert fast.placements == ref.placements
         assert fast.final_cost == ref.final_cost
         assert fast.history == ref.history
+        assert np.array_equal(fast.occupancy, ref.occupancy)
+
+    @pytest.mark.parametrize("placer", ["ga", "warm-sa"])
+    def test_kernel_equivalence_crowded(self, crowded, tiny_grid, placer):
+        """Bitwise-identical runs on a crowded device, where the fast
+        kernel skips scans and place attempts that its fits-nowhere
+        verdicts answer and the reference kernel probes them all."""
+        d, fps = crowded
+
+        def run():
+            if placer == "ga":
+                return evolve(d, fps, tiny_grid, GAParams(move_budget=3000, seed=2))
+            sa = SAParams(max_iters=3000, seed=2)
+            return WarmStartedSAPlacer(params=sa).place(d, fps, tiny_grid)
+
+        answers = []
+        fits_nowhere = FastKernel.fits_nowhere
+
+        def spy(self, i):
+            answers.append(fits_nowhere(self, i))
+            return answers[-1]
+
+        with mock.patch.object(FastKernel, "fits_nowhere", spy):
+            fast = run()
+        with reference_kernel():
+            ref = run()
+        assert any(answers), "no verdict reached: the case is not crowded"
+        assert fast.n_unplaced > 0
+        assert fast.placements == ref.placements
+        assert fast.final_cost == ref.final_cost
+        assert fast.history == ref.history
+        assert fast.illegal_moves == ref.illegal_moves
+        assert fast.stats == ref.stats
         assert np.array_equal(fast.occupancy, ref.occupancy)
 
     def test_spans_tile_run(self, chain, z020):

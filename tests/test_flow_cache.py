@@ -2,6 +2,8 @@
 failure aggregation."""
 
 import pickle
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -159,6 +161,38 @@ class TestModuleCacheStore:
             assert fresh.get(key, ImplementedModule) is None, payload
             assert fresh.stats.misses == 1
             assert not path.exists()  # corrupt entry dropped
+
+    def test_absent_entry_is_never_unlinked(self, z020, tmp_path):
+        """A miss on a key with no file removes nothing: a concurrent
+        ``put`` may rename its entry into place at any moment."""
+        cache = ModuleCache(tmp_path)
+        key = cache.key(_module("absent", 100), z020, FixedCF(1.5))
+        with mock.patch.object(Path, "unlink", autospec=True) as unlink:
+            assert cache.get(key, ImplementedModule) is None
+            # Also with no cache directory at all.
+            assert ModuleCache(tmp_path / "none").get(key, ImplementedModule) is None
+        unlink.assert_not_called()
+        assert cache.stats.misses == 1
+
+    def test_corrupt_entry_unlinked_once(self, z020, tmp_path):
+        """An entry that exists but is corrupt is removed and counted as
+        a miss."""
+        cache = ModuleCache(tmp_path)
+        key = cache.key(_module("broken", 100), z020, FixedCF(1.5))
+        path = tmp_path / f"{key}.pkl"
+        path.write_bytes(b"not a pickle")
+        unlinked = []
+        real_unlink = Path.unlink
+
+        def spy(self, *args, **kwargs):
+            unlinked.append(self)
+            return real_unlink(self, *args, **kwargs)
+
+        with mock.patch.object(Path, "unlink", spy):
+            assert cache.get(key, ImplementedModule) is None
+        assert unlinked == [path]
+        assert not path.exists()
+        assert cache.stats.misses == 1 and cache.stats.hits == 0
 
     def test_truncated_pickle_is_a_miss(self, z020, tmp_path):
         cache = ModuleCache(tmp_path)

@@ -60,6 +60,24 @@ class TestBuilder:
         assert s.carry_chain_slices == (3, 1)
         assert s.n_cells == 4
 
+    def test_carry_chains_by_count(self):
+        """``add_carry_chains(n, bits)`` builds what ``n`` calls of
+        ``add_carry_chain(bits)`` build, in order after earlier chains."""
+        one = NetlistBuilder("m")
+        many = NetlistBuilder("m")
+        for b in (one, many):
+            b.add_carry_chain(bits=10)
+        for _ in range(3):
+            one.add_carry_chain(bits=4, fanout=2)
+        one.add_carry_chain(bits=13)
+        many.add_carry_chains(3, bits=4, fanout=2)
+        many.add_carry_chains(0, bits=7)
+        many.add_carry_chains(1, bits=13)
+        assert one.build() == many.build()
+        assert many.build().carry_chains == (10, 4, 4, 4, 13)
+        with pytest.raises(ValueError):
+            many.add_carry_chains(2, bits=0)
+
     def test_ff_requires_interned_cs(self):
         b = NetlistBuilder("m")
         with pytest.raises(IndexError):

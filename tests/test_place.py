@@ -1,14 +1,17 @@
 """Tests for footprints, quick placement, congestion and the packer."""
 
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.device.column import ColumnKind
 from repro.device.resources import ResourceCaps
 from repro.netlist.stats import compute_stats
 from repro.place.congestion import routable_utilization
-from repro.place.packer import pack, slice_demand
+from repro.place.packer import pack, pack_chains, slice_demand
 from repro.place.quick import naive_slice_estimate, quick_place
 from repro.place.shapes import Footprint
 from repro.pblock.generator import build_pblock
@@ -195,3 +198,66 @@ class TestPacker:
         assert res.feasible
         occupied = res.footprint.occupied_clbs
         assert abs(occupied - res.used_slices / 2) <= max(4, 0.1 * occupied)
+
+
+def _pack_chain_by_chain(chains, height, n_cols):
+    """The per-chain first-fit-decreasing loop :func:`pack_chains` must
+    reproduce: each chain, longest first, takes the first column with
+    room for it."""
+    col_free = [height] * n_cols
+    for chain in sorted(chains, reverse=True):
+        for i, free in enumerate(col_free):
+            if free >= chain:
+                col_free[i] = free - chain
+                break
+        else:
+            return None
+    return col_free
+
+
+class TestChainPacking:
+    """Packing one chain length at a time leaves every column exactly as
+    the chain-by-chain loop does, and fails exactly when it fails."""
+
+    @given(
+        st.lists(st.integers(0, 12), max_size=60),
+        st.integers(0, 24),
+        st.integers(0, 6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_chain_by_chain(self, chains, height, n_cols):
+        got = pack_chains(Counter(chains), height, n_cols)
+        assert got == _pack_chain_by_chain(chains, height, n_cols)
+
+    def test_sweep_shaped_multisets(self):
+        """Hundreds of chains of two lengths, the label-train modules'
+        shape, on both sides of the capacity limit."""
+        fits = failures = 0
+        for n_long in (0, 1, 7, 40, 150):
+            for n_short in (0, 3, 100, 262):
+                for height in (9, 10, 33):
+                    for n_cols in (1, 4, 16):
+                        chains = [9] * n_long + [2] * n_short
+                        want = _pack_chain_by_chain(chains, height, n_cols)
+                        got = pack_chains(Counter(chains), height, n_cols)
+                        assert got == want, (n_long, n_short, height, n_cols)
+                        fits += want is not None
+                        failures += want is None
+        assert fits and failures
+
+    def test_zero_length_chain_packs(self):
+        assert pack_chains(Counter([0, 0, 3]), 3, 1) == [0]
+        assert pack_chains(Counter([0]), 5, 2) == [5, 5]
+        # Without a column there is nowhere to put even an empty chain.
+        assert pack_chains(Counter([0]), 5, 0) is None
+
+    def test_pack_reports_chain_packing(self, z020):
+        """Chains each shorter than the PBlock that do not fit together
+        fail with ``chain_packing`` and the total as demand."""
+        s = _stats(SumOfSquares(width=24, n_terms=4))
+        pb = PBlock(grid=z020, x0=0, width=1, y0=0, height=s.max_chain_slices)
+        assert pb.n_slice_cols == 2
+        res = pack(s, pb)
+        assert not res.feasible and res.reason == "chain_packing"
+        assert res.demand_slices == sum(s.carry_chain_slices)
+

@@ -28,11 +28,12 @@ from repro.device.grid import DeviceGrid
 from repro.flow.blockdesign import BlockDesign
 from repro.place.shapes import Footprint
 from repro.place_kernel import (
+    PLACE_PROBES,
     HARD_KINDS,
     HARD_PITCH,
     PlacementProblem,
+    SiteTable,
     UniformBuffer,
-    dilate_down,
 )
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import RandomLogicCloud
@@ -305,21 +306,34 @@ class TestKernelPrimitives:
         assert problem.n == 3
 
     def test_dilate_down(self):
+        """A site table's shift schedule dilates each column's occupancy
+        down by that column's height: bit ``y`` ends up set iff the mask
+        has a bit in ``[y, y + h)``, the anchor rows the column collides
+        at."""
+
+        def dilate(mask, shifts):
+            for s in shifts:
+                mask |= mask >> s
+            return mask
+
         # Dilating a single occupied row by height h blocks the h
         # anchor rows whose span would cover it.
         mask = 1 << 10
-        assert dilate_down(mask, 1) == mask
-        dil = dilate_down(mask, 3)
-        assert dil == (mask | mask >> 1 | mask >> 2)
-        # Every height, memoized shift schedule or not, ORs exactly the
-        # shifts 0 .. h-1 (a height below 2 leaves the mask as it is).
+        table = SiteTable(_GRID, Footprint((_LL, _LM, _LL), (1, 0, 3)))
+        (c0, s0), (c2, s2) = table.dilations
+        assert (c0, c2) == (0, 2)
+        assert dilate(mask, s0) == mask
+        assert dilate(mask, s2) == (mask | mask >> 1 | mask >> 2)
+        # Every height ORs exactly the shifts 0 .. h-1.
         rng = np.random.default_rng(0)
-        for h in (*range(-2, 70), 399, 400, 511, 512, 513, 900):
+        for h in (*range(1, 70), 399, 400, 511, 512, 513, 900):
+            table = SiteTable(_GRID, Footprint((_LL, _LM), (h, 1)))
+            shifts = dict(table.dilations)[0]
             m = int.from_bytes(rng.bytes(140), "little")
             want = m
             for k in range(1, h):
                 want |= m >> k
-            assert dilate_down(m, h) == want, h
+            assert dilate(m, shifts) == want, h
 
     def test_uniform_buffer_matches_unbatched(self):
         """The batched stream is exactly the generator's raw stream."""
@@ -336,3 +350,137 @@ class TestKernelPrimitives:
     def test_uniform_index_in_range(self):
         u = UniformBuffer(np.random.default_rng(0), block=16)
         assert all(0 <= u.index(7) < 7 for _ in range(200))
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_uniform_skip_matches_next(self, block):
+        """``skip(n)`` leaves the stream where ``n`` calls to ``next``
+        leave it, from every offset in a block and across refills."""
+        for offset in range(2 * block + 1):
+            for n in range(3 * block + 2):
+                drawn = UniformBuffer(np.random.default_rng(9), block=block)
+                skipped = UniformBuffer(np.random.default_rng(9), block=block)
+                for u in (drawn, skipped):
+                    for _ in range(offset):
+                        u.next()
+                for _ in range(n):
+                    drawn.next()
+                skipped.skip(n)
+                after = [drawn.next() for _ in range(2 * block + 1)]
+                assert [skipped.next() for _ in range(2 * block + 1)] == after, (
+                    offset, n
+                )
+
+
+#: Tall footprints, several to a column type, so the grid runs out of
+#: room and place attempts miss everywhere.
+_crowded = st.lists(
+    st.sampled_from(_PATTERNS).flatmap(
+        lambda kinds: st.tuples(
+            st.just(kinds), st.tuples(*(st.integers(8, 45) for _ in kinds))
+        )
+    ),
+    min_size=4,
+    max_size=12,
+)
+
+_verdict_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["place", "move", "clear", "restore", "snapshot", "fill",
+                         "greedy"]),
+        st.integers(0, 1 << 16),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _fits_somewhere(kb, i, occ):
+    """Brute force: does ``i`` fit at any anchor column and row?"""
+    heights = kb.fps[i].heights
+    for x in kb.anchors_x[i]:
+        for y in range(0, kb.y_max[i] + 1, kb.y_step[i]):
+            if not any(
+                h and occ[x + c, y : y + h].any() for c, h in enumerate(heights)
+            ):
+                return True
+    return False
+
+
+class TestVerdicts:
+    """``FastKernel`` remembers per footprint that it fits nowhere; the
+    memory must be exact and must die with the first freed cell."""
+
+    @given(_crowded, _verdict_ops, st.integers(0, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_verdicts_match_brute_force(self, fp_specs, ops, seed):
+        problem = _build(fp_specs)
+        kb = problem.make_kernel(40.0)
+        kb.greedy_initial()
+        snap = list(kb.pos)
+        u = UniformBuffer(np.random.default_rng(seed), block=64)
+        for op, raw in ops:
+            i = raw % kb.n
+            before = kb.occupancy_array()
+            if op == "place":
+                if kb.pos[i] is None:
+                    kb.try_place(i, u)
+            elif op == "move":
+                if kb.pos[i] is not None:
+                    kb.try_move(i, float(raw % 7), u)
+            elif op == "clear":
+                kb.clear()
+            elif op == "restore":
+                kb.restore(snap)
+            elif op == "snapshot":
+                snap = list(kb.pos)
+            elif op == "fill":
+                kb.first_fit_fill()
+            elif all(p is None for p in kb.pos):  # greedy packs an empty grid
+                kb.greedy_initial()
+            occ = kb.occupancy_array()
+            known = [j for j in range(kb.n) if kb.fits_nowhere(j)]
+            if (before > occ).any():
+                assert not known, f"a verdict survived {op} freeing a cell"
+            for j in known:
+                assert not _fits_somewhere(kb, j, occ), (op, j)
+
+    def _crowded_kernel(self, kernel):
+        # Five CLBLL columns for eight 40-row blocks: three stay out.
+        problem = _build([((_LL,), 40)] * 8)
+        kb = build(problem, kernel, 40.0)
+        kb.greedy_initial()
+        return kb
+
+    def test_verdict_established_and_voided(self):
+        kb = self._crowded_kernel("fast")
+        out = [i for i in range(kb.n) if kb.pos[i] is None]
+        assert len(out) == 3
+        # greedy_initial's own unbounded scan recorded the verdict.
+        assert all(kb.fits_nowhere(i) for i in out)
+        # Painting more cannot make room; freeing a cell voids it.
+        placed = next(i for i in range(kb.n) if kb.pos[i] is not None)
+        x, y = kb.pos[placed]
+        kb.paint(placed, x, y, -1)
+        assert not any(kb.fits_nowhere(i) for i in out)
+        kb.paint(placed, x, y, +1)
+        kb.first_fit_fill()
+        assert all(kb.fits_nowhere(i) for i in out)
+        kb.clear()
+        assert not any(kb.fits_nowhere(i) for i in range(kb.n))
+
+    def test_skipped_attempt_matches_probes(self):
+        """A skipped place attempt leaves the stream and the counters as
+        the reference kernel's eight missed probes leave them."""
+        fast = self._crowded_kernel("fast")
+        ref = self._crowded_kernel("reference")
+        i = next(j for j in range(fast.n) if fast.pos[j] is None)
+        assert fast.fits_nowhere(i) and not ref.fits_nowhere(i)
+        u_fast = UniformBuffer(np.random.default_rng(4), block=5)
+        u_ref = UniformBuffer(np.random.default_rng(4), block=5)
+        for _ in range(7):
+            assert fast.try_place(i, u_fast) == ref.try_place(i, u_ref) == 0.0
+            assert fast.illegal == ref.illegal
+            assert fast.place_attempts == ref.place_attempts
+        assert fast.illegal == 7 * PLACE_PROBES
+        assert [u_fast.next() for _ in range(11)] == [u_ref.next() for _ in range(11)]
+
