@@ -118,6 +118,13 @@ class DeviceGrid:
     def _kind_cache(self) -> dict[tuple[ColumnKind, ...], list[int]]:
         return {}
 
+    @cached_property
+    def memo(self) -> dict[str, object]:
+        """Values other layers derive from this grid's defining fields
+        alone (the module cache's grid fingerprint), kept per grid object
+        so they are computed once.  Derived state: never pickled."""
+        return {}
+
     # ------------------------------------------------------------------ geometry
 
     @property

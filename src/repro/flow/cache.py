@@ -86,13 +86,22 @@ def module_fingerprint(module: RTLModule) -> str:
 
 
 def grid_fingerprint(grid: DeviceGrid) -> str:
-    """Hash of the device geometry a pre-implementation targeted."""
-    return _digest(
-        "grid",
-        grid.name,
-        grid.n_regions,
-        tuple(k.value for k in grid.kinds()),
-    )
+    """Hash of the device geometry a pre-implementation targeted.
+
+    Every key hashes its grid, so the digest (a walk over the column
+    kinds plus a SHA-256) is kept in the grid's :attr:`DeviceGrid.memo`
+    and computed once per grid object.
+    """
+    memo = grid.memo
+    fp = memo.get("fingerprint")
+    if fp is None:
+        fp = memo["fingerprint"] = _digest(
+            "grid",
+            grid.name,
+            grid.n_regions,
+            tuple(k.value for k in grid.kinds()),
+        )
+    return fp
 
 
 def policy_fingerprint(policy: "CFPolicy") -> str:

@@ -41,7 +41,7 @@ from repro.device.grid import DeviceGrid
 from repro.flow.blockdesign import BlockDesign
 from repro.obs.tracer import NullTracer, Tracer, current_tracer
 from repro.place.shapes import Footprint
-from repro.place_kernel.kernel import PlacementKernel, run_move_batch
+from repro.place_kernel.kernel import PlacementKernel
 from repro.place_kernel.problem import PlacementProblem
 from repro.place_kernel.result import StitchResult, StitchStats, converge_history
 from repro.place_kernel.route_cost import build_route_model
@@ -361,8 +361,8 @@ def evolve(
             steps = budget.remaining()
             if steps > 0:
                 start = budget.used
-                cost, best_fit, events = run_move_batch(
-                    st, swappable, placed_list, unplaced_list,
+                cost, best_fit, events = st.run_batch(
+                    swappable, placed_list, unplaced_list,
                     steps, 0.0, params.p_place, params.p_swap, u, cost, best_fit,
                 )
                 budget.charge(steps)

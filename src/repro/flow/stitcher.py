@@ -30,7 +30,6 @@ from repro.device.grid import DeviceGrid
 from repro.flow.blockdesign import BlockDesign
 from repro.obs.tracer import NullTracer, Tracer, current_tracer
 from repro.place.shapes import Footprint
-from repro.place_kernel.kernel import run_move_batch
 from repro.place_kernel.problem import PlacementProblem
 from repro.place_kernel.result import StitchResult, StitchStats, converge_history
 from repro.place_kernel.route_cost import build_route_model
@@ -153,8 +152,8 @@ def stitch(
             it = 0
             while it < params.max_iters:
                 steps = min(params.steps_per_temp, params.max_iters - it)
-                cost, best, events = run_move_batch(
-                    st, swappable, placed_list, unplaced_list,
+                cost, best, events = st.run_batch(
+                    swappable, placed_list, unplaced_list,
                     steps, temp, params.p_place, params.p_swap, u, cost, best,
                 )
                 for off, c in events:

@@ -65,7 +65,7 @@ from repro.flow.blockdesign import BlockDesign
 from repro.flow.fanout import FanOut
 from repro.obs.tracer import NullTracer, Tracer, current_tracer
 from repro.place.shapes import Footprint
-from repro.place_kernel.kernel import PlacementKernel, run_move_batch
+from repro.place_kernel.kernel import PlacementKernel
 from repro.place_kernel.problem import PlacementProblem
 from repro.place_kernel.result import StitchResult, StitchStats, converge_history
 from repro.place_kernel.route_cost import build_route_model
@@ -223,8 +223,8 @@ def _chain_task(
     for r, (steps, temp) in enumerate(specs):
         if steps <= 0:
             continue
-        cost, new_best, _batch = run_move_batch(
-            st, swappable, placed_list, unplaced_list,
+        cost, new_best, _batch = st.run_batch(
+            swappable, placed_list, unplaced_list,
             steps, temp, p_place, p_swap, state.u, cost, best,
             snapshot=snap,
         )

@@ -7,8 +7,9 @@ drives the *same* primitives:
 * :mod:`repro.place_kernel.sites` — per-footprint compatible-site
   tables (anchor columns, hard-block pitch, occupancy bitmasks);
 * :mod:`repro.place_kernel.kernel` — the bitmask move kernel with
-  move, packing and HPWL primitives, tested bit for bit against the
-  reference kernel in ``tests/kernel_oracle.py``;
+  its fused batch loop and move, packing and HPWL primitives, tested
+  bit for bit against the reference kernel in
+  ``tests/kernel_oracle.py``;
 * :mod:`repro.place_kernel.uniform` — the batched uniform stream all
   optimizer randomness flows through;
 * :mod:`repro.place_kernel.problem` — the flattened

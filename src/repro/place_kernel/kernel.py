@@ -5,34 +5,46 @@ incremental HPWL and greedy packing over per-column occupancy bitmasks
 stored as Python big-ints.  An overlap probe is one shift+AND per
 column; a relocation probe masks out the block's own rows instead of
 lifting the block, so a rejected move never repaints; the greedy packer
-finds the lowest legal row with a logarithmic bit dilation (each site
-table holds the shift schedule per column) instead of a row scan.
-Compatible-site tables are shared by every instance of a module, and
-instance centers live in Python lists that the per-move cost deltas
-read directly.
+finds the lowest legal row with a logarithmic bit dilation instead of a
+row scan, one per distinct column height of the footprint (each site
+table ORs the device columns of one height together and holds that
+height's shift schedule).  Compatible-site tables are shared by every
+instance of a module, and instance centers live in Python lists that
+the per-move cost deltas read directly.
 
 On a crowded device most place attempts and packing scans look for a
 footprint that fits nowhere.  :class:`FastKernel` remembers that
-*verdict* per site table until a cell is freed (painting more cells
-cannot make a footprint fit), and every scan it answers is skipped: a
-place attempt consumes its probes' draws unread and counts their
-misses, and the packers (``greedy_initial``, ``first_fit_fill``, the
-GA's decode) pass the instance by.  A verdict is exact: it stands only
-when every anchor row a place attempt can draw fails ``fits``.
+*verdict* per site table (painting more cells cannot make a footprint
+fit), and every scan it answers is skipped: a place attempt consumes
+its probes' draws unread and counts their misses, and the packers
+(``greedy_initial``, ``first_fit_fill``, the GA's decode) pass the
+instance by.  Every unpaint logs the device columns it freed, and the
+log restarts at each ``clear``/``restore``; a verdict older than the
+last free is revalidated by scanning only the anchors whose columns
+meet a column freed since it was recorded.  A verdict is exact: it
+stands only when every anchor row a place attempt can draw fails
+``fits``.
 
-:class:`PlacementKernel` holds everything that draws, decides or counts,
-once, and leaves the primitives abstract.  The tests subclass it with
-the original straightforward primitives (numpy occupancy slicing,
-lift/probe/put-back relocation probes, per-edge Python sums) and no
-verdicts: ``tests/kernel_oracle.py`` is the executable specification
-the fast kernel is tested against, and it probes every attempt the
-fast kernel skips.  Both draw from the same batched uniform
-stream (see :class:`~repro.place_kernel.uniform.UniformBuffer`), so a
-fixed seed produces identical placements, costs and history on either —
-enforced by ``tests/test_stitcher_equivalence.py``.  With the integer
-edge widths ``BlockDesign`` produces, every HPWL term is a dyadic
-rational that float64 evaluates exactly in any summation order, which
-is what makes the equivalence bitwise rather than approximate.
+:class:`PlacementKernel` holds the per-call moves (``try_move``,
+``try_place``, ``try_swap``) and the packers, which draw, decide and
+count on top of abstract primitives.  :meth:`FastKernel.run_batch` is
+the one batch loop that ships: the SA anneal, the GA's repair phase
+and every tempering chain run it.  It reads its draws straight off the
+:class:`~repro.place_kernel.uniform.UniformBuffer` list and inlines the
+three moves and their probes, cost deltas and position updates, so its
+draws, decisions and counters must stay exactly those of the per-call
+moves driven by the generic loop.  ``tests/kernel_oracle.py`` is the
+executable specification both are tested against: a subclass with the
+original straightforward primitives (numpy occupancy slicing,
+lift/probe/put-back relocation probes, per-edge Python sums), no
+verdicts, so it probes every attempt the fast kernel skips, and the
+generic batch loop that calls ``try_move``/``try_place``/``try_swap``
+once per operation.  Both draw from the same batched uniform stream, so
+a fixed seed produces identical placements, costs and history on
+either — enforced by ``tests/test_stitcher_equivalence.py``.  With the
+integer edge widths ``BlockDesign`` produces, every HPWL term is a
+dyadic rational that float64 evaluates exactly in any summation order,
+which is what makes the equivalence bitwise rather than approximate.
 
 The kernel is optimizer-agnostic: the SA stitcher
 (:mod:`repro.flow.stitcher`), the GA evolver (:mod:`repro.flow.evolve`),
@@ -55,7 +67,7 @@ from repro.place_kernel.route_cost import RouteCostModel
 from repro.place_kernel.sites import SiteTable, site_table, site_tables
 from repro.place_kernel.uniform import UniformBuffer
 
-__all__ = ["PLACE_PROBES", "FastKernel", "PlacementKernel", "run_move_batch"]
+__all__ = ["PLACE_PROBES", "FastKernel", "PlacementKernel"]
 
 #: Random sites one place attempt probes; each probe draws a column and
 #: a row, so an attempt consumes ``2 * PLACE_PROBES`` draws.
@@ -68,13 +80,16 @@ class PlacementKernel:
     Subclasses provide the geometry/cost primitives (``fits``,
     ``fits_moved``, ``paint``, ``set_pos``, ``incident_cost``,
     ``wirelength``, ``timing_cost``, ``congestion_overflow``,
-    ``lowest_fit_y``, ``nearest_fit_y``, ``occupancy_array``) and may
-    keep per-footprint verdicts (``fits_nowhere``, ``note_fits_nowhere``,
-    ``check_fits_nowhere``); everything that touches the random stream
-    or decides moves lives here, once, so :class:`FastKernel` and the
-    reference kernel the tests hold it to behave identically regardless
-    of which optimizer drives them.  A primitive answers a geometry or
-    cost question and nothing else: it never draws, decides or counts.
+    ``lowest_fit_y``, ``nearest_fit_y``, ``occupancy_array``), the batch
+    loop (``run_batch``) and may keep per-footprint verdicts
+    (``fits_nowhere``, ``note_fits_nowhere``, ``check_fits_nowhere``).
+    The per-call moves and the packers that draw and decide live here,
+    once.  :meth:`FastKernel.run_batch` repeats the moves' draws and
+    decisions inline; the reference kernel in ``tests/kernel_oracle.py``
+    runs the generic loop over the moves defined here, and the two must
+    agree bit for bit whichever optimizer drives them.  A primitive
+    answers a geometry or cost question and nothing else: it never
+    draws, decides or counts.
     """
 
     def __init__(
@@ -200,6 +215,48 @@ class PlacementKernel:
     def occupancy_array(self) -> np.ndarray:
         raise NotImplementedError
 
+    def run_batch(
+        self,
+        swappable: Sequence[Sequence[int]],
+        placed_list: list[int],
+        unplaced_list: list[int],
+        steps: int,
+        temp: float,
+        p_place: float,
+        p_swap: float,
+        u: UniformBuffer,
+        cost: float,
+        best: float,
+        snapshot: list | None = None,
+    ) -> tuple[float, float, list[tuple[int, float]]]:
+        """Run ``steps`` operations of the shared SA move mix at ``temp``.
+
+        This is *the* move loop every optimizer in the flow executes —
+        the SA stitcher's anneal, the GA's polish/repair phase (at
+        ``temp=0.0``) and each parallel-tempering chain all call it, so
+        their draw order and acceptance behavior are identical by
+        construction.  One call consumes exactly ``steps`` units of the
+        shared kernel-operation budget (one unit == one SA iteration ==
+        one GA budget unit).
+
+        Each operation draws ``r``: below ``p_place`` (with an unplaced
+        instance left) it is ``try_place`` on a drawn unplaced
+        instance, below ``p_place + p_swap`` (with a swap group) a
+        ``try_swap`` of two drawn members of a drawn group, otherwise a
+        ``try_move`` of a drawn placed instance (none placed: the
+        operation does nothing).
+
+        ``placed_list`` / ``unplaced_list`` are mutated in place
+        (membership changes on successful place moves).  Returns
+        ``(cost, best, events)`` where ``events`` lists every new best
+        as a 1-based ``(op_offset, cost)`` pair within the batch.  When
+        ``snapshot`` is a list, the position vector at each new best
+        replaces its contents — the tempering chains need the best-*ever*
+        placement, not the batch-end state; left as ``None`` (the SA/GA
+        callers) no copies are made.
+        """
+        raise NotImplementedError
+
     # ------------------------------------------------------------ verdicts
     # A verdict records that a footprint fits at no anchor site on the
     # current occupancy: every ``(x, y)`` a place attempt can draw fails
@@ -259,8 +316,10 @@ class PlacementKernel:
         """Apply a warm-start anchor mapping in instance order.
 
         ``None`` entries and missing names stay unplaced; an anchor
-        that no longer fits (or overlaps an earlier one) leaves that
-        instance unplaced rather than failing — the contract every
+        that is not a legal site of the instance's footprint (a column
+        whose kinds do not match, rows outside the device, a hard-block
+        row off the site pitch) or that overlaps an earlier one leaves
+        that instance unplaced rather than failing — the contract every
         warm-started optimizer (stitch, temper) shares.
         """
         for i, name in enumerate(names):
@@ -268,7 +327,15 @@ class PlacementKernel:
             if p is None:
                 continue
             x, y = p
-            if self.fits(i, x, y):
+            # Bit ``y`` of the allowed mask covers 0 <= y <= y_max and
+            # the hard-block pitch; ``x`` must be a compatible anchor.
+            allowed = self.tables[self.table_of[i]].allowed_mask
+            if (
+                x in self.anchors_x[i]
+                and y >= 0
+                and allowed >> y & 1
+                and self.fits(i, x, y)
+            ):
                 self.set_pos(i, (x, y))
                 self.paint(i, x, y, +1)
 
@@ -504,6 +571,7 @@ class FastKernel(PlacementKernel):
         # rows from.
         self.masks = [self.tables[t].masks for t in self.table_of]
         self.dilations = [self.tables[t].dilations for t in self.table_of]
+        self.col_bits = [self.tables[t].col_bits for t in self.table_of]
         self.allowed = [self.tables[t].allowed_mask for t in self.table_of]
         self.skyline = [self.tables[t].skyline for t in self.table_of]
         self.half_w = [self.tables[t].half_w for t in self.table_of]
@@ -523,8 +591,14 @@ class FastKernel(PlacementKernel):
         # highest is 25).  With the timing term enabled the neighbor
         # weights are the *effective* (HPWL + quantized timing) weights,
         # so the per-move incident sums price both terms in one pass.
+        # A self-loop's term is always 0.0, which leaves a sum of
+        # non-negative terms unchanged, so it is left out: a relocation
+        # then prices its before and after sums in one pass over
+        # neighbors that do not move.
         self.nbrs: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for ei, (a, b, w) in enumerate(edges):
+            if a == b:
+                continue
             wc = w if self._effw is None else self._effw[ei]
             self.nbrs[a].append((b, wc))
             self.nbrs[b].append((a, wc))
@@ -545,12 +619,18 @@ class FastKernel(PlacementKernel):
             self._ewin: list[tuple[int, int, int, int] | None] = (
                 [None] * len(edges)
             )
-        # Verdicts: ``_nowhere[t] == _epoch`` says table ``t``'s footprint
-        # fits nowhere on the current occupancy.  Freeing cells (a paint
-        # with delta -1, ``clear``, ``restore``) advances the epoch and so
-        # voids every verdict; painting more cells cannot make a footprint
-        # fit, so verdicts survive it.
+        # Verdicts.  ``_epoch`` counts unpaints and clears; ``_freed``
+        # logs the device columns (one bitmask per unpaint) freed since
+        # the last ``clear``/``restore``, which set ``_log_epoch`` to the
+        # epoch the log starts at.  ``_nowhere[t] == _epoch`` says table
+        # ``t``'s footprint fits nowhere on the current occupancy; a
+        # stamp in ``[_log_epoch, _epoch)`` is a verdict that cells freed
+        # since may have voided (``_freed[stamp - _log_epoch:]``); an
+        # older stamp (or -1) is no verdict.  Painting more cells cannot
+        # make a footprint fit, so paints leave verdicts standing.
         self._epoch = 0
+        self._log_epoch = 0
+        self._freed: list[int] = []
         self._nowhere = [-1] * len(self.tables)
 
     # ------------------------------------------------------------ geometry
@@ -586,6 +666,7 @@ class FastKernel(PlacementKernel):
         else:
             for c, m, _h in self.masks[i]:
                 cm[x + c] &= ~(m << y)
+            self._freed.append(self.col_bits[i] << x)
             self._epoch += 1
 
     def clear(self) -> None:
@@ -595,12 +676,41 @@ class FastKernel(PlacementKernel):
         else:
             self.colmask[:] = [0] * len(self.colmask)
             self.pos[:] = [None] * self.n
+        # An empty device voids every verdict; the log starts afresh.
         self._epoch += 1
+        self._log_epoch = self._epoch
+        self._freed.clear()
 
     # ------------------------------------------------------------ verdicts
 
     def fits_nowhere(self, i: int) -> bool:
-        return self._nowhere[self.table_of[i]] == self._epoch
+        t = self.table_of[i]
+        stamp = self._nowhere[t]
+        if stamp == self._epoch:
+            return True
+        if stamp < self._log_epoch:
+            return False
+        return self._revalidate(i, t, stamp)
+
+    def _revalidate(self, i: int, t: int, stamp: int) -> bool:
+        """Does table ``t``'s verdict, stamped at ``stamp``, still stand?
+
+        Only an anchor whose columns meet a column freed since the stamp
+        can have gained a legal row; every other anchor's columns hold
+        at least the cells they held then.  The verdict is restamped if
+        no such anchor fits, and dropped otherwise.
+        """
+        freed = 0
+        for cols in self._freed[stamp - self._log_epoch :]:
+            freed |= cols
+        bits = self.col_bits[i]
+        lowest_fit_y = self.lowest_fit_y
+        for x in self.anchors_x[i]:
+            if freed & (bits << x) and lowest_fit_y(i, x) is not None:
+                self._nowhere[t] = -1
+                return False
+        self._nowhere[t] = self._epoch
+        return True
 
     def note_fits_nowhere(self, i: int) -> None:
         self._nowhere[self.table_of[i]] = self._epoch
@@ -655,15 +765,18 @@ class FastKernel(PlacementKernel):
         return self._ovf if self._cong else 0
 
     def lowest_fit_y(self, i: int, x: int, bound: int | None = None) -> int | None:
-        # Dilating a column's occupancy down by the footprint's height
-        # there marks exactly the anchor rows it collides at.
+        # Dilating the OR of the device columns a footprint height covers
+        # down by that height marks exactly the anchor rows they collide
+        # at.
         allowed = self.allowed[i]
         if not allowed:
             return None
         bad = 0
         cm = self.colmask
-        for c, shifts in self.dilations[i]:
-            col = cm[x + c]
+        for cols, shifts in self.dilations[i]:
+            col = 0
+            for c in cols:
+                col |= cm[x + c]
             if col:
                 for s in shifts:
                     col |= col >> s
@@ -686,8 +799,10 @@ class FastKernel(PlacementKernel):
             return None
         bad = 0
         cm = self.colmask
-        for c, shifts in self.dilations[i]:
-            col = cm[x + c]
+        for cols, shifts in self.dilations[i]:
+            col = 0
+            for c in cols:
+                col |= cm[x + c]
             if col:
                 for s in shifts:
                     col |= col >> s
@@ -759,71 +874,349 @@ class FastKernel(PlacementKernel):
             return 0.0
         return float(np.sum(self._twa * self._edge_distances()))
 
+    # ------------------------------------------------------------ batch
 
-def run_move_batch(
-    st: PlacementKernel,
-    swappable: list[list[int]],
-    placed_list: list[int],
-    unplaced_list: list[int],
-    steps: int,
-    temp: float,
-    p_place: float,
-    p_swap: float,
-    u: UniformBuffer,
-    cost: float,
-    best: float,
-    snapshot: list | None = None,
-) -> tuple[float, float, list[tuple[int, float]]]:
-    """Run ``steps`` operations of the shared SA move mix at ``temp``.
-
-    This is *the* move loop every optimizer in the flow executes — the
-    SA stitcher's anneal, the GA's polish/repair phase (at ``temp=0.0``)
-    and each parallel-tempering chain all call it, so their draw order
-    and acceptance behavior are identical by construction.  One call
-    consumes exactly ``steps`` units of the shared kernel-operation
-    budget (one unit == one SA iteration == one GA budget unit).
-
-    ``placed_list`` / ``unplaced_list`` are mutated in place (membership
-    changes on successful place moves).  Returns ``(cost, best,
-    events)`` where ``events`` lists every new best as a 1-based
-    ``(op_offset, cost)`` pair within the batch.  When ``snapshot`` is a
-    list, the position vector at each new best replaces its contents —
-    the tempering chains need the best-*ever* placement, not the
-    batch-end state; left as ``None`` (the SA/GA callers) no copies are
-    made and the loop is unchanged.
-    """
-    events: list[tuple[int, float]] = []
-    p_either = p_place + p_swap
-    draw = u.next
-    index = u.index
-    try_place = st.try_place
-    try_swap = st.try_swap
-    try_move = st.try_move
-    pos = st.pos
-    for op in range(1, steps + 1):
-        r = draw()
-        if unplaced_list and r < p_place:
-            k = index(len(unplaced_list))
-            i = unplaced_list[k]
-            cost += try_place(i, u)
-            if pos[i] is not None:
-                unplaced_list[k] = unplaced_list[-1]
-                unplaced_list.pop()
-                placed_list.append(i)
-        elif swappable and r < p_either:
-            g = swappable[index(len(swappable))]
-            i = index(len(g))
-            j = index(len(g) - 1)
-            if j >= i:
-                j += 1
-            cost += try_swap(g[i], g[j], temp, u)
-        else:
-            if not placed_list:
-                continue
-            cost += try_move(placed_list[index(len(placed_list))], temp, u)
-        if cost < best - 1e-9:
-            best = cost
-            events.append((op, best))
-            if snapshot is not None:
-                snapshot[:] = [list(pos)]
-    return cost, best, events
+    def run_batch(
+        self,
+        swappable: Sequence[Sequence[int]],
+        placed_list: list[int],
+        unplaced_list: list[int],
+        steps: int,
+        temp: float,
+        p_place: float,
+        p_swap: float,
+        u: UniformBuffer,
+        cost: float,
+        best: float,
+        snapshot: list | None = None,
+    ) -> tuple[float, float, list[tuple[int, float]]]:
+        # One loop, no per-operation calls on the common paths: the
+        # draws come straight off the buffer's list (refilled exactly
+        # where ``UniformBuffer.next`` refills), and the moves, probes,
+        # cost deltas and paints of ``try_move``/``try_place``/
+        # ``try_swap`` are written out in their order.  The congestion
+        # term's incremental demand goes through ``set_pos``; the timing
+        # term needs nothing, being folded into the neighbor weights.
+        events: list[tuple[int, float]] = []
+        p_either = p_place + p_swap
+        t_eff = max(temp, 1e-9)
+        exp = math.exp
+        refill = u._rng.random
+        block = u._block
+        buf = u._buf
+        nb = len(buf)
+        bi = u._i
+        pos = self.pos
+        cm = self.colmask
+        cx = self.cx
+        cy = self.cy
+        nbrs = self.nbrs
+        masks = self.masks
+        skyline = self.skyline
+        half_w = self.half_w
+        half_h = self.half_h
+        anchors_x = self.anchors_x
+        n_y = self.n_y
+        y_step = self.y_step
+        y_max = self.y_max
+        col_bits = self.col_bits
+        freed = self._freed
+        table_of = self.table_of
+        nowhere = self._nowhere
+        areas = self.areas
+        unplaced_weight = self.unplaced_weight
+        incident_cost = self.incident_cost
+        set_pos = self.set_pos
+        cong = self._cong
+        cw = self.route.congestion_weight if cong else 0.0
+        illegal = 0
+        n_move = n_place = n_swap = 0
+        a_move = a_place = a_swap = 0
+        thresh = best - 1e-9
+        for op in range(1, steps + 1):
+            if bi >= nb:
+                buf = refill(block).tolist()
+                nb = len(buf)
+                bi = 0
+            r = buf[bi]
+            bi += 1
+            if unplaced_list and r < p_place:
+                # ------------------------------------------ try_place
+                if bi >= nb:
+                    buf = refill(block).tolist()
+                    nb = len(buf)
+                    bi = 0
+                n = len(unplaced_list)
+                k = int(buf[bi] * n)
+                bi += 1
+                if k >= n:
+                    k = n - 1
+                i = unplaced_list[k]
+                n_place += 1
+                xs = anchors_x[i]
+                if xs and y_max[i] >= 0:
+                    t = table_of[i]
+                    stamp = nowhere[t]
+                    stands = stamp == self._epoch
+                    fit_known = False
+                    if not stands and stamp >= self._log_epoch:
+                        stands = self._revalidate(i, t, stamp)
+                        fit_known = not stands
+                    if stands:
+                        # Every probe must miss: skip their draws.
+                        bi += 2 * PLACE_PROBES
+                        while bi > nb:
+                            bi -= nb
+                            buf = refill(block).tolist()
+                            nb = len(buf)
+                        illegal += PLACE_PROBES
+                    else:
+                        cong_before = cw * self._ovf if cong else 0.0
+                        mk = masks[i]
+                        n_x = len(xs)
+                        ny = n_y[i]
+                        step = y_step[i]
+                        for _ in range(PLACE_PROBES):
+                            if bi >= nb:
+                                buf = refill(block).tolist()
+                                nb = len(buf)
+                                bi = 0
+                            kx = int(buf[bi] * n_x)
+                            bi += 1
+                            if kx >= n_x:
+                                kx = n_x - 1
+                            if bi >= nb:
+                                buf = refill(block).tolist()
+                                nb = len(buf)
+                                bi = 0
+                            ky = int(buf[bi] * ny)
+                            bi += 1
+                            if ky >= ny:
+                                ky = ny - 1
+                            x = xs[kx]
+                            y = ky * step
+                            for c, m, _h in mk:
+                                if cm[x + c] & (m << y):
+                                    break
+                            else:
+                                set_pos(i, (x, y))
+                                self.paint(i, x, y, +1)
+                                a_place += 1
+                                gain = incident_cost(i) - unplaced_weight * areas[i]
+                                if cong:
+                                    gain += cw * self._ovf - cong_before
+                                cost += gain
+                                unplaced_list[k] = unplaced_list[-1]
+                                unplaced_list.pop()
+                                placed_list.append(i)
+                                break
+                            illegal += 1
+                        else:
+                            # A fit the revalidation just found outlives
+                            # missed probes: nothing was painted since.
+                            if not fit_known:
+                                self.check_fits_nowhere(i)
+            elif swappable and r < p_either:
+                # ------------------------------------------- try_swap
+                if bi >= nb:
+                    buf = refill(block).tolist()
+                    nb = len(buf)
+                    bi = 0
+                n = len(swappable)
+                k = int(buf[bi] * n)
+                bi += 1
+                if k >= n:
+                    k = n - 1
+                g = swappable[k]
+                if bi >= nb:
+                    buf = refill(block).tolist()
+                    nb = len(buf)
+                    bi = 0
+                n = len(g)
+                a = int(buf[bi] * n)
+                bi += 1
+                if a >= n:
+                    a = n - 1
+                if bi >= nb:
+                    buf = refill(block).tolist()
+                    nb = len(buf)
+                    bi = 0
+                n -= 1
+                b = int(buf[bi] * n)
+                bi += 1
+                if b >= n:
+                    b = n - 1
+                if b >= a:
+                    b += 1
+                i = g[a]
+                j = g[b]
+                n_swap += 1
+                pi = pos[i]
+                pj = pos[j]
+                if pi is not None and pj is not None and pi != pj:
+                    # incident_cost(i) + incident_cost(j), summed as
+                    # try_swap sums them (0.0 + a is exactly a).
+                    before = 0.0
+                    for k in (i, j):
+                        xk = cx[k]
+                        yk = cy[k]
+                        inc = 0.0
+                        for o, w in nbrs[k]:
+                            if pos[o] is not None:
+                                inc += w * (abs(xk - cx[o]) + abs(yk - cy[o]))
+                        before += inc
+                    if cong:
+                        before += cw * self._ovf
+                        set_pos(i, pj)
+                        set_pos(j, pi)
+                    else:
+                        pos[i] = pj
+                        pos[j] = pi
+                        cx[i] = pj[0] + half_w[i]
+                        cy[i] = pj[1] + half_h[i]
+                        cx[j] = pi[0] + half_w[j]
+                        cy[j] = pi[1] + half_h[j]
+                    after = 0.0
+                    for k in (i, j):
+                        xk = cx[k]
+                        yk = cy[k]
+                        inc = 0.0
+                        for o, w in nbrs[k]:
+                            if pos[o] is not None:
+                                inc += w * (abs(xk - cx[o]) + abs(yk - cy[o]))
+                        after += inc
+                    if cong:
+                        after += cw * self._ovf
+                    delta = after - before
+                    accept = delta <= 0
+                    if not accept:
+                        if bi >= nb:
+                            buf = refill(block).tolist()
+                            nb = len(buf)
+                            bi = 0
+                        accept = buf[bi] < exp(-delta / t_eff)
+                        bi += 1
+                    if accept:
+                        # Identical footprints: occupancy is unchanged.
+                        a_swap += 1
+                        cost += delta
+                    elif cong:
+                        set_pos(i, pi)
+                        set_pos(j, pj)
+                    else:
+                        pos[i] = pi
+                        pos[j] = pj
+                        cx[i] = pi[0] + half_w[i]
+                        cy[i] = pi[1] + half_h[i]
+                        cx[j] = pj[0] + half_w[j]
+                        cy[j] = pj[1] + half_h[j]
+            else:
+                # ------------------------------------------- try_move
+                if not placed_list:
+                    continue
+                if bi >= nb:
+                    buf = refill(block).tolist()
+                    nb = len(buf)
+                    bi = 0
+                n = len(placed_list)
+                k = int(buf[bi] * n)
+                bi += 1
+                if k >= n:
+                    k = n - 1
+                i = placed_list[k]
+                n_move += 1
+                xs = anchors_x[i]
+                if xs and y_max[i] >= 0:
+                    if bi >= nb:
+                        buf = refill(block).tolist()
+                        nb = len(buf)
+                        bi = 0
+                    n = len(xs)
+                    k = int(buf[bi] * n)
+                    bi += 1
+                    if k >= n:
+                        k = n - 1
+                    x = xs[k]
+                    if bi >= nb:
+                        buf = refill(block).tolist()
+                        nb = len(buf)
+                        bi = 0
+                    n = n_y[i]
+                    k = int(buf[bi] * n)
+                    bi += 1
+                    if k >= n:
+                        k = n - 1
+                    y = k * y_step[i]
+                    old = pos[i]
+                    ox, oy = old
+                    mk = masks[i]
+                    # fits_moved: a hit counts unless it is i's own rows.
+                    for c, m, _h in mk:
+                        hit = cm[x + c] & (m << y)
+                        if hit:
+                            d = x + c - ox
+                            sky = skyline[i]
+                            if 0 <= d < len(sky):
+                                hit &= ~(sky[d] << oy)
+                            if hit:
+                                illegal += 1
+                                break
+                    else:
+                        # The neighbors stay put, so one pass prices the
+                        # incident cost at the old and the new center.
+                        xi = cx[i]
+                        yi = cy[i]
+                        nxi = x + half_w[i]
+                        nyi = y + half_h[i]
+                        before = 0.0
+                        after = 0.0
+                        for o, w in nbrs[i]:
+                            if pos[o] is not None:
+                                xo = cx[o]
+                                yo = cy[o]
+                                before += w * (abs(xi - xo) + abs(yi - yo))
+                                after += w * (abs(nxi - xo) + abs(nyi - yo))
+                        if cong:
+                            before += cw * self._ovf
+                            set_pos(i, (x, y))
+                            after += cw * self._ovf
+                        delta = after - before
+                        accept = delta <= 0
+                        if not accept:
+                            if bi >= nb:
+                                buf = refill(block).tolist()
+                                nb = len(buf)
+                                bi = 0
+                            accept = buf[bi] < exp(-delta / t_eff)
+                            bi += 1
+                        if accept:
+                            for c, m, _h in mk:
+                                cm[ox + c] &= ~(m << oy)
+                            freed.append(col_bits[i] << ox)
+                            self._epoch += 1
+                            for c, m, _h in mk:
+                                cm[x + c] |= m << y
+                            if not cong:
+                                pos[i] = (x, y)
+                                cx[i] = nxi
+                                cy[i] = nyi
+                            a_move += 1
+                            cost += delta
+                        elif cong:
+                            set_pos(i, old)
+            if cost < thresh:
+                best = cost
+                thresh = best - 1e-9
+                events.append((op, best))
+                if snapshot is not None:
+                    snapshot[:] = [list(pos)]
+        u._buf = buf
+        u._i = bi
+        self.illegal += illegal
+        self.move_attempts += n_move
+        self.place_attempts += n_place
+        self.swap_attempts += n_swap
+        self.move_accepts += a_move
+        self.place_accepts += a_place
+        self.swap_accepts += a_swap
+        return cost, best, events

@@ -4,7 +4,8 @@ A :class:`SiteTable` caches, per unique (trimmed) footprint, everything
 the move kernels need to probe and paint the device: compatible anchor
 columns, the hard-block row pitch, per-column occupancy bitmasks (as a
 list of occupied columns and as a skyline indexed by column offset),
-each column's dilation shift schedule and the allowed-anchor-row mask.
+one dilation shift schedule per distinct column height, the occupied
+column offsets as one bitmask and the allowed-anchor-row mask.
 Sharing one table across every instance of a module means a design with
 heavy reuse (cnvW1A1: 175 instances / 74 modules) builds each table
 once.
@@ -72,6 +73,7 @@ class SiteTable:
         "heights_arr",
         "masks",
         "dilations",
+        "col_bits",
         "skyline",
         "allowed_mask",
     )
@@ -94,10 +96,20 @@ class SiteTable:
             for c, h in enumerate(fp.heights)
             if h
         )
-        # ``(c, shifts)`` per occupied column: the dilation that turns
-        # device column ``x + c``'s occupancy into the anchor rows this
-        # column collides at (see :func:`_shift_schedule`).
-        self.dilations = tuple((c, _shift_schedule(h)) for c, _m, h in self.masks)
+        # ``(columns, shifts)`` per distinct column height: the dilation
+        # that turns the OR of device columns ``x + c`` (``c`` in
+        # ``columns``) into the anchor rows those columns collide at (see
+        # :func:`_shift_schedule`).  Dilation distributes over OR, so one
+        # dilation per height equals one per column.
+        by_height: dict[int, list[int]] = {}
+        for c, _m, h in self.masks:
+            by_height.setdefault(h, []).append(c)
+        self.dilations = tuple(
+            (tuple(cols), _shift_schedule(h)) for h, cols in by_height.items()
+        )
+        # Bit ``c`` set for every occupied column offset: shifted by an
+        # anchor ``x``, the device columns a placement there occupies.
+        self.col_bits = sum(1 << c for c, _m, _h in self.masks)
         # ``skyline[c]``: the occupied-row mask of column offset ``c`` (0
         # for an empty interior column), so a probe finds the block's own
         # rows in any device column its span covers.

@@ -21,6 +21,10 @@ class UniformBuffer:
     Every random decision in a placement run goes through this buffer,
     so interchangeable kernels consume the exact same stream for a given
     seed (the precondition for fast-vs-reference equivalence).
+    :meth:`FastKernel.run_batch
+    <repro.place_kernel.kernel.FastKernel.run_batch>` reads ``_buf`` and
+    ``_i`` directly and refills from ``_rng`` exactly where :meth:`next`
+    would, so a change to how this class refills must change it too.
     """
 
     __slots__ = ("_rng", "_block", "_buf", "_i")

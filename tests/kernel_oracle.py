@@ -5,9 +5,11 @@
 way: numpy occupancy slicing, a lift/probe/put-back relocation probe, a
 row walk for the legalizer's nearest fit, per-edge Python sums for the
 wirelength and timing terms, and channel demand recomputed from scratch.
-Every draw, accept/reject decision and counter stays in the shared base
-class, so for a fixed seed the fast kernel must reproduce this one bit
-for bit: the same placements, costs, history and counters.  The
+Its batch loop is the generic one, a ``try_move``/``try_place``/
+``try_swap`` call of the shared base class per operation, which the
+fast kernel's fused loop inlines.  For a fixed seed the fast kernel
+must reproduce this one bit for bit: the same placements, costs,
+history, counters and stream position.  The
 equivalence tests, the ``[reference-*]`` goldens and the fast-versus-
 reference benchmark compare against this module; nothing in ``src/``
 imports it.
@@ -201,6 +203,65 @@ class ReferenceKernel(PlacementKernel):
         if not self._cong:
             return 0
         return self._scratch_congestion()[2]
+
+    # ------------------------------------------------------------ batch
+
+    def run_batch(
+        self,
+        swappable,
+        placed_list,
+        unplaced_list,
+        steps,
+        temp,
+        p_place,
+        p_swap,
+        u,
+        cost,
+        best,
+        snapshot=None,
+    ):
+        """The generic move loop: one ``try_*`` call per operation.
+
+        The spec of :meth:`FastKernel.run_batch`, which inlines the same
+        draws and decisions (see
+        :meth:`~repro.place_kernel.kernel.PlacementKernel.run_batch` for
+        the contract).
+        """
+        events: list[tuple[int, float]] = []
+        p_either = p_place + p_swap
+        draw = u.next
+        index = u.index
+        try_place = self.try_place
+        try_swap = self.try_swap
+        try_move = self.try_move
+        pos = self.pos
+        for op in range(1, steps + 1):
+            r = draw()
+            if unplaced_list and r < p_place:
+                k = index(len(unplaced_list))
+                i = unplaced_list[k]
+                cost += try_place(i, u)
+                if pos[i] is not None:
+                    unplaced_list[k] = unplaced_list[-1]
+                    unplaced_list.pop()
+                    placed_list.append(i)
+            elif swappable and r < p_either:
+                g = swappable[index(len(swappable))]
+                i = index(len(g))
+                j = index(len(g) - 1)
+                if j >= i:
+                    j += 1
+                cost += try_swap(g[i], g[j], temp, u)
+            else:
+                if not placed_list:
+                    continue
+                cost += try_move(placed_list[index(len(placed_list))], temp, u)
+            if cost < best - 1e-9:
+                best = cost
+                events.append((op, best))
+                if snapshot is not None:
+                    snapshot[:] = [list(pos)]
+        return cost, best, events
 
 
 @contextmanager

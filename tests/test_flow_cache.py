@@ -104,6 +104,22 @@ class TestCacheKeys:
         fps = {grid_fingerprint(g) for g in (z020, z045, tiny_grid)}
         assert len(fps) == 3
 
+    def test_key_pinned(self, z020):
+        """Keys stay byte-identical: a changed key would silently turn
+        every existing disk cache cold."""
+        from repro.cnv import cnv_design
+
+        key = cache_key(cnv_design().modules["dma_in"], z020, FixedCF(1.3))
+        assert key == "b2bd009c7b64264cf181de65f72f9994dd1347bc1c9e1e7c7fcc8e4ef1bbfd27"
+
+    def test_grid_fingerprint_kept_on_grid_not_pickled(self, z020):
+        fp = grid_fingerprint(z020)
+        assert z020.memo["fingerprint"] == fp
+        clone = pickle.loads(pickle.dumps(z020))
+        assert "memo" not in vars(clone)
+        assert grid_fingerprint(clone) == fp
+        assert pickle.dumps(clone) == pickle.dumps(z020)
+
     def test_policy_fingerprint_uses_policy_method(self):
         assert policy_fingerprint(FixedCF(1.5)) != policy_fingerprint(
             FixedCF(1.8)

@@ -34,6 +34,7 @@ from repro.place_kernel import (
     PlacementProblem,
     SiteTable,
     UniformBuffer,
+    build_route_model,
 )
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import RandomLogicCloud
@@ -84,8 +85,9 @@ _ops = st.lists(
 _kernels = pytest.mark.parametrize("kernel", list(KERNELS))
 
 
-def _build(fp_specs):
-    """``fp_specs``: (kinds, heights) pairs; an int height is a rectangle."""
+def _build(fp_specs, self_loop=False):
+    """``fp_specs``: (kinds, heights) pairs; an int height is a rectangle.
+    ``self_loop`` adds an edge from every instance to itself."""
     d = BlockDesign(name="pk")
     fps = {}
     for k, (kinds, h) in enumerate(fp_specs):
@@ -98,6 +100,9 @@ def _build(fp_specs):
         d.add_instance(f"i{k}", name)
         if k:
             d.connect(f"i{k - 1}", f"i{k}", width=2)
+    if self_loop:
+        for k in range(len(fp_specs)):
+            d.connect(f"i{k}", f"i{k}", width=3)
     return PlacementProblem.from_design(d, fps, _GRID)
 
 
@@ -306,34 +311,63 @@ class TestKernelPrimitives:
         assert problem.n == 3
 
     def test_dilate_down(self):
-        """A site table's shift schedule dilates each column's occupancy
-        down by that column's height: bit ``y`` ends up set iff the mask
-        has a bit in ``[y, y + h)``, the anchor rows the column collides
-        at."""
+        """A site table's shift schedule dilates the occupancy of the
+        columns of one height down by that height: bit ``y`` ends up set
+        iff the mask has a bit in ``[y, y + h)``, the anchor rows the
+        columns collide at.  Dilation distributes over OR, so dilating
+        the OR of a height's columns once equals dilating each column."""
 
         def dilate(mask, shifts):
             for s in shifts:
                 mask |= mask >> s
             return mask
 
+        def dilate_by(mask, h):
+            want = mask
+            for k in range(1, h):
+                want |= mask >> k
+            return want
+
         # Dilating a single occupied row by height h blocks the h
         # anchor rows whose span would cover it.
         mask = 1 << 10
         table = SiteTable(_GRID, Footprint((_LL, _LM, _LL), (1, 0, 3)))
         (c0, s0), (c2, s2) = table.dilations
-        assert (c0, c2) == (0, 2)
+        assert (c0, c2) == ((0,), (2,))
         assert dilate(mask, s0) == mask
         assert dilate(mask, s2) == (mask | mask >> 1 | mask >> 2)
         # Every height ORs exactly the shifts 0 .. h-1.
         rng = np.random.default_rng(0)
         for h in (*range(1, 70), 399, 400, 511, 512, 513, 900):
             table = SiteTable(_GRID, Footprint((_LL, _LM), (h, 1)))
-            shifts = dict(table.dilations)[0]
+            shifts = next(s for cols, s in table.dilations if 0 in cols)
             m = int.from_bytes(rng.bytes(140), "little")
-            want = m
-            for k in range(1, h):
-                want |= m >> k
-            assert dilate(m, shifts) == want, h
+            assert dilate(m, shifts) == dilate_by(m, h), h
+        # Ragged footprints with repeated heights: one entry per distinct
+        # height, holding each of its columns once, and OR-then-dilate
+        # equals the per-column dilation on random occupancy.
+        for _ in range(300):
+            width = int(rng.integers(1, 9))
+            heights = tuple(
+                int(h) for h in rng.choice([0, 1, 2, 3, 5, 8, 13, 40], size=width)
+            )
+            if not any(heights):
+                continue
+            table = SiteTable(_GRID, Footprint((_LL,) * width, heights))
+            occupied = [c for c, h in enumerate(heights) if h]
+            assert sorted(c for cols, _s in table.dilations for c in cols) == occupied
+            assert len(table.dilations) == len({h for h in heights if h})
+            cols_masks = [int.from_bytes(rng.bytes(8), "little") for _ in heights]
+            want = 0
+            for c in occupied:
+                want |= dilate_by(cols_masks[c], heights[c])
+            got = 0
+            for cols, shifts in table.dilations:
+                col = 0
+                for c in cols:
+                    col |= cols_masks[c]
+                got |= dilate(col, shifts)
+            assert got == want, heights
 
     def test_uniform_buffer_matches_unbatched(self):
         """The batched stream is exactly the generator's raw stream."""
@@ -386,7 +420,7 @@ _crowded = st.lists(
 _verdict_ops = st.lists(
     st.tuples(
         st.sampled_from(["place", "move", "clear", "restore", "snapshot", "fill",
-                         "greedy"]),
+                         "greedy", "batch"]),
         st.integers(0, 1 << 16),
     ),
     min_size=1,
@@ -408,7 +442,8 @@ def _fits_somewhere(kb, i, occ):
 
 class TestVerdicts:
     """``FastKernel`` remembers per footprint that it fits nowhere; the
-    memory must be exact and must die with the first freed cell."""
+    memory must be exact, and a free must void it exactly when it makes
+    room somewhere a place attempt can draw."""
 
     @given(_crowded, _verdict_ops, st.integers(0, 5))
     @settings(max_examples=60, deadline=None)
@@ -435,14 +470,22 @@ class TestVerdicts:
                 snap = list(kb.pos)
             elif op == "fill":
                 kb.first_fit_fill()
+            elif op == "batch":
+                # Many frees between two checks, through the fused loop.
+                placed = [j for j in range(kb.n) if kb.pos[j] is not None]
+                unplaced = [j for j in range(kb.n) if kb.pos[j] is None]
+                cost = kb.total_cost()
+                kb.run_batch(problem.swappable, placed, unplaced, raw % 60 + 1,
+                             float(raw % 7), 0.3, 0.2, u, cost, cost)
             elif all(p is None for p in kb.pos):  # greedy packs an empty grid
                 kb.greedy_initial()
             occ = kb.occupancy_array()
+            freed = bool((before > occ).any())
             known = [j for j in range(kb.n) if kb.fits_nowhere(j)]
-            if (before > occ).any():
-                assert not known, f"a verdict survived {op} freeing a cell"
+            # Every verdict that stands, one that survived a free
+            # included, agrees with brute force.
             for j in known:
-                assert not _fits_somewhere(kb, j, occ), (op, j)
+                assert not _fits_somewhere(kb, j, occ), (op, j, freed)
 
     def _crowded_kernel(self, kernel):
         # Five CLBLL columns for eight 40-row blocks: three stay out.
@@ -484,3 +527,199 @@ class TestVerdicts:
         assert fast.illegal == 7 * PLACE_PROBES
         assert [u_fast.next() for _ in range(11)] == [u_ref.next() for _ in range(11)]
 
+
+    def _two_height_kernel(self, kernel):
+        """Six 30-row blocks for five CLBLL columns (one stays out; its
+        verdict is recorded), ten 10-row CLBLL blocks filling the rows
+        above them, and three 10-row CLBLM blocks in the CLBLM columns,
+        which no CLBLL anchor's span meets."""
+        problem = _build(
+            [((_LL,), 30)] * 6 + [((_LL,), 10)] * 10 + [((_LM,), 10)] * 3
+        )
+        kb = build(problem, kernel, 40.0)
+        kb.greedy_initial()
+        assert [j for j in range(kb.n) if kb.pos[j] is None] == [5]
+        return kb
+
+    @staticmethod
+    def _count_scans(kb):
+        """Record the columns ``kb`` scans through ``lowest_fit_y``."""
+        scanned = []
+        lowest_fit_y = kb.lowest_fit_y
+
+        def counting(i, x, bound=None):
+            scanned.append(x)
+            return lowest_fit_y(i, x, bound)
+
+        kb.lowest_fit_y = counting
+        return scanned
+
+    def test_free_outside_every_anchor_keeps_verdict(self):
+        """Freeing CLBLM cells leaves the CLBLL verdict standing without a
+        scan, so the next place attempt skips its 16 draws."""
+        fast = self._two_height_kernel("fast")
+        ref = self._two_height_kernel("reference")
+        out = 5
+        assert fast.fits_nowhere(out)
+        lm = next(j for j in range(fast.n) if fast.fps[j].col_kinds == (_LM,))
+        for kb in (fast, ref):
+            x, y = kb.pos[lm]
+            kb.paint(lm, x, y, -1)
+            kb.set_pos(lm, None)
+        scanned = self._count_scans(fast)
+        assert fast.fits_nowhere(out) and scanned == []
+        assert not _fits_somewhere(fast, out, fast.occupancy_array())
+        probes = []
+        fits = fast.fits
+        fast.fits = lambda *a: probes.append(a) or fits(*a)
+        u_fast = UniformBuffer(np.random.default_rng(2), block=7)
+        u_ref = UniformBuffer(np.random.default_rng(2), block=7)
+        assert fast.try_place(out, u_fast) == ref.try_place(out, u_ref) == 0.0
+        assert probes == [] and scanned == []
+        assert fast.illegal == ref.illegal == PLACE_PROBES
+        skipped = UniformBuffer(np.random.default_rng(2), block=7)
+        skipped.skip(2 * PLACE_PROBES)
+        after = [skipped.next() for _ in range(9)]
+        assert [u_fast.next() for _ in range(9)] == after
+        assert [u_ref.next() for _ in range(9)] == after
+
+    def test_free_inside_an_anchor_is_revalidated(self):
+        """A free in a CLBLL column rescans that anchor alone: the verdict
+        stands while the freed rows are too few and falls once they
+        make room, both as brute force says."""
+        kb = self._two_height_kernel("fast")
+        out = 5
+        small = next(
+            j for j in range(kb.n) if kb.fps[j].max_height == 10 and kb.pos[j][0] == 0
+        )
+        scanned = self._count_scans(kb)
+        x, y = kb.pos[small]
+        kb.paint(small, x, y, -1)
+        kb.set_pos(small, None)
+        assert kb.fits_nowhere(out) and scanned == [0]
+        assert not _fits_somewhere(kb, out, kb.occupancy_array())
+        # Restamped: a second look scans nothing.
+        assert kb.fits_nowhere(out) and scanned == [0]
+        tall = next(j for j in range(5) if kb.pos[j][0] == 3)
+        x, y = kb.pos[tall]
+        kb.paint(tall, x, y, -1)
+        kb.set_pos(tall, None)
+        assert not kb.fits_nowhere(out) and scanned == [0, 3]
+        assert _fits_somewhere(kb, out, kb.occupancy_array())
+        # The dropped verdict is no verdict: nothing is rescanned.
+        assert not kb.fits_nowhere(out) and scanned == [0, 3]
+
+    def test_batch_move_logs_its_free(self):
+        """A move the fused loop accepts frees its old rows like
+        ``paint(..., -1)``: the verdict it voids does not stand."""
+        problem = _build([((_LL,), 10)] * 5 + [((_LL,), 40)])
+        kb = problem.make_kernel(40.0)
+        # One 10-row block mid-column in each CLBLL column leaves two
+        # 20-row runs per column: the 40-row block fits nowhere.
+        for j, x in enumerate(kb.anchors_x[0]):
+            kb.set_pos(j, (x, 20))
+            kb.paint(j, x, 20, +1)
+        kb.check_fits_nowhere(5)
+        assert kb.fits_nowhere(5)
+        u = UniformBuffer(np.random.default_rng(0), block=64)
+        cost = kb.total_cost()
+        kb.run_batch((), list(range(5)), [5], 50, 1e9, 0.0, 0.0, u, cost, cost)
+        assert kb.move_accepts > 0
+        assert _fits_somewhere(kb, 5, kb.occupancy_array())
+        assert not kb.fits_nowhere(5)
+
+
+#: Crowded problems with module reuse, so swap groups exist: one to four
+#: footprints, four to fourteen instances drawn from them.
+_batch_specs = st.lists(
+    st.sampled_from(_PATTERNS).flatmap(
+        lambda kinds: st.tuples(
+            st.just(kinds), st.tuples(*(st.integers(4, 45) for _ in kinds))
+        )
+    ),
+    min_size=1,
+    max_size=4,
+).flatmap(lambda specs: st.lists(st.sampled_from(specs), min_size=4, max_size=14))
+
+#: Consecutive batches: (steps, temp, p_place, p_swap, snapshot).
+_batches = st.lists(
+    st.tuples(
+        st.integers(1, 300),
+        st.sampled_from([0.0, 0.5, 4.0, 60.0]),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+_COUNTERS = (
+    "illegal",
+    "move_attempts",
+    "place_attempts",
+    "swap_attempts",
+    "move_accepts",
+    "place_accepts",
+    "swap_accepts",
+)
+
+
+class TestBatchLoop:
+    """``FastKernel.run_batch`` inlines the moves of the generic loop in
+    ``tests/kernel_oracle.py``: the same draws, decisions and counts."""
+
+    @given(
+        _batch_specs,
+        _batches,
+        st.sampled_from([None, 1, 3]),
+        st.booleans(),
+        st.integers(0, 5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fused_loop_matches_oracle(
+        self, fp_specs, batches, capacity, self_loop, seed
+    ):
+        problem = _build(fp_specs, self_loop)
+        # A channel capacity of a few wires makes the congestion term
+        # bite on these small chains; the timing term rides along.
+        route = (
+            None
+            if capacity is None
+            else build_route_model(
+                problem, congestion_weight=0.75, timing_weight=0.5, capacity=capacity
+            )
+        )
+        runs = []
+        for name in KERNELS:
+            kb = build(problem, name, 40.0, route)
+            kb.greedy_initial()
+            placed = [j for j in range(kb.n) if kb.pos[j] is not None]
+            unplaced = [j for j in range(kb.n) if kb.pos[j] is None]
+            # An odd block size makes attempts and skips straddle refills.
+            u = UniformBuffer(np.random.default_rng(seed), block=37)
+            cost = best = kb.total_cost()
+            trail = []
+            for steps, temp, p_place, p_swap, snap in batches:
+                snapshot = [] if snap else None
+                cost, best, events = kb.run_batch(
+                    problem.swappable, placed, unplaced, steps, temp,
+                    p_place, p_swap, u, cost, best, snapshot,
+                )
+                trail.append(
+                    (cost, best, events, snapshot, list(kb.pos), list(placed),
+                     list(unplaced))
+                )
+            runs.append(
+                (
+                    trail,
+                    kb.occupancy_array(),
+                    [getattr(kb, c) for c in _COUNTERS],
+                    kb.total_cost(),
+                    u.next(),
+                )
+            )
+        (fast, fast_occ, *fast_rest), (ref, ref_occ, *ref_rest) = runs
+        assert fast == ref
+        assert np.array_equal(fast_occ, ref_occ)
+        assert fast_rest == ref_rest

@@ -284,6 +284,46 @@ class TestRender:
         assert all(line == "#####" for line in lines)
 
 
+#: Warm-start anchors that are no legal site of a 5-row (CLBLM, CLBLL)
+#: footprint on the xc7z020 (59 columns, 150 rows).
+_STALE_ANCHORS = {
+    "kinds-swapped": (0, 0),  # a (CLBLL, CLBLM) column pair
+    "past-top": (1, 148),  # rows 148-152
+    "past-right": (58, 0),  # the second column is off the device
+    "negative-row": (1, -2),
+}
+
+
+class TestStaleWarmStart:
+    """A warm-start anchor that is no legal site of its footprint leaves
+    the instance unplaced, as one that overlaps does: it neither breaks
+    the in-bounds, column-kind and pitch invariants nor raises.  The
+    fill then places the instance on a legal site."""
+
+    @pytest.mark.parametrize(
+        "anchor", list(_STALE_ANCHORS.values()), ids=list(_STALE_ANCHORS)
+    )
+    @pytest.mark.parametrize("placer", ["stitch", "temper"])
+    def test_stale_anchor_left_unplaced(self, z020, placer, anchor):
+        fp = Footprint((_LM, _LL), (5, 5))
+        d, fps = _design(1, {"m": fp})
+        warm = {"i0": anchor}
+        if placer == "stitch":
+            params = SAParams(max_iters=20, p_place=0.0, seed=0)
+            res = stitch(d, fps, z020, params, initial_placements=warm)
+        else:
+            params = PTParams(
+                max_iters=20, n_chains=2, steps_per_round=10, p_place=0.0, seed=0
+            )
+            res = temper(d, fps, z020, params, initial_placements=warm)
+        # The warm start placed nothing: the run starts at the penalty.
+        assert res.history[0] == (0, params.unplaced_weight * fp.occupied_clbs)
+        x, y = res.placements["i0"]
+        assert (x, y) != anchor
+        assert z020.kinds(x, 2) == (_LM, _LL)
+        assert 0 <= y <= z020.height_clbs - 5
+
+
 class TestConvergedAtAnchor:
     """Regression: ``converged_at`` used to be measured against the
     anneal-phase best cost, ignoring that the deterministic
