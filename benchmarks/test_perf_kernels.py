@@ -171,7 +171,7 @@ def _cnv_case(grid) -> tuple[BlockDesign, dict[str, Footprint]]:
     return design, footprints
 
 
-@pytest.mark.parametrize("case", ["chain", "crowded", "routed"])
+@pytest.mark.parametrize("case", ["chain", "crowded"])
 def test_perf_stitch_fast_vs_reference(grid, case):
     """The fast kernel must beat the reference kernel on the same run.
 
@@ -183,18 +183,12 @@ def test_perf_stitch_fast_vs_reference(grid, case):
     double-counts a probe shows in the history, the illegal-move count
     or an attempt/accept counter even when the placement survives.
     The 40-macro chain places every block; the crowded cnvW1A1 case is
-    where the fast kernel skips place attempts it knows must miss; the
-    routed case is the crowded one with the congestion and timing terms
-    on, so the fused loop's route-aware branch runs.
+    where the fast kernel skips place attempts it knows must miss.
     """
     import time
 
     d, fps = _stitch_case() if case == "chain" else _cnv_case(grid)
     params = SAParams(max_iters=2000, seed=0)
-    if case == "routed":
-        params = SAParams(
-            max_iters=2000, seed=0, congestion_weight=1.0, timing_weight=1.0
-        )
 
     def best_of(name: str, results: list) -> float:
         elapsed = []
@@ -210,11 +204,7 @@ def test_perf_stitch_fast_vs_reference(grid, case):
     t_fast = best_of("fast", fast_results)
     t_ref = best_of("reference", ref_results)
     fast, ref = fast_results[0], ref_results[0]
-    assert (fast.n_unplaced > 0) == (case != "chain")
-    if case == "routed":
-        assert fast.congestion_cost > 0.0 and fast.timing_cost > 0.0
-        assert fast.congestion_cost == ref.congestion_cost
-        assert fast.timing_cost == ref.timing_cost
+    assert (fast.n_unplaced > 0) == (case == "crowded")
     assert fast.placements == ref.placements
     assert fast.final_cost == ref.final_cost
     assert fast.history == ref.history

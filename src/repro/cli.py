@@ -25,10 +25,9 @@ from typing import Sequence
 __all__ = ["PLACERS", "build_parser", "main"]
 
 #: ``repro place --placer`` choices: the DSE portfolio's members
-#: (:func:`repro.flow.placers.default_portfolio`) plus the analytic
-#: placer alone.  Kept literal so parser construction stays
-#: import-light; tests assert the two agree.
-PLACERS = ("sa", "ga", "warm-sa", "pt", "gp+sa", "gp")
+#: (:func:`repro.flow.placers.default_portfolio`).  Kept literal so
+#: parser construction stays import-light; tests assert the two agree.
+PLACERS = ("sa", "ga", "warm-sa", "pt", "gp+sa")
 
 
 def _positive_int(value: str) -> int:
@@ -161,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="use the ground-truth minimal CF per module")
     p_pl.add_argument("--budget", type=_positive_int, default=20000,
                       help="kernel-move budget (gp+sa polishes at half of "
-                      "it; gp spends none)")
+                      "it)")
     p_pl.add_argument("--restarts", type=_positive_int, default=1,
                       help="independent placer seeds; the best run wins")
     p_pl.add_argument("--workers", type=int, default=0,
@@ -169,12 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pl.add_argument("--seed", type=int, default=0)
     p_pl.add_argument("--render", action="store_true",
                       help="print the ASCII occupancy and congestion maps")
-    p_pl.add_argument("--congestion-weight", type=float, default=0.0,
-                      help="weight of the channel-overflow congestion cost "
-                      "term (0 = pure HPWL, the default)")
-    p_pl.add_argument("--timing-weight", type=float, default=0.0,
-                      help="weight of the block-level critical-path cost "
-                      "term (0 = off, the default)")
     _add_trace_args(p_pl)
 
     p_trace = sub.add_parser("trace", help="inspect a saved span trace")
@@ -353,19 +346,14 @@ def _build_placer(args: argparse.Namespace):
     from dataclasses import replace
 
     from repro.flow.global_place import GPParams
-    from repro.flow.placers import AnalyticPlacer, default_portfolio
+    from repro.flow.placers import default_portfolio
     from repro.flow.stitcher import SAParams
 
-    knobs = dict(seed=args.seed, congestion_weight=args.congestion_weight,
-                 timing_weight=args.timing_weight)
-    gp = GPParams(**knobs)
-    if args.placer == "gp":
-        return AnalyticPlacer(params=gp)
-    portfolio = default_portfolio(SAParams(max_iters=args.budget, **knobs))
+    portfolio = default_portfolio(SAParams(max_iters=args.budget, seed=args.seed))
     placer = {p.name: p for p in portfolio}[args.placer]
     if args.placer == "gp+sa":
         # Pin the warm start to the base seed: restarts vary the polish.
-        placer = replace(placer, gp_params=gp)
+        placer = replace(placer, gp_params=GPParams(seed=args.seed))
     return placer
 
 
@@ -406,11 +394,6 @@ def _cmd_place(args: argparse.Namespace) -> int:
         f"{s.n_unplaced} unplaced, wirelength {s.wirelength:.1f}, "
         f"cost {s.final_cost:.1f}"
     )
-    if args.congestion_weight or args.timing_weight:
-        print(
-            f"  congestion cost {s.congestion_cost:.2f}, "
-            f"timing cost {s.timing_cost:.2f}"
-        )
     print(
         f"  converged at move {s.converged_at}/{s.iterations}, "
         f"{s.illegal_moves} illegal moves, {res.total_tool_runs} tool runs"

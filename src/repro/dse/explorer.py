@@ -251,11 +251,6 @@ class DSEExplorer:
                 name: impl.outcome.result.footprint
                 for name, impl in impls.items()
             }
-            # Seed the portfolio's optional timing cost term; placers
-            # with timing_weight == 0.0 (the default) ignore it.
-            module_delays = {
-                name: impl.timing.total_ns for name, impl in impls.items()
-            }
             counts = self.base.instance_counts()
             stitchable = (
                 self.base if not infeasible else self.base.subset(set(impls))
@@ -268,8 +263,7 @@ class DSEExplorer:
                 best_stitched: StitchResult | None = None
                 for placer in self.placers:
                     res = placer.place(
-                        stitchable, footprints, self.stitch_grid,
-                        module_delays=module_delays, tracer=tr,
+                        stitchable, footprints, self.stitch_grid, tracer=tr
                     )
                     if best_stitched is None or pareto_key(res) < pareto_key(
                         best_stitched

@@ -55,7 +55,6 @@ from repro.flow.evolve import GAParams, evolve
 from repro.flow.global_place import GPParams, global_place
 from repro.flow.monolithic import MonolithicResult, monolithic_flow
 from repro.flow.placers import (
-    AnalyticPlacer,
     GAPlacer,
     SAPlacer,
     TemperedSAPlacer,
@@ -99,7 +98,6 @@ from repro.flow.stitcher import (
 from repro.flow.tempering import PTParams, temper
 
 __all__ = [
-    "AnalyticPlacer",
     "Bitstream",
     "BlockDesign",
     "CacheStats",

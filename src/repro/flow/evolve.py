@@ -33,7 +33,6 @@ bit-for-bit in any process (``tests/test_determinism_cross_process.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -44,7 +43,6 @@ from repro.place.shapes import Footprint
 from repro.place_kernel.kernel import PlacementKernel
 from repro.place_kernel.problem import PlacementProblem
 from repro.place_kernel.result import StitchResult, StitchStats, converge_history
-from repro.place_kernel.route_cost import build_route_model
 from repro.place_kernel.uniform import UniformBuffer
 
 __all__ = ["GAParams", "evolve"]
@@ -89,10 +87,6 @@ class GAParams:
     #: ``SAParams.unplaced_weight`` — required for comparable costs).
     unplaced_weight: float = 40.0
     seed: int = 0
-    #: Weight of the channel-overflow congestion cost term (0.0 = off).
-    congestion_weight: float = 0.0
-    #: Weight of the block-level critical-path cost term (0.0 = off).
-    timing_weight: float = 0.0
 
 
 class _Genome:
@@ -214,7 +208,6 @@ def evolve(
     grid: DeviceGrid,
     params: GAParams | None = None,
     *,
-    module_delays: Mapping[str, float] | None = None,
     tracer: Tracer | NullTracer | None = None,
 ) -> StitchResult:
     """Place all instances of ``design`` on ``grid`` with the GA.
@@ -226,9 +219,6 @@ def evolve(
     params:
         GA configuration; ``params.move_budget`` is the SA-comparable
         kernel-operation budget.
-    module_delays:
-        Per-module delays (ns) seeding the timing cost term; ignored
-        unless ``params.timing_weight`` is nonzero.
     tracer:
         Where the run's ``evolve`` span tree (``evolve.init`` /
         ``evolve.generations`` / ``evolve.repair`` — the three phases
@@ -253,13 +243,7 @@ def evolve(
         with tr.span("evolve.init") as sp_init:
             problem = PlacementProblem.from_design(design, footprints, grid)
             names = problem.names
-            route = build_route_model(
-                problem,
-                congestion_weight=params.congestion_weight,
-                timing_weight=params.timing_weight,
-                module_delays=module_delays,
-            )
-            st = problem.make_kernel(params.unplaced_weight, route)
+            st = problem.make_kernel(params.unplaced_weight)
             swappable = problem.swappable
             n = st.n
             budget = _Budget(max(1, params.move_budget))
@@ -372,8 +356,6 @@ def evolve(
 
             wirelength = st.wirelength()
             final_cost = st.total_cost()
-            congestion_cost = st.congestion_cost()
-            timing_cost = st.timing_cost()
             hist, converged_at = converge_history(
                 history, final_cost, budget.used
             )
@@ -392,9 +374,6 @@ def evolve(
         sp_root.set_attr("final_cost", final_cost)
         sp_root.set_attr("generations", generations)
         sp_root.set_attr("converged_at", converged_at)
-        if route is not None:
-            sp_root.set_attr("cost.congestion", congestion_cost)
-            sp_root.set_attr("cost.timing", timing_cost)
 
     stats = StitchStats(
         seed=params.seed,
@@ -418,6 +397,4 @@ def evolve(
         history=tuple(history),
         occupancy=occupancy,
         stats=stats,
-        congestion_cost=congestion_cost,
-        timing_cost=timing_cost,
     )

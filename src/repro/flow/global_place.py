@@ -47,7 +47,6 @@ stitcher's phases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -57,7 +56,6 @@ from repro.obs.tracer import NullTracer, Tracer, current_tracer
 from repro.place.shapes import Footprint
 from repro.place_kernel.problem import PlacementProblem
 from repro.place_kernel.result import StitchResult, StitchStats, converge_history
-from repro.place_kernel.route_cost import build_route_model
 from repro.place_kernel.sites import column_capacities
 from repro.utils.rng import stream
 
@@ -94,13 +92,6 @@ class GPParams:
     #: ``SAParams.unplaced_weight`` — required for comparable costs).
     unplaced_weight: float = 40.0
     seed: int = 0
-    #: Weight of the channel-overflow congestion cost term.  The descent
-    #: itself stays pure HPWL + density; a nonzero weight makes the
-    #: reported ``final_cost`` comparable to a congestion-aware anneal's
-    #: (and a gp-warm-started anneal then optimizes the full objective).
-    congestion_weight: float = 0.0
-    #: Weight of the block-level critical-path cost term (same role).
-    timing_weight: float = 0.0
 
 
 def global_place(
@@ -109,7 +100,6 @@ def global_place(
     grid: DeviceGrid,
     params: GPParams | None = None,
     *,
-    module_delays: Mapping[str, float] | None = None,
     tracer: Tracer | NullTracer | None = None,
 ) -> StitchResult:
     """Analytically place all instances of ``design`` on ``grid``.
@@ -149,13 +139,7 @@ def global_place(
         with tr.span("gplace.init") as sp_init:
             problem = PlacementProblem.from_design(design, footprints, grid)
             names = problem.names
-            route = build_route_model(
-                problem,
-                congestion_weight=params.congestion_weight,
-                timing_weight=params.timing_weight,
-                module_delays=module_delays,
-            )
-            st = problem.make_kernel(params.unplaced_weight, route)
+            st = problem.make_kernel(params.unplaced_weight)
             n = st.n
             height = float(grid.height_clbs)
 
@@ -385,8 +369,6 @@ def global_place(
             st.first_fit_fill()
             wirelength = st.wirelength()
             final_cost = st.total_cost()
-            congestion_cost = st.congestion_cost()
-            timing_cost = st.timing_cost()
             occupancy = st.occupancy_array()
             placements = {names[i]: st.pos[i] for i in range(n)}
             n_placed = sum(1 for p in st.pos if p is not None)
@@ -399,9 +381,6 @@ def global_place(
         sp_root.set_attr("n_placed", n_placed)
         sp_root.set_attr("n_unplaced", n - n_placed)
         sp_root.set_attr("final_cost", final_cost)
-        if route is not None:
-            sp_root.set_attr("cost.congestion", congestion_cost)
-            sp_root.set_attr("cost.timing", timing_cost)
 
     stats = StitchStats(
         seed=params.seed,
@@ -426,6 +405,4 @@ def global_place(
         history=history,
         occupancy=occupancy,
         stats=stats,
-        congestion_cost=congestion_cost,
-        timing_cost=timing_cost,
     )

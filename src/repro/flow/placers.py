@@ -1,13 +1,12 @@
 """Concrete :class:`~repro.place_kernel.protocol.Placer` implementations.
 
 The optimizer portfolio: interchangeable placers behind one protocol,
-all driving the same move kernel and scoring the same objective, so
-their results are directly comparable —
+all driving the same move kernel and scoring the same objective
+(weighted HPWL plus the unplaced penalty), so their results are
+directly comparable —
 
 * :class:`SAPlacer` — the simulated-annealing stitcher;
 * :class:`GAPlacer` — the evolutionary placer;
-* :class:`AnalyticPlacer` — the gradient HPWL global placer
-  (:mod:`repro.flow.global_place`) alone, zero kernel-op spend;
 * :class:`WarmStartedSAPlacer` — a warm-start producer (a short GA
   pass, or the analytic placer with ``warm="gp"``) feeding a
   budget-shrunken anneal, the classic global-then-local pipeline;
@@ -37,7 +36,6 @@ from repro.place.shapes import Footprint
 from repro.place_kernel.result import StitchResult, pareto_key
 
 __all__ = [
-    "AnalyticPlacer",
     "GAPlacer",
     "SAPlacer",
     "TemperedSAPlacer",
@@ -59,13 +57,9 @@ class SAPlacer:
         footprints: Mapping[str, Footprint],
         grid: DeviceGrid,
         *,
-        module_delays: Mapping[str, float] | None = None,
         tracer: Tracer | NullTracer | None = None,
     ) -> StitchResult:
-        return stitch(
-            design, dict(footprints), grid, self.params,
-            module_delays=module_delays, tracer=tracer,
-        )
+        return stitch(design, dict(footprints), grid, self.params, tracer=tracer)
 
 
 @dataclass(frozen=True)
@@ -81,41 +75,9 @@ class GAPlacer:
         footprints: Mapping[str, Footprint],
         grid: DeviceGrid,
         *,
-        module_delays: Mapping[str, float] | None = None,
         tracer: Tracer | NullTracer | None = None,
     ) -> StitchResult:
-        return evolve(
-            design, dict(footprints), grid, self.params,
-            module_delays=module_delays, tracer=tracer,
-        )
-
-
-@dataclass(frozen=True)
-class AnalyticPlacer:
-    """The analytic global placer as a portfolio member.
-
-    Runs :func:`~repro.flow.global_place.global_place` alone — gradient
-    HPWL descent plus legalization, zero kernel-op spend (gradient
-    steps and snaps are uncharged).  Mostly useful as the warm-start
-    producer; on its own it trades polish quality for near-zero budget.
-    """
-
-    params: GPParams = field(default_factory=GPParams)
-    name: str = "gp"
-
-    def place(
-        self,
-        design: BlockDesign,
-        footprints: Mapping[str, Footprint],
-        grid: DeviceGrid,
-        *,
-        module_delays: Mapping[str, float] | None = None,
-        tracer: Tracer | NullTracer | None = None,
-    ) -> StitchResult:
-        return global_place(
-            design, dict(footprints), grid, self.params,
-            module_delays=module_delays, tracer=tracer,
-        )
+        return evolve(design, dict(footprints), grid, self.params, tracer=tracer)
 
 
 @dataclass(frozen=True)
@@ -161,7 +123,6 @@ class WarmStartedSAPlacer:
         footprints: Mapping[str, Footprint],
         grid: DeviceGrid,
         *,
-        module_delays: Mapping[str, float] | None = None,
         tracer: Tracer | NullTracer | None = None,
     ) -> StitchResult:
         if self.warm not in ("ga", "gp"):
@@ -173,13 +134,8 @@ class WarmStartedSAPlacer:
             gp = self.gp_params or GPParams(
                 unplaced_weight=self.params.unplaced_weight,
                 seed=self.params.seed,
-                congestion_weight=self.params.congestion_weight,
-                timing_weight=self.params.timing_weight,
             )
-            warm = global_place(
-                design, dict(footprints), grid, gp,
-                module_delays=module_delays, tracer=tracer,
-            )
+            warm = global_place(design, dict(footprints), grid, gp, tracer=tracer)
             anneal = replace(
                 self.params,
                 max_iters=max(1, int(self.params.max_iters * self.sa_frac)),
@@ -194,10 +150,7 @@ class WarmStartedSAPlacer:
                     move_budget=warm_budget,
                     unplaced_weight=self.params.unplaced_weight,
                     seed=self.params.seed,
-                    congestion_weight=self.params.congestion_weight,
-                    timing_weight=self.params.timing_weight,
                 ),
-                module_delays=module_delays,
                 tracer=tracer,
             )
             anneal = replace(
@@ -210,7 +163,6 @@ class WarmStartedSAPlacer:
             grid,
             anneal,
             initial_placements=warm.placements,
-            module_delays=module_delays,
             tracer=tracer,
         )
         # A converged warm start can be better than the re-annealed
@@ -243,13 +195,9 @@ class TemperedSAPlacer:
         footprints: Mapping[str, Footprint],
         grid: DeviceGrid,
         *,
-        module_delays: Mapping[str, float] | None = None,
         tracer: Tracer | NullTracer | None = None,
     ) -> StitchResult:
-        return temper(
-            design, dict(footprints), grid, self.params,
-            module_delays=module_delays, tracer=tracer,
-        )
+        return temper(design, dict(footprints), grid, self.params, tracer=tracer)
 
 
 def default_portfolio(sa_params: SAParams | None = None) -> tuple[
@@ -271,8 +219,6 @@ def default_portfolio(sa_params: SAParams | None = None) -> tuple[
         move_budget=params.max_iters,
         unplaced_weight=params.unplaced_weight,
         seed=params.seed,
-        congestion_weight=params.congestion_weight,
-        timing_weight=params.timing_weight,
     )
     pt = PTParams(
         max_iters=params.max_iters,
@@ -280,8 +226,6 @@ def default_portfolio(sa_params: SAParams | None = None) -> tuple[
         p_place=params.p_place,
         p_swap=params.p_swap,
         seed=params.seed,
-        congestion_weight=params.congestion_weight,
-        timing_weight=params.timing_weight,
     )
     return (
         SAPlacer(params=params),

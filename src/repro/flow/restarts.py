@@ -39,10 +39,7 @@ __all__ = ["place_best"]
 
 
 def _place_one(
-    args: tuple[
-        Placer, BlockDesign, Mapping[str, Footprint], DeviceGrid,
-        Mapping[str, float] | None, bool
-    ],
+    args: tuple[Placer, BlockDesign, Mapping[str, Footprint], DeviceGrid, bool],
 ) -> tuple[StitchResult, list[dict]]:
     """Worker entry point (module-level so it pickles).
 
@@ -51,10 +48,9 @@ def _place_one(
     can graft every restart's phase breakdown into its own trace exactly
     once regardless of worker count.
     """
-    placer, design, footprints, grid, delays, want_trace = args
+    placer, design, footprints, grid, want_trace = args
     tr = Tracer() if want_trace else None
-    result = placer.place(design, footprints, grid, module_delays=delays,
-                          tracer=tr)
+    result = placer.place(design, footprints, grid, tracer=tr)
     return result, [root.to_json_dict() for root in tr.roots] if tr else []
 
 
@@ -67,7 +63,6 @@ def place_best(
     n_seeds: int = 4,
     n_workers: int | None = None,
     seeds: Sequence[int] | None = None,
-    module_delays: Mapping[str, float] | None = None,
     tracer: Tracer | NullTracer | None = None,
 ) -> StitchResult:
     """Run ``placer`` over several independent seeds and return the best run.
@@ -91,9 +86,6 @@ def place_best(
         serially in-process; the winner is identical either way.
     seeds:
         Explicit seed list, overriding ``n_seeds``.
-    module_delays:
-        Per-module delays (ns) for the timing cost term, forwarded
-        verbatim to each seed's run.
     tracer:
         Where the ``place.restarts`` span is recorded, with each seed's
         span trees as children (merged back from the workers when the
@@ -117,7 +109,7 @@ def place_best(
     ambient = tracer if tracer is not None else current_tracer()
     jobs = [
         (replace(placer, params=replace(placer.params, seed=s)), design,
-         footprints, grid, module_delays, ambient.enabled)
+         footprints, grid, ambient.enabled)
         for s in seeds
     ]
     with ambient.span("place.restarts", placer=placer.name,

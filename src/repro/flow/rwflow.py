@@ -160,11 +160,6 @@ def run_rw_flow(
             for name, impl in pre.items()
             if impl.outcome.result.footprint is not None
         }
-        # Per-module intra-block delays seed the placers' optional timing
-        # cost term (inert at the default timing_weight == 0.0).
-        module_delays = {
-            name: impl.timing.total_ns for name, impl in pre.items()
-        }
         target = stitch_grid or grid
 
         missing = [i for i in design.instances if i.module not in footprints]
@@ -185,19 +180,12 @@ def run_rw_flow(
             result = place_best(
                 placer or SAPlacer(params=sa_params or SAParams()),
                 stitchable, footprints, target,
-                n_seeds=n_seeds, n_workers=n_workers,
-                module_delays=module_delays, tracer=ambient,
+                n_seeds=n_seeds, n_workers=n_workers, tracer=ambient,
             )
         elif placer is not None:
-            result = placer.place(
-                stitchable, footprints, target,
-                module_delays=module_delays, tracer=ambient,
-            )
+            result = placer.place(stitchable, footprints, target, tracer=ambient)
         else:
-            result = stitch(
-                stitchable, footprints, target, sa_params,
-                module_delays=module_delays, tracer=ambient,
-            )
+            result = stitch(stitchable, footprints, target, sa_params, tracer=ambient)
         if missing:
             placements = dict(result.placements)
             placements.update({i.name: None for i in missing})

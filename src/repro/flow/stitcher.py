@@ -32,7 +32,6 @@ from repro.obs.tracer import NullTracer, Tracer, current_tracer
 from repro.place.shapes import Footprint
 from repro.place_kernel.problem import PlacementProblem
 from repro.place_kernel.result import StitchResult, StitchStats, converge_history
-from repro.place_kernel.route_cost import build_route_model
 from repro.place_kernel.uniform import UniformBuffer
 
 __all__ = ["SAParams", "StitchResult", "StitchStats", "stitch"]
@@ -54,11 +53,6 @@ class SAParams:
     #: Probability of a same-module swap per move.
     p_swap: float = 0.15
     seed: int = 0
-    #: Weight of the channel-overflow congestion cost term; 0.0 keeps
-    #: the pure HPWL objective (and the goldens) byte-identical.
-    congestion_weight: float = 0.0
-    #: Weight of the block-level critical-path cost term; 0.0 disables.
-    timing_weight: float = 0.0
 
 
 def stitch(
@@ -68,7 +62,6 @@ def stitch(
     params: SAParams | None = None,
     *,
     initial_placements: Mapping[str, tuple[int, int] | None] | None = None,
-    module_delays: Mapping[str, float] | None = None,
     tracer: Tracer | NullTracer | None = None,
 ) -> StitchResult:
     """Place all instances of ``design`` on ``grid``.
@@ -91,10 +84,6 @@ def stitch(
         earlier one) leaves that instance unplaced rather than failing.
         Without it the anneal starts from the greedy tallest-first
         packing, exactly as before.
-    module_delays:
-        Per-module intra-block delays in ns seeding the timing cost
-        term (each pre-implemented module's ``TimingReport.total_ns``);
-        ignored unless ``params.timing_weight`` is nonzero.
     tracer:
         Where the run's ``stitch`` span tree is recorded (the phase
         times live only there); defaults to the ambient tracer.  An
@@ -117,13 +106,7 @@ def stitch(
         with tr.span("stitch.setup") as sp_setup:
             problem = PlacementProblem.from_design(design, footprints, grid)
             names = problem.names
-            route = build_route_model(
-                problem,
-                congestion_weight=params.congestion_weight,
-                timing_weight=params.timing_weight,
-                module_delays=module_delays,
-            )
-            st = problem.make_kernel(params.unplaced_weight, route)
+            st = problem.make_kernel(params.unplaced_weight)
             swappable = problem.swappable
             edges = problem.edges
 
@@ -177,8 +160,6 @@ def stitch(
             # history event when the fill changed the cost).
             wirelength = st.wirelength()
             final_cost = st.total_cost()
-            congestion_cost = st.congestion_cost()
-            timing_cost = st.timing_cost()
             history, converged_at = converge_history(
                 improvements, final_cost, it
             )
@@ -204,9 +185,6 @@ def stitch(
         sp_root.set_attr("n_unplaced", st.n - n_placed)
         sp_root.set_attr("final_cost", final_cost)
         sp_root.set_attr("converged_at", converged_at)
-        if route is not None:
-            sp_root.set_attr("cost.congestion", congestion_cost)
-            sp_root.set_attr("cost.timing", timing_cost)
 
     stats = StitchStats(
         seed=params.seed,
@@ -231,6 +209,4 @@ def stitch(
         history=history,
         occupancy=occupancy,
         stats=stats,
-        congestion_cost=congestion_cost,
-        timing_cost=timing_cost,
     )

@@ -68,7 +68,6 @@ from repro.place.shapes import Footprint
 from repro.place_kernel.kernel import PlacementKernel
 from repro.place_kernel.problem import PlacementProblem
 from repro.place_kernel.result import StitchResult, StitchStats, converge_history
-from repro.place_kernel.route_cost import build_route_model
 from repro.place_kernel.uniform import UniformBuffer
 from repro.utils.rng import stream
 
@@ -107,10 +106,6 @@ class PTParams:
     #: Probability of a same-module swap per move.
     p_swap: float = 0.15
     seed: int = 0
-    #: Weight of the channel-overflow congestion cost term (0.0 = off).
-    congestion_weight: float = 0.0
-    #: Weight of the block-level critical-path cost term (0.0 = off).
-    timing_weight: float = 0.0
 
 
 class _ChainState:
@@ -146,21 +141,9 @@ def _build_kernel(
     footprints: dict[str, Footprint],
     grid: DeviceGrid,
     unplaced_weight: float,
-    congestion_weight: float = 0.0,
-    timing_weight: float = 0.0,
-    module_delays: Mapping[str, float] | None = None,
 ) -> tuple[PlacementKernel, tuple[tuple[int, ...], ...], int]:
     problem = PlacementProblem.from_design(design, footprints, grid)
-    # Rebuilt identically in every process: build_route_model is a pure
-    # function of the problem and the weights, so each worker scores the
-    # same objective bit-for-bit.
-    route = build_route_model(
-        problem,
-        congestion_weight=congestion_weight,
-        timing_weight=timing_weight,
-        module_delays=module_delays,
-    )
-    st = problem.make_kernel(unplaced_weight, route)
+    st = problem.make_kernel(unplaced_weight)
     return st, problem.swappable, len(problem.edges)
 
 
@@ -169,15 +152,9 @@ def _init_worker(
     footprints: dict[str, Footprint],
     grid: DeviceGrid,
     unplaced_weight: float,
-    congestion_weight: float = 0.0,
-    timing_weight: float = 0.0,
-    module_delays: Mapping[str, float] | None = None,
 ) -> None:
     """FanOut initializer: build this process's kernel exactly once."""
-    _WORKER["ctx"] = _build_kernel(
-        design, footprints, grid, unplaced_weight,
-        congestion_weight, timing_weight, module_delays,
-    )
+    _WORKER["ctx"] = _build_kernel(design, footprints, grid, unplaced_weight)
 
 
 _COUNTER_FIELDS = (
@@ -268,7 +245,6 @@ def temper(
     *,
     n_workers: int | None = None,
     initial_placements: Mapping[str, tuple[int, int] | None] | None = None,
-    module_delays: Mapping[str, float] | None = None,
     tracer: Tracer | NullTracer | None = None,
 ) -> StitchResult:
     """Place all instances of ``design`` with cooperative replica exchange.
@@ -286,10 +262,6 @@ def temper(
         :func:`~repro.flow.stitcher.stitch`: anchors apply in instance
         order, non-fitting anchors stay unplaced).  Without it the
         ladder starts from the greedy tallest-first packing.
-    module_delays:
-        Per-module delays (ns) seeding the timing cost term; ignored
-        unless ``params.timing_weight`` is nonzero.  Shipped to every
-        worker so all chains score the identical objective.
     n_workers:
         Worker processes to fan the chains over per exchange block.
         ``None``, 0 or 1 runs serially in-process; the result is
@@ -348,24 +320,15 @@ def temper(
         fan: FanOut | None = None
         try:
             with tr.span("tempering.init") as sp_init:
-                delays = dict(module_delays) if module_delays else None
                 fan = FanOut(
                     n_workers,
                     n_chains,
                     initializer=_init_worker,
-                    initargs=(
-                        design, footprints, grid,
-                        params.unplaced_weight,
-                        params.congestion_weight, params.timing_weight,
-                        delays,
-                    ),
+                    initargs=(design, footprints, grid, params.unplaced_weight),
                 )
                 if fan.pooled:
                     st, swappable, n_edges = _build_kernel(
-                        design, footprints, grid,
-                        params.unplaced_weight,
-                        params.congestion_weight, params.timing_weight,
-                        delays,
+                        design, footprints, grid, params.unplaced_weight
                     )
                 else:
                     # Serial: the parent shares the single in-process
@@ -519,8 +482,6 @@ def temper(
                 st.first_fit_fill()
                 wirelength = st.wirelength()
                 final_cost = st.total_cost()
-                congestion_cost = st.congestion_cost()
-                timing_cost = st.timing_cost()
                 occupancy = st.occupancy_array()
                 placements = {names[i]: st.pos[i] for i in range(st.n)}
                 n_placed = sum(1 for p in st.pos if p is not None)
@@ -542,9 +503,6 @@ def temper(
         sp_root.set_attr("n_exchanges", n_exchanges)
         sp_root.set_attr("n_exchange_accepts", n_swaps)
         sp_root.set_attr("n_migrations", n_migrations)
-        if st.route is not None:
-            sp_root.set_attr("cost.congestion", congestion_cost)
-            sp_root.set_attr("cost.timing", timing_cost)
 
     # Counters come from the aggregated per-task deltas, never from raw
     # parent-kernel counters, so serial and pooled runs report the same
@@ -573,6 +531,4 @@ def temper(
         history=hist,
         occupancy=occupancy,
         stats=stats,
-        congestion_cost=congestion_cost,
-        timing_cost=timing_cost,
     )

@@ -28,13 +28,6 @@ from repro.place_kernel.kernel import PLACE_PROBES, FastKernel, PlacementKernel
 from repro.place_kernel.problem import PlacementProblem
 from repro.place_kernel.protocol import Placer
 from repro.place_kernel.result import StitchResult, StitchStats
-from repro.place_kernel.route_cost import (
-    CHANNEL_CAPACITY,
-    RouteCostModel,
-    build_route_model,
-    channel_window,
-    edge_criticality,
-)
 from repro.place_kernel.sites import (
     HARD_KINDS,
     HARD_PITCH,
@@ -45,7 +38,6 @@ from repro.place_kernel.sites import (
 from repro.place_kernel.uniform import UniformBuffer
 
 __all__ = [
-    "CHANNEL_CAPACITY",
     "HARD_KINDS",
     "HARD_PITCH",
     "PLACE_PROBES",
@@ -53,14 +45,10 @@ __all__ = [
     "Placer",
     "PlacementKernel",
     "PlacementProblem",
-    "RouteCostModel",
     "SiteTable",
     "StitchResult",
     "StitchStats",
     "UniformBuffer",
-    "build_route_model",
-    "channel_window",
     "column_capacities",
-    "edge_criticality",
     "site_table",
 ]

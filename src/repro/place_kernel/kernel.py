@@ -63,7 +63,6 @@ import numpy as np
 
 from repro.device.grid import DeviceGrid
 from repro.place.shapes import Footprint
-from repro.place_kernel.route_cost import RouteCostModel
 from repro.place_kernel.sites import SiteTable, site_table, site_tables
 from repro.place_kernel.uniform import UniformBuffer
 
@@ -79,10 +78,10 @@ class PlacementKernel:
 
     Subclasses provide the geometry/cost primitives (``fits``,
     ``fits_moved``, ``paint``, ``set_pos``, ``incident_cost``,
-    ``wirelength``, ``timing_cost``, ``congestion_overflow``,
-    ``lowest_fit_y``, ``nearest_fit_y``, ``occupancy_array``), the batch
-    loop (``run_batch``) and may keep per-footprint verdicts
-    (``fits_nowhere``, ``note_fits_nowhere``, ``check_fits_nowhere``).
+    ``wirelength``, ``lowest_fit_y``, ``nearest_fit_y``,
+    ``occupancy_array``), the batch loop (``run_batch``) and may keep
+    per-footprint verdicts (``fits_nowhere``, ``note_fits_nowhere``,
+    ``check_fits_nowhere``).
     The per-call moves and the packers that draw and decide live here,
     once.  :meth:`FastKernel.run_batch` repeats the moves' draws and
     decisions inline; the reference kernel in ``tests/kernel_oracle.py``
@@ -99,7 +98,6 @@ class PlacementKernel:
         footprints: list[Footprint],
         edges: list[tuple[int, int, int]],
         unplaced_weight: float,
-        route: RouteCostModel | None = None,
     ) -> None:
         self.grid = grid
         self.names = names
@@ -130,11 +128,6 @@ class PlacementKernel:
         self.n_y = [self.tables[t].n_y for t in self.table_of]
         self.areas = [self.tables[t].area for t in self.table_of]
         self.pos: list[tuple[int, int] | None] = [None] * self.n
-        # Incident edges per instance for O(deg) cost deltas.
-        self.incident: list[list[int]] = [[] for _ in range(self.n)]
-        for ei, (a, b, _w) in enumerate(edges):
-            self.incident[a].append(ei)
-            self.incident[b].append(ei)
         self.illegal = 0
         self.move_attempts = 0
         self.place_attempts = 0
@@ -142,30 +135,6 @@ class PlacementKernel:
         self.move_accepts = 0
         self.place_accepts = 0
         self.swap_accepts = 0
-        # Optional routing/timing cost terms.  With route=None (the
-        # default) every code path below is byte-identical to the pure
-        # HPWL kernel — the zero-weight neutrality the goldens pin.
-        self.route = route
-        self._cong = route is not None and route.has_congestion
-        self._tw = (
-            list(route.timing_edge_weight)
-            if route is not None and route.has_timing
-            else None
-        )
-        if route is not None:
-            # Center offsets for the channel/timing geometry (the same
-            # trimmed-footprint half extents the HPWL centers use).
-            self._chw = [self.tables[t].half_w for t in self.table_of]
-            self._chh = [self.tables[t].half_h for t in self.table_of]
-        if self._tw is not None:
-            # Effective per-edge weights: HPWL width plus the quantized
-            # timing weight.  Both are dyadic, so folding them keeps the
-            # incident-cost sums exact (bitwise fast==reference).
-            self._effw = [
-                float(e[2]) + self._tw[ei] for ei, e in enumerate(edges)
-            ]
-        else:
-            self._effw = None
 
     # ------------------------------------------------------------ primitives
 
@@ -345,58 +314,7 @@ class PlacementKernel:
         pen = self.unplaced_weight * sum(
             self.areas[i] for i in range(self.n) if self.pos[i] is None
         )
-        if self.route is None:
-            return self.wirelength() + pen
-        return (
-            self.wirelength() + pen + self.timing_cost()
-            + self.congestion_cost()
-        )
-
-    # ------------------------------------------------------------ route cost
-
-    def _edge_window(self, ei: int) -> tuple[int, int, int, int] | None:
-        """Clipped channel windows ``(c0, c1, r0, r1)`` of edge ``ei``.
-
-        ``None`` unless both endpoints are placed; either axis range may
-        be empty (``c1 < c0``) for nets that cross no boundary there.
-        """
-        a, b, _w = self.edges[ei]
-        pa, pb = self.pos[a], self.pos[b]
-        if pa is None or pb is None:
-            return None
-        ax = pa[0] + self._chw[a]
-        bx = pb[0] + self._chw[b]
-        ay = pa[1] + self._chh[a]
-        by = pb[1] + self._chh[b]
-        if ax > bx:
-            ax, bx = bx, ax
-        if ay > by:
-            ay, by = by, ay
-        route = self.route
-        c0 = max(0, math.floor(ax))
-        c1 = min(route.n_col_channels - 1, math.ceil(bx) - 2)
-        r0 = max(0, math.floor(ay))
-        r1 = min(route.n_row_channels - 1, math.ceil(by) - 2)
-        return c0, c1, r0, r1
-
-    def congestion_overflow(self) -> int:
-        """Total wires above channel capacity, summed over all channels
-        (0 unless the congestion term is enabled)."""
-        raise NotImplementedError
-
-    def congestion_cost(self) -> float:
-        """``congestion_weight * overflow`` (0.0 when disabled)."""
-        if not self._cong:
-            return 0.0
-        return self.route.congestion_weight * self.congestion_overflow()
-
-    def timing_cost(self) -> float:
-        """Distance-proportional timing term (0.0 when disabled).
-
-        ``sum_e tw_e * (|dx| + |dy|)`` over placed-placed edges with the
-        quantized criticality weights — exact in any summation order.
-        """
-        raise NotImplementedError
+        return self.wirelength() + pen
 
     # ------------------------------------------------------------ initial
 
@@ -471,12 +389,8 @@ class PlacementKernel:
         # The block stays painted at ``old`` until the move is accepted:
         # the cost terms read positions, never the occupancy.
         before = self.incident_cost(i)
-        if self._cong:
-            before += self.route.congestion_weight * self.congestion_overflow()
         self.set_pos(i, (x, y))
         after = self.incident_cost(i)
-        if self._cong:
-            after += self.route.congestion_weight * self.congestion_overflow()
         delta = after - before
         if delta <= 0 or u.next() < math.exp(-delta / max(temp, 1e-9)):
             self.paint(i, old[0], old[1], -1)
@@ -503,11 +417,6 @@ class PlacementKernel:
             u.skip(2 * PLACE_PROBES)
             self.illegal += PLACE_PROBES
             return 0.0
-        cong_before = (
-            self.route.congestion_weight * self.congestion_overflow()
-            if self._cong
-            else 0.0
-        )
         n_x = len(xs)
         n_y = self.n_y[i]
         step = self.y_step[i]
@@ -520,14 +429,7 @@ class PlacementKernel:
                 self.set_pos(i, (x, y))
                 self.paint(i, x, y, +1)
                 self.place_accepts += 1
-                gain = self.incident_cost(i) - self.unplaced_weight * self.areas[i]
-                if self._cong:
-                    gain += (
-                        self.route.congestion_weight
-                        * self.congestion_overflow()
-                        - cong_before
-                    )
-                return gain
+                return self.incident_cost(i) - self.unplaced_weight * self.areas[i]
             self.illegal += 1
         self.check_fits_nowhere(i)
         return 0.0
@@ -539,13 +441,9 @@ class PlacementKernel:
         if pi is None or pj is None or pi == pj:
             return 0.0
         before = self.incident_cost(i) + self.incident_cost(j)
-        if self._cong:
-            before += self.route.congestion_weight * self.congestion_overflow()
         self.set_pos(i, pj)
         self.set_pos(j, pi)
         after = self.incident_cost(i) + self.incident_cost(j)
-        if self._cong:
-            after += self.route.congestion_weight * self.congestion_overflow()
         delta = after - before
         if delta <= 0 or u.next() < math.exp(-delta / max(temp, 1e-9)):
             self.swap_accepts += 1
@@ -558,10 +456,8 @@ class PlacementKernel:
 class FastKernel(PlacementKernel):
     """Bitmask primitives over list-held centers (the move kernel)."""
 
-    def __init__(
-        self, grid, names, footprints, edges, unplaced_weight, route=None
-    ) -> None:
-        super().__init__(grid, names, footprints, edges, unplaced_weight, route)
+    def __init__(self, grid, names, footprints, edges, unplaced_weight) -> None:
+        super().__init__(grid, names, footprints, edges, unplaced_weight)
         # Occupancy as one big-int bitmask per column: bit y set means CLB
         # row y is occupied.  fits() is then a shift+AND per column.
         self.colmask = [0] * grid.n_cols
@@ -577,8 +473,8 @@ class FastKernel(PlacementKernel):
         self.half_w = [self.tables[t].half_w for t in self.table_of]
         self.half_h = [self.tables[t].half_h for t in self.table_of]
         # Instance centers, maintained by set_pos and read by the per-move
-        # incident sums; the whole-design sums (wirelength, timing_cost)
-        # turn them into arrays when called.
+        # incident sums; the whole-design wirelength turns them into
+        # arrays when called.
         self.cx = [0.0] * self.n
         self.cy = [0.0] * self.n
         # Flat edge endpoints and widths for the whole-design sums.
@@ -588,37 +484,16 @@ class FastKernel(PlacementKernel):
         # Neighbor lists (other endpoint, weight) per instance for the
         # O(deg) incident sums; a scalar loop over them beats a numpy
         # gather at every degree the shipped designs reach (cnvW1A1's
-        # highest is 25).  With the timing term enabled the neighbor
-        # weights are the *effective* (HPWL + quantized timing) weights,
-        # so the per-move incident sums price both terms in one pass.
-        # A self-loop's term is always 0.0, which leaves a sum of
-        # non-negative terms unchanged, so it is left out: a relocation
-        # then prices its before and after sums in one pass over
-        # neighbors that do not move.
+        # highest is 25).  A self-loop's term is always 0.0, which leaves
+        # a sum of non-negative terms unchanged, so it is left out: a
+        # relocation then prices its before and after sums in one pass
+        # over neighbors that do not move.
         self.nbrs: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for ei, (a, b, w) in enumerate(edges):
+        for a, b, w in edges:
             if a == b:
                 continue
-            wc = w if self._effw is None else self._effw[ei]
-            self.nbrs[a].append((b, wc))
-            self.nbrs[b].append((a, wc))
-        # Timing weights as a flat array for the vectorized timing_cost.
-        self._twa = (
-            np.array(self._tw, dtype=np.float64)
-            if self._tw is not None
-            else None
-        )
-        # Incremental channel-demand state: integer demand per channel,
-        # the running overflow, and the channel window each edge has
-        # currently applied (so removal exactly undoes addition through
-        # moves, swaps, clears and restores — O(deg) per set_pos).
-        if self._cong:
-            self._col_dem = np.zeros(route.n_col_channels, dtype=np.int64)
-            self._row_dem = np.zeros(route.n_row_channels, dtype=np.int64)
-            self._ovf = 0
-            self._ewin: list[tuple[int, int, int, int] | None] = (
-                [None] * len(edges)
-            )
+            self.nbrs[a].append((b, w))
+            self.nbrs[b].append((a, w))
         # Verdicts.  ``_epoch`` counts unpaints and clears; ``_freed``
         # logs the device columns (one bitmask per unpaint) freed since
         # the last ``clear``/``restore``, which set ``_log_epoch`` to the
@@ -670,12 +545,8 @@ class FastKernel(PlacementKernel):
             self._epoch += 1
 
     def clear(self) -> None:
-        if self._cong:
-            # The channel demand unwinds edge by edge through set_pos.
-            super().clear()
-        else:
-            self.colmask[:] = [0] * len(self.colmask)
-            self.pos[:] = [None] * self.n
+        self.colmask[:] = [0] * len(self.colmask)
+        self.pos[:] = [None] * self.n
         # An empty device voids every verdict; the log starts afresh.
         self._epoch += 1
         self._log_epoch = self._epoch
@@ -727,42 +598,6 @@ class FastKernel(PlacementKernel):
         if p is not None:
             self.cx[i] = p[0] + self.half_w[i]
             self.cy[i] = p[1] + self.half_h[i]
-        if self._cong:
-            self._cong_update(i)
-
-    # ---------------------------------------------------- congestion (incr)
-
-    def _cong_apply(
-        self, ei: int, win: tuple[int, int, int, int], sign: int
-    ) -> None:
-        """Add/remove edge ``ei``'s demand over ``win``, tracking overflow."""
-        w = self.edges[ei][2] * sign
-        cap = self.route.capacity
-        c0, c1, r0, r1 = win
-        if c1 >= c0:
-            seg = self._col_dem[c0 : c1 + 1]
-            over0 = int(np.maximum(seg - cap, 0).sum())
-            seg += w
-            self._ovf += int(np.maximum(seg - cap, 0).sum()) - over0
-        if r1 >= r0:
-            seg = self._row_dem[r0 : r1 + 1]
-            over0 = int(np.maximum(seg - cap, 0).sum())
-            seg += w
-            self._ovf += int(np.maximum(seg - cap, 0).sum()) - over0
-
-    def _cong_update(self, i: int) -> None:
-        """Re-derive the applied channel windows of ``i``'s incident edges."""
-        for ei in self.incident[i]:
-            old = self._ewin[ei]
-            if old is not None:
-                self._cong_apply(ei, old, -1)
-            win = self._edge_window(ei)
-            self._ewin[ei] = win
-            if win is not None:
-                self._cong_apply(ei, win, +1)
-
-    def congestion_overflow(self) -> int:
-        return self._ovf if self._cong else 0
 
     def lowest_fit_y(self, i: int, x: int, bound: int | None = None) -> int | None:
         # Dilating the OR of the device columns a footprint height covers
@@ -850,9 +685,11 @@ class FastKernel(PlacementKernel):
                 total += w * (abs(xi - cx[o]) + abs(yi - cy[o]))
         return total
 
-    def _edge_distances(self) -> np.ndarray:
-        """Per-edge center distance ``|dx| + |dy|``; 0.0 unless both
-        endpoints are placed."""
+    def wirelength(self) -> float:
+        if self.ea.size == 0:
+            return 0.0
+        # Per-edge center distance |dx| + |dy|; 0.0 unless both
+        # endpoints are placed.
         placed = np.fromiter(
             (p is not None for p in self.pos), dtype=bool, count=self.n
         )
@@ -860,19 +697,8 @@ class FastKernel(PlacementKernel):
         cy = np.array(self.cy)
         ea, eb = self.ea, self.eb
         dist = np.abs(cx[ea] - cx[eb]) + np.abs(cy[ea] - cy[eb])
-        return np.where(placed[ea] & placed[eb], dist, 0.0)
-
-    def wirelength(self) -> float:
-        if self.ea.size == 0:
-            return 0.0
-        return float(np.sum(self.ew * self._edge_distances()))
-
-    def timing_cost(self) -> float:
-        # Vectorized peer of the reference kernel's loop; dyadic weights
-        # make the different summation order bitwise-irrelevant.
-        if self._twa is None or self.ea.size == 0:
-            return 0.0
-        return float(np.sum(self._twa * self._edge_distances()))
+        dist = np.where(placed[ea] & placed[eb], dist, 0.0)
+        return float(np.sum(self.ew * dist))
 
     # ------------------------------------------------------------ batch
 
@@ -894,9 +720,7 @@ class FastKernel(PlacementKernel):
         # draws come straight off the buffer's list (refilled exactly
         # where ``UniformBuffer.next`` refills), and the moves, probes,
         # cost deltas and paints of ``try_move``/``try_place``/
-        # ``try_swap`` are written out in their order.  The congestion
-        # term's incremental demand goes through ``set_pos``; the timing
-        # term needs nothing, being folded into the neighbor weights.
+        # ``try_swap`` are written out in their order.
         events: list[tuple[int, float]] = []
         p_either = p_place + p_swap
         t_eff = max(temp, 1e-9)
@@ -927,8 +751,6 @@ class FastKernel(PlacementKernel):
         unplaced_weight = self.unplaced_weight
         incident_cost = self.incident_cost
         set_pos = self.set_pos
-        cong = self._cong
-        cw = self.route.congestion_weight if cong else 0.0
         illegal = 0
         n_move = n_place = n_swap = 0
         a_move = a_place = a_swap = 0
@@ -971,7 +793,6 @@ class FastKernel(PlacementKernel):
                             nb = len(buf)
                         illegal += PLACE_PROBES
                     else:
-                        cong_before = cw * self._ovf if cong else 0.0
                         mk = masks[i]
                         n_x = len(xs)
                         ny = n_y[i]
@@ -1002,10 +823,7 @@ class FastKernel(PlacementKernel):
                                 set_pos(i, (x, y))
                                 self.paint(i, x, y, +1)
                                 a_place += 1
-                                gain = incident_cost(i) - unplaced_weight * areas[i]
-                                if cong:
-                                    gain += cw * self._ovf - cong_before
-                                cost += gain
+                                cost += incident_cost(i) - unplaced_weight * areas[i]
                                 unplaced_list[k] = unplaced_list[-1]
                                 unplaced_list.pop()
                                 placed_list.append(i)
@@ -1065,17 +883,12 @@ class FastKernel(PlacementKernel):
                             if pos[o] is not None:
                                 inc += w * (abs(xk - cx[o]) + abs(yk - cy[o]))
                         before += inc
-                    if cong:
-                        before += cw * self._ovf
-                        set_pos(i, pj)
-                        set_pos(j, pi)
-                    else:
-                        pos[i] = pj
-                        pos[j] = pi
-                        cx[i] = pj[0] + half_w[i]
-                        cy[i] = pj[1] + half_h[i]
-                        cx[j] = pi[0] + half_w[j]
-                        cy[j] = pi[1] + half_h[j]
+                    pos[i] = pj
+                    pos[j] = pi
+                    cx[i] = pj[0] + half_w[i]
+                    cy[i] = pj[1] + half_h[i]
+                    cx[j] = pi[0] + half_w[j]
+                    cy[j] = pi[1] + half_h[j]
                     after = 0.0
                     for k in (i, j):
                         xk = cx[k]
@@ -1085,8 +898,6 @@ class FastKernel(PlacementKernel):
                             if pos[o] is not None:
                                 inc += w * (abs(xk - cx[o]) + abs(yk - cy[o]))
                         after += inc
-                    if cong:
-                        after += cw * self._ovf
                     delta = after - before
                     accept = delta <= 0
                     if not accept:
@@ -1100,9 +911,6 @@ class FastKernel(PlacementKernel):
                         # Identical footprints: occupancy is unchanged.
                         a_swap += 1
                         cost += delta
-                    elif cong:
-                        set_pos(i, pi)
-                        set_pos(j, pj)
                     else:
                         pos[i] = pi
                         pos[j] = pj
@@ -1147,8 +955,7 @@ class FastKernel(PlacementKernel):
                     if k >= n:
                         k = n - 1
                     y = k * y_step[i]
-                    old = pos[i]
-                    ox, oy = old
+                    ox, oy = pos[i]
                     mk = masks[i]
                     # fits_moved: a hit counts unless it is i's own rows.
                     for c, m, _h in mk:
@@ -1176,10 +983,6 @@ class FastKernel(PlacementKernel):
                                 yo = cy[o]
                                 before += w * (abs(xi - xo) + abs(yi - yo))
                                 after += w * (abs(nxi - xo) + abs(nyi - yo))
-                        if cong:
-                            before += cw * self._ovf
-                            set_pos(i, (x, y))
-                            after += cw * self._ovf
                         delta = after - before
                         accept = delta <= 0
                         if not accept:
@@ -1196,14 +999,11 @@ class FastKernel(PlacementKernel):
                             self._epoch += 1
                             for c, m, _h in mk:
                                 cm[x + c] |= m << y
-                            if not cong:
-                                pos[i] = (x, y)
-                                cx[i] = nxi
-                                cy[i] = nyi
+                            pos[i] = (x, y)
+                            cx[i] = nxi
+                            cy[i] = nyi
                             a_move += 1
                             cost += delta
-                        elif cong:
-                            set_pos(i, old)
             if cost < thresh:
                 best = cost
                 thresh = best - 1e-9

@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Mapping
 from repro.device.grid import DeviceGrid
 from repro.place.shapes import Footprint
 from repro.place_kernel.kernel import FastKernel
-from repro.place_kernel.route_cost import RouteCostModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a flow cycle
     from repro.flow.blockdesign import BlockDesign
@@ -44,10 +43,6 @@ class PlacementProblem:
     swappable:
         Same-module instance-index groups of size >= 2 (the swap move's
         candidate pool), in first-instance order.
-    modules:
-        Per-instance module names (``modules[i]`` goes with
-        ``names[i]``), for seeding per-module delays into the timing
-        cost term; empty for problems built without design context.
     """
 
     grid: DeviceGrid
@@ -55,7 +50,6 @@ class PlacementProblem:
     footprints: tuple[Footprint, ...]
     edges: tuple[tuple[int, int, int], ...]
     swappable: tuple[tuple[int, ...], ...]
-    modules: tuple[str, ...] = ()
 
     @classmethod
     def from_design(
@@ -90,7 +84,6 @@ class PlacementProblem:
             footprints=tuple(fps),
             edges=tuple(edges),
             swappable=tuple(swappable),
-            modules=tuple(i.module for i in design.instances),
         )
 
     @property
@@ -98,22 +91,12 @@ class PlacementProblem:
         """Number of instances."""
         return len(self.names)
 
-    def make_kernel(
-        self,
-        unplaced_weight: float,
-        route: RouteCostModel | None = None,
-    ) -> FastKernel:
-        """A fresh move kernel over this problem.
-
-        ``route`` enables the optional congestion/timing cost terms
-        (see :func:`repro.place_kernel.route_cost.build_route_model`);
-        ``None`` keeps the pure HPWL objective.
-        """
+    def make_kernel(self, unplaced_weight: float) -> FastKernel:
+        """A fresh move kernel over this problem."""
         return FastKernel(
             self.grid,
             list(self.names),
             list(self.footprints),
             list(self.edges),
             unplaced_weight,
-            route,
         )

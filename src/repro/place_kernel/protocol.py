@@ -2,9 +2,8 @@
 
 Anything that turns (design, footprints, grid) into a
 :class:`~repro.place_kernel.result.StitchResult` is a placer.  The SA
-stitcher, the GA evolver, parallel tempering, the analytic global
-placer and the warm-started SA pipeline (GA or analytic warm start)
-all satisfy it (see :mod:`repro.flow.placers`).  It is the one way the
+stitcher, the GA evolver, parallel tempering and the warm-started SA
+pipeline (GA or analytic warm start) all satisfy it (see :mod:`repro.flow.placers`).  It is the one way the
 flow chooses an optimizer: :func:`~repro.flow.rwflow.run_rw_flow`,
 :func:`~repro.flow.restarts.place_best`, ``repro place`` and the
 :class:`~repro.dse.explorer.DSEExplorer` portfolio, which keeps the
@@ -46,13 +45,7 @@ class Placer(Protocol):
         footprints: Mapping[str, Footprint],
         grid: DeviceGrid,
         *,
-        module_delays: Mapping[str, float] | None = None,
         tracer: "Tracer | NullTracer | None" = None,
     ) -> StitchResult:
-        """Place all instances of ``design`` on ``grid``.
-
-        ``module_delays`` (module name -> intra-block delay in ns) seeds
-        the optional timing cost term; placers whose configuration has
-        ``timing_weight == 0.0`` ignore it.
-        """
+        """Place all instances of ``design`` on ``grid``."""
         ...

@@ -139,13 +139,6 @@ class StitchResult:
     stats:
         Move counters and the optimizer's trajectory
         (:class:`StitchStats`).
-    congestion_cost, timing_cost:
-        The routing-aware cost terms at the final placement (0.0 when
-        the run's weights were 0.0 — the default).  ``final_cost`` ==
-        ``wirelength + unplaced penalty + timing_cost +
-        congestion_cost``.  Excluded from equality so the existing
-        cross-process determinism comparisons stay pinned on the
-        placement itself.
     """
 
     placements: dict[str, tuple[int, int] | None]
@@ -161,8 +154,6 @@ class StitchResult:
     )
     occupancy: np.ndarray | None = field(compare=False, repr=False, default=None)
     stats: StitchStats | None = field(compare=False, repr=False, default=None)
-    congestion_cost: float = field(compare=False, repr=False, default=0.0)
-    timing_cost: float = field(compare=False, repr=False, default=0.0)
 
     def iters_to_cost(self, target: float) -> int | None:
         """First iteration whose best cost is <= ``target``.

@@ -5,8 +5,9 @@ slices but worsen timing, because higher utilization forces routing
 detours.  The model combines logic depth, congestion-dependent net delay,
 carry propagation and fanout/clock-region penalties.  At the design
 level, :func:`congestion_map` and :func:`block_critical_path` score a
-stitched placement with the same channel/delay model the
-congestion/timing-aware move kernels optimize in the loop.
+stitched placement after the fact: channel demand under an HPWL
+routing model, and the block graph's critical path with
+placement-aware net delays.
 """
 
 from repro.route.congestion_map import (

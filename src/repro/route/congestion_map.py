@@ -8,10 +8,10 @@ face of the paper's §VIII cost improvement.
 A bus charges exactly the channels its bounding box *crosses*: channel
 ``c`` sits between integer coordinates ``c`` and ``c + 1``, and a net
 spanning ``[x0, x1]`` crosses the integer boundaries strictly inside
-``(x0, x1)`` (boundary ``k`` belongs to channel ``k - 1``).  This is the
-same :func:`~repro.place_kernel.route_cost.channel_window` model the
-congestion-aware move kernels maintain incrementally, so a placement
-optimized under the in-loop congestion term scores identically here.
+``(x0, x1)`` (boundary ``k`` belongs to channel ``k - 1``), so the range
+is empty for zero-extent nets and for nets whose endpoints only touch a
+boundary.  The map is a post-hoc score of a finished placement; no
+placer optimizes it.
 """
 
 from __future__ import annotations
@@ -24,9 +24,11 @@ from repro.device.grid import DeviceGrid
 from repro.flow.blockdesign import BlockDesign
 from repro.place.shapes import Footprint
 from repro.place_kernel.result import StitchResult
-from repro.place_kernel.route_cost import CHANNEL_CAPACITY
 
 __all__ = ["CHANNEL_CAPACITY", "CongestionMap", "congestion_map"]
+
+#: Wires one inter-column (or inter-row) channel can carry.
+CHANNEL_CAPACITY = 160
 
 
 @dataclass(frozen=True)
@@ -71,12 +73,9 @@ class CongestionMap:
 
     @property
     def total_overflow(self) -> int:
-        """Total demand beyond capacity, summed over all channels.
-
-        The quantity the kernels' congestion cost term weights:
+        """Total demand beyond capacity, summed over all channels:
         ``sum(max(0, demand - capacity))`` over vertical and horizontal
-        channels.
-        """
+        channels."""
         over = np.maximum(self.column_demand - CHANNEL_CAPACITY, 0).sum()
         over += np.maximum(self.row_demand - CHANNEL_CAPACITY, 0).sum()
         return int(over)
@@ -146,7 +145,7 @@ def congestion_map(
         ):
             if not demand.size:
                 continue
-            # channel_window(lo, hi), vectorized and clipped to the grid.
+            # Channels floor(lo) .. ceil(hi) - 2, clipped to the grid.
             first = np.clip(np.floor(lo_f).astype(np.int64), 0, demand.size)
             last = np.clip(
                 np.ceil(hi_f).astype(np.int64) - 2, -1, demand.size - 1

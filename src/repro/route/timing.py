@@ -16,17 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.netlist.stats import NetlistStats
 from repro.place.packer import PackResult
 from repro.pblock.pblock import PBlock
-from repro.place_kernel.route_cost import (
-    DEFAULT_NODE_DELAY_NS,
-    NET_DELAY_NS,
-    NS_PER_CLB,
-    dag_longest_paths,
-)
 from repro.utils.rng import module_noise
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -35,9 +29,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.place_kernel.result import StitchResult
 
 __all__ = [
+    "DEFAULT_NODE_DELAY_NS",
+    "NET_DELAY_NS",
+    "NS_PER_CLB",
     "BlockTimingReport",
     "TimingReport",
     "block_critical_path",
+    "dag_longest_paths",
     "longest_path",
 ]
 
@@ -47,6 +45,14 @@ _T_CARRY_PER_SLICE = 0.043  # ns per CARRY4 segment
 _T_FANOUT = 0.35  # ns scale of the fanout penalty
 _T_REGION_CROSS = 0.30  # ns clock-skew penalty
 _CONGESTION_GAIN = 1.9  # net-delay inflation at full utilization
+
+#: Distance-proportional inter-block net delay per CLB of Manhattan
+#: center distance (ns).
+NS_PER_CLB = 0.0625
+#: Nominal inter-block net hop (the lightly-loaded hop above).
+NET_DELAY_NS = _T_NET
+#: Node delay assumed for modules absent from the delay mapping.
+DEFAULT_NODE_DELAY_NS = 1.0
 
 
 @dataclass(frozen=True)
@@ -107,10 +113,9 @@ class BlockTimingReport:
 
     The block graph's node delays are the per-module intra-block longest
     paths (:attr:`TimingReport.total_ns`); each inter-block net adds a
-    nominal hop plus a distance-proportional share
-    (:data:`~repro.place_kernel.route_cost.NS_PER_CLB` per CLB of
-    Manhattan center distance) — the placement-dependent component the
-    kernels' timing cost term optimizes.
+    nominal hop plus a distance-proportional share (:data:`NS_PER_CLB`
+    per CLB of Manhattan center distance).  A post-hoc score of a
+    finished placement; no placer optimizes it.
 
     Attributes
     ----------
@@ -120,8 +125,7 @@ class BlockTimingReport:
         Instance names along the critical path, source to sink.
     n_cyclic_edges:
         Design edges on directed cycles, excluded from the longest-path
-        analysis (the in-loop cost term instead treats them as maximally
-        critical).
+        analysis.
     n_unplaced_edges:
         Edges with an unplaced endpoint; they contribute the nominal hop
         delay but no distance share.
@@ -131,6 +135,66 @@ class BlockTimingReport:
     path: tuple[str, ...]
     n_cyclic_edges: int
     n_unplaced_edges: int
+
+
+def dag_longest_paths(
+    n: int,
+    edges: Sequence[tuple[int, int, int]],
+    node_delay: Sequence[float],
+    edge_delay: Sequence[float],
+) -> tuple[list[float], list[int], list[bool]]:
+    """Longest arrival path delays over the acyclic part of a graph.
+
+    Returns ``(arrival, pred, cyclic)``:
+
+    * ``arrival[v]`` — the longest path delay *ending* at ``v``
+      (inclusive of ``node_delay[v]``);
+    * ``pred[v]`` — the in-edge index achieving ``arrival[v]``
+      (``-1`` for path sources), for critical-path extraction;
+    * ``cyclic[e]`` — ``True`` for self-loops and edges with an endpoint
+      on a directed cycle; such edges are excluded from the analysis
+      (Kahn's algorithm leaves their endpoints unordered).
+
+    Deterministic: nodes enter the topological order in index order and
+    ties in the relaxation break toward the earlier edge.
+    """
+    outs: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for ei, e in enumerate(edges):
+        a, b = e[0], e[1]
+        if a == b:
+            continue
+        outs[a].append(ei)
+        indeg[b] += 1
+    order = [v for v in range(n) if indeg[v] == 0]
+    deg = list(indeg)
+    head = 0
+    while head < len(order):
+        v = order[head]
+        head += 1
+        for ei in outs[v]:
+            b = edges[ei][1]
+            deg[b] -= 1
+            if deg[b] == 0:
+                order.append(b)
+    on_dag = [False] * n
+    for v in order:
+        on_dag[v] = True
+    cyclic = [
+        e[0] == e[1] or not on_dag[e[0]] or not on_dag[e[1]] for e in edges
+    ]
+    arrival = [float(node_delay[v]) for v in range(n)]
+    pred = [-1] * n
+    for v in order:
+        for ei in outs[v]:
+            if cyclic[ei]:
+                continue
+            b = edges[ei][1]
+            cand = arrival[v] + edge_delay[ei] + node_delay[b]
+            if cand > arrival[b]:
+                arrival[b] = cand
+                pred[b] = ei
+    return arrival, pred, cyclic
 
 
 def block_critical_path(
@@ -144,7 +208,7 @@ def block_critical_path(
     ``module_delays`` maps module names to intra-block delays in ns (the
     flow seeds it from each pre-implemented module's
     :attr:`TimingReport.total_ns`); absent modules fall back to
-    :data:`~repro.place_kernel.route_cost.DEFAULT_NODE_DELAY_NS`.
+    :data:`DEFAULT_NODE_DELAY_NS`.
     Instances whose module has no footprint are treated as unplaced.
     """
     delays_of = module_delays or {}
@@ -182,7 +246,7 @@ def block_critical_path(
     n = len(names)
     if n == 0:
         return BlockTimingReport(0.0, (), 0, 0)
-    arrival, _leaving, pred, cyclic = dag_longest_paths(
+    arrival, pred, cyclic = dag_longest_paths(
         n, edges, node_delay, edge_delay
     )
     sink = max(range(n), key=lambda v: (arrival[v], -v))

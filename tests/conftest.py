@@ -154,20 +154,18 @@ def cnv():
 
 @pytest.fixture(scope="session")
 def cli_placers():
-    """Build the six placers ``repro place --placer`` names, keyed by
+    """Build the five placers ``repro place --placer`` names, keyed by
     name, for a move budget and a seed, the way the CLI builds them."""
     from dataclasses import replace
 
     from repro.flow.global_place import GPParams
-    from repro.flow.placers import AnalyticPlacer, default_portfolio
+    from repro.flow.placers import default_portfolio
     from repro.flow.stitcher import SAParams
 
     def build(budget: int, seed: int) -> dict:
-        gp = GPParams(seed=seed)
         portfolio = default_portfolio(SAParams(max_iters=budget, seed=seed))
         placers = {p.name: p for p in portfolio}
-        placers["gp+sa"] = replace(placers["gp+sa"], gp_params=gp)
-        placers["gp"] = AnalyticPlacer(params=gp)
+        placers["gp+sa"] = replace(placers["gp+sa"], gp_params=GPParams(seed=seed))
         return placers
 
     return build

@@ -3,8 +3,8 @@
 :class:`ReferenceKernel` implements the primitives of
 :class:`~repro.place_kernel.kernel.PlacementKernel` the straightforward
 way: numpy occupancy slicing, a lift/probe/put-back relocation probe, a
-row walk for the legalizer's nearest fit, per-edge Python sums for the
-wirelength and timing terms, and channel demand recomputed from scratch.
+row walk for the legalizer's nearest fit and per-edge Python sums for
+the wirelength.
 Its batch loop is the generic one, a ``try_move``/``try_place``/
 ``try_swap`` call of the shared base class per operation, which the
 fast kernel's fused loop inlines.  For a fixed seed the fast kernel
@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.place_kernel.kernel import PlacementKernel
 from repro.place_kernel.problem import PlacementProblem
-from repro.place_kernel.route_cost import RouteCostModel
 
 __all__ = ["KERNELS", "ReferenceKernel", "build", "kernel", "reference_kernel"]
 
@@ -49,10 +48,13 @@ class ReferenceKernel(PlacementKernel):
     skips.
     """
 
-    def __init__(
-        self, grid, names, footprints, edges, unplaced_weight, route=None
-    ) -> None:
-        super().__init__(grid, names, footprints, edges, unplaced_weight, route)
+    def __init__(self, grid, names, footprints, edges, unplaced_weight) -> None:
+        super().__init__(grid, names, footprints, edges, unplaced_weight)
+        # Incident edges per instance for O(deg) cost deltas.
+        self.incident: list[list[int]] = [[] for _ in range(self.n)]
+        for ei, (a, b, _w) in enumerate(edges):
+            self.incident[a].append(ei)
+            self.incident[b].append(ei)
         self.occ = np.zeros((grid.n_cols, grid.height_clbs), dtype=np.int16)
         self.heights = [self.tables[t].heights_arr for t in self.table_of]
 
@@ -130,79 +132,10 @@ class ReferenceKernel(PlacementKernel):
         return w * (abs(ax - bx) + abs(ay - by))
 
     def incident_cost(self, i: int) -> float:
-        effw = self._effw
-        if effw is None:
-            return sum(self.edge_cost(ei) for ei in self.incident[i])
-        # Timing-aware: the same per-edge distances, weighted by the
-        # effective (HPWL + quantized timing) weights.
-        total = 0.0
-        for ei in self.incident[i]:
-            a, b, _w = self.edges[ei]
-            if self.pos[a] is None or self.pos[b] is None:
-                continue
-            ax, ay = self.center(a)
-            bx, by = self.center(b)
-            total += effw[ei] * (abs(ax - bx) + abs(ay - by))
-        return total
+        return sum(self.edge_cost(ei) for ei in self.incident[i])
 
     def wirelength(self) -> float:
         return sum(self.edge_cost(ei) for ei in range(len(self.edges)))
-
-    def timing_cost(self) -> float:
-        tw = self._tw
-        if tw is None:
-            return 0.0
-        pos = self.pos
-        chw = self._chw
-        chh = self._chh
-        total = 0.0
-        for ei, (a, b, _w) in enumerate(self.edges):
-            wt = tw[ei]
-            if not wt:
-                continue
-            pa, pb = pos[a], pos[b]
-            if pa is None or pb is None:
-                continue
-            dx = abs((pa[0] + chw[a]) - (pb[0] + chw[b]))
-            dy = abs((pa[1] + chh[a]) - (pb[1] + chh[b]))
-            total += wt * (dx + dy)
-        return total
-
-    # ------------------------------------------------------------ route cost
-
-    def _scratch_congestion(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """From-scratch integer channel demand and total overflow.
-
-        The specification of the fast kernel's incremental overflow:
-        ``(column_demand, row_demand, overflow)`` recomputed from the
-        current positions.  All-integer, so it agrees with the
-        incremental path exactly, not approximately.  It reads only
-        positions, so ``ReferenceKernel._scratch_congestion(k)`` also
-        audits a :class:`FastKernel` ``k``.
-        """
-        route = self.route
-        col = np.zeros(route.n_col_channels, dtype=np.int64)
-        row = np.zeros(route.n_row_channels, dtype=np.int64)
-        for ei, e in enumerate(self.edges):
-            win = self._edge_window(ei)
-            if win is None:
-                continue
-            c0, c1, r0, r1 = win
-            w = e[2]
-            if c1 >= c0:
-                col[c0 : c1 + 1] += w
-            if r1 >= r0:
-                row[r0 : r1 + 1] += w
-        cap = route.capacity
-        over = int(np.maximum(col - cap, 0).sum()) + int(
-            np.maximum(row - cap, 0).sum()
-        )
-        return col, row, over
-
-    def congestion_overflow(self) -> int:
-        if not self._cong:
-            return 0
-        return self._scratch_congestion()[2]
 
     # ------------------------------------------------------------ batch
 
@@ -273,18 +206,13 @@ def reference_kernel() -> Iterator[list[ReferenceKernel]]:
     """
     built: list[ReferenceKernel] = []
 
-    def make(
-        problem: PlacementProblem,
-        unplaced_weight: float,
-        route: RouteCostModel | None = None,
-    ) -> ReferenceKernel:
+    def make(problem: PlacementProblem, unplaced_weight: float) -> ReferenceKernel:
         k = ReferenceKernel(
             problem.grid,
             list(problem.names),
             list(problem.footprints),
             list(problem.edges),
             unplaced_weight,
-            route,
         )
         built.append(k)
         return k
@@ -300,12 +228,7 @@ def kernel(name: str) -> ContextManager[list]:
     return reference_kernel() if name == "reference" else nullcontext([])
 
 
-def build(
-    problem: PlacementProblem,
-    name: str,
-    unplaced_weight: float,
-    route: RouteCostModel | None = None,
-) -> PlacementKernel:
+def build(problem: PlacementProblem, name: str, unplaced_weight: float) -> PlacementKernel:
     """A fresh kernel ``name`` over ``problem``."""
     with kernel(name):
-        return problem.make_kernel(unplaced_weight, route)
+        return problem.make_kernel(unplaced_weight)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.device.column import ColumnKind
 from repro.flow.blockdesign import BlockDesign
 from repro.flow.global_place import GPParams, global_place
-from repro.flow.placers import AnalyticPlacer, WarmStartedSAPlacer
+from repro.flow.placers import WarmStartedSAPlacer
 from repro.flow.stitcher import SAParams, stitch
 from repro.obs.tracer import Tracer
 from repro.place.shapes import Footprint
@@ -145,14 +145,6 @@ class TestGlobalPlaceTrace:
 
 
 class TestWarmStartPipeline:
-    def test_analytic_placer_equals_global_place(self):
-        d, fps = _design_from_specs([(p, 8) for p in _PATTERNS[:4]])
-        params = GPParams(seed=1)
-        direct = global_place(d, fps, _GRID, params)
-        via = AnalyticPlacer(params=params).place(d, fps, _GRID)
-        assert via.placements == direct.placements
-        assert via.final_cost == direct.final_cost
-
     def test_gp_warm_started_sa_budget_and_quality(self):
         """gp+sa spends at most sa_frac of the cap and never loses to
         its own warm start (the pareto-better of the two wins)."""

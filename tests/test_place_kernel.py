@@ -34,7 +34,6 @@ from repro.place_kernel import (
     PlacementProblem,
     SiteTable,
     UniformBuffer,
-    build_route_model,
 )
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import RandomLogicCloud
@@ -669,30 +668,13 @@ class TestBatchLoop:
     """``FastKernel.run_batch`` inlines the moves of the generic loop in
     ``tests/kernel_oracle.py``: the same draws, decisions and counts."""
 
-    @given(
-        _batch_specs,
-        _batches,
-        st.sampled_from([None, 1, 3]),
-        st.booleans(),
-        st.integers(0, 5),
-    )
+    @given(_batch_specs, _batches, st.booleans(), st.integers(0, 5))
     @settings(max_examples=60, deadline=None)
-    def test_fused_loop_matches_oracle(
-        self, fp_specs, batches, capacity, self_loop, seed
-    ):
+    def test_fused_loop_matches_oracle(self, fp_specs, batches, self_loop, seed):
         problem = _build(fp_specs, self_loop)
-        # A channel capacity of a few wires makes the congestion term
-        # bite on these small chains; the timing term rides along.
-        route = (
-            None
-            if capacity is None
-            else build_route_model(
-                problem, congestion_weight=0.75, timing_weight=0.5, capacity=capacity
-            )
-        )
         runs = []
         for name in KERNELS:
-            kb = build(problem, name, 40.0, route)
+            kb = build(problem, name, 40.0)
             kb.greedy_initial()
             placed = [j for j in range(kb.n) if kb.pos[j] is not None]
             unplaced = [j for j in range(kb.n) if kb.pos[j] is None]

@@ -1,6 +1,7 @@
 """Tests for the inter-block routing-congestion map."""
 
 import numpy as np
+import pytest
 
 from repro.device.column import ColumnKind
 from repro.flow.blockdesign import BlockDesign
@@ -138,22 +139,39 @@ class TestChannelCrossingRegression:
         assert cmap.column_demand[1] == 8
         assert cmap.column_demand.sum() == 8
 
-    def test_agrees_with_kernel_congestion_model(self, z020):
-        """The map and the in-loop congestion term count the same wires."""
-        from repro.place_kernel.problem import PlacementProblem
-        from repro.place_kernel.route_cost import build_route_model
-        from tests.kernel_oracle import ReferenceKernel
-
-        d, fps = _chain_design(8)
-        res = stitch(d, fps, z020, SAParams(max_iters=3000, seed=2))
+    # Center x is the anchor plus half the footprint width, so a width-1
+    # footprint centers on a half coordinate and a width-2 one on an
+    # integer.  A bus crosses the integer boundaries strictly inside
+    # its span, and boundary k belongs to channel k - 1.
+    @pytest.mark.parametrize(
+        "a, b, channels",
+        [
+            ((1, 0), (1, 1), [0]),  # (0.5, 1.5): crosses boundary 1
+            ((1, 1), (1, 1), []),  # (1.5, 1.5): zero extent
+            ((2, 0), (2, 2), [1]),  # (1.0, 3.0): touches 1 and 3, crosses 2
+            ((1, 0), (2, 0), []),  # (0.5, 1.0): inside channel 0
+            ((1, 2), (1, 5), [2, 3, 4]),  # (2.5, 5.5): crosses 3, 4 and 5
+        ],
+        ids=["one-boundary", "zero-extent", "integer-touch", "sub-unit",
+             "wide-span"],
+    )
+    def test_crossed_channels(self, z020, a, b, channels):
+        (wa, xa), (wb, xb) = a, b
+        d = BlockDesign(name="span")
+        d.add_module(RTLModule.make("a", [RandomLogicCloud(n_luts=4)]))
+        d.add_module(RTLModule.make("b", [RandomLogicCloud(n_luts=4)]))
+        d.add_instance("i0", "a")
+        d.add_instance("i1", "b")
+        d.connect("i0", "i1", width=8)
+        fps = {
+            "a": Footprint((_LL, _LM)[:wa], (8,) * wa),
+            "b": Footprint((_LL, _LM)[:wb], (8,) * wb),
+        }
+        res = _manual_result({"i0": (xa, 0), "i1": (xb, 20)})
         cmap = congestion_map(d, fps, res, z020)
-        problem = PlacementProblem.from_design(d, fps, z020)
-        route = build_route_model(problem, congestion_weight=1.0)
-        st = problem.make_kernel(1.0, route)
-        st.load_placements(problem.names, res.placements)
-        col, row, _over = ReferenceKernel._scratch_congestion(st)
-        assert np.array_equal(cmap.column_demand, col)
-        assert np.array_equal(cmap.row_demand, row)
+        expected = np.zeros_like(cmap.column_demand)
+        expected[channels] = 8
+        assert np.array_equal(cmap.column_demand, expected)
 
 
 class TestMissingFootprints:

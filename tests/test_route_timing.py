@@ -111,7 +111,7 @@ class TestBlockCriticalPath:
         )
 
     def test_chain_path_and_delay(self):
-        from repro.place_kernel.route_cost import NET_DELAY_NS, NS_PER_CLB
+        from repro.route.timing import NET_DELAY_NS, NS_PER_CLB
         from repro.route import block_critical_path
 
         d, fps = self._design(3)
@@ -144,7 +144,7 @@ class TestBlockCriticalPath:
         assert rep.critical_path_ns > 0
 
     def test_default_node_delay_fallback(self):
-        from repro.place_kernel.route_cost import DEFAULT_NODE_DELAY_NS
+        from repro.route.timing import DEFAULT_NODE_DELAY_NS
         from repro.route import block_critical_path
 
         d, fps = self._design(2)

@@ -186,8 +186,7 @@ class TestParetoWinner:
         }
 
         def fake_stitch(design, footprints, grid, params, *,
-                        initial_placements=None, module_delays=None,
-                        tracer=None):
+                        initial_placements=None, tracer=None):
             return results[params.seed]
 
         monkeypatch.setattr("repro.flow.placers.stitch", fake_stitch)
@@ -207,8 +206,7 @@ class TestParetoWinner:
         }
 
         def fake_stitch(design, footprints, grid, params, *,
-                        initial_placements=None, module_delays=None,
-                        tracer=None):
+                        initial_placements=None, tracer=None):
             return results[params.seed]
 
         monkeypatch.setattr("repro.flow.placers.stitch", fake_stitch)
@@ -224,8 +222,7 @@ class TestParetoWinner:
         }
 
         def fake_stitch(design, footprints, grid, params, *,
-                        initial_placements=None, module_delays=None,
-                        tracer=None):
+                        initial_placements=None, tracer=None):
             return results[params.seed]
 
         monkeypatch.setattr("repro.flow.placers.stitch", fake_stitch)
@@ -257,7 +254,6 @@ class TestParetoWinner:
 _SEED_SPANS = {
     "warm-sa": ["evolve", "stitch"],
     "gp+sa": ["gplace", "stitch"],
-    "gp": ["gplace"],
 }
 
 
