@@ -73,9 +73,30 @@ def _emit_trace(tracer, args: argparse.Namespace) -> None:
         print(summarize_trace(tracer))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a flag the chosen subcommand does not define with that
+    subcommand's usage, not the top-level list of subcommands."""
+
+    _commands: argparse.Action | None = None
+
+    def add_subparsers(self, **kwargs):
+        self._commands = super().add_subparsers(**kwargs)
+        return self._commands
+
+    def parse_args(self, args=None, namespace=None):
+        ns, extras = self.parse_known_args(args, namespace)
+        if extras:
+            parser = self
+            while parser._commands is not None:
+                chosen = getattr(ns, parser._commands.dest)
+                parser = parser._commands.choices[chosen]
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        return ns
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument schema."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Tailored PBlock sizes for CNN-to-FPGA macro flows "
         "(IPPS 2025 reproduction).",

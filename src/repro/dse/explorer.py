@@ -8,21 +8,32 @@ reuses pre-implementations of unchanged modules from a shared
 proportional to what changed — the paper's §I argument, operationalized.
 With a ``cache_dir`` the cache persists on disk and a DSE session
 warm-starts from every earlier run against the same directory.
+
+The stitch is not repeated either.  A placer sees a module only through
+its footprint, and a small size change often cannot move a module's
+snapped PBlock, so a step can hand the placers a problem an earlier
+step already posed.  Each portfolio member therefore runs once per
+distinct stitch problem per explorer: a repeated problem gets back the
+member's stored :class:`~repro.flow.stitcher.StitchResult`, which is
+bit for bit what a re-run would return, since a placer's result is
+fixed by its own params and by (design, footprints, grid).
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.device.grid import DeviceGrid
 from repro.flow.blockdesign import BlockDesign
-from repro.flow.cache import ModuleCache
+from repro.flow.cache import ModuleCache, grid_fingerprint
 from repro.flow.placers import SAPlacer, default_portfolio
 from repro.flow.policy import CFPolicy, FixedCF, FlowInfeasibleError
 from repro.flow.preimpl import ImplementedModule, implement_module
 from repro.flow.stitcher import SAParams, StitchResult
 from repro.obs.tracer import NullTracer, Tracer, current_tracer
+from repro.place.shapes import Footprint
 from repro.place_kernel.protocol import Placer
 from repro.place_kernel.result import pareto_key
 from repro.rtlgen.base import RTLModule
@@ -108,6 +119,79 @@ def pareto_front(points: Sequence[DSEPoint]) -> list[DSEPoint]:
     return sorted(unique, key=lambda p: p.area_slices)
 
 
+class _StitchStore:
+    """Each portfolio member's result per distinct stitch problem.
+
+    The key is built from content, never from object identity: the
+    instances (name, module) and the edges (source, sink, width) in
+    order, the footprint of every module the instances use and the
+    grid's fingerprint, which is everything
+    :meth:`~repro.place_kernel.problem.PlacementProblem.from_design`
+    reads.  Hashing costs far more than comparing, so the store keeps
+    the last problem with its digest: the members of one step pass
+    equal arguments and share one hash.
+    """
+
+    def __init__(self) -> None:
+        self.results: dict[tuple[bytes, int], StitchResult] = {}
+        #: Member calls answered from :attr:`results`.
+        self.reused = 0
+        self._last: tuple[tuple, bytes] | None = None
+
+    def key(
+        self,
+        design: BlockDesign,
+        footprints: Mapping[str, Footprint],
+        grid: DeviceGrid,
+    ) -> bytes:
+        # ``from_design`` validates first, so a stored result is never
+        # returned where a run would raise.  A missing footprint keys as
+        # ``None``: that problem's run raises, so nothing is stored.
+        design.validate()
+        instances = tuple((i.name, i.module) for i in design.instances)
+        problem = (
+            instances,
+            tuple((e.src, e.dst, e.width) for e in design.edges),
+            tuple((m, footprints.get(m)) for m in sorted({m for _, m in instances})),
+            grid_fingerprint(grid),
+        )
+        if self._last is None or self._last[0] != problem:
+            digest = hashlib.sha256(repr(problem).encode("utf-8")).digest()
+            self._last = (problem, digest)
+        return self._last[1]
+
+
+class _StoredPlacer:
+    """A portfolio member that runs once per distinct stitch problem.
+
+    :meth:`place` answers a problem the member has solved before with
+    the stored result (the same object); :attr:`member` is the placer.
+    """
+
+    def __init__(self, member: Placer, slot: int, store: _StitchStore) -> None:
+        self.member = member
+        self.name = member.name
+        self._slot = slot
+        self._store = store
+
+    def place(
+        self,
+        design: BlockDesign,
+        footprints: Mapping[str, Footprint],
+        grid: DeviceGrid,
+        *,
+        tracer: Tracer | NullTracer | None = None,
+    ) -> StitchResult:
+        key = (self._store.key(design, footprints, grid), self._slot)
+        result = self._store.results.get(key)
+        if result is None:
+            result = self.member.place(design, footprints, grid, tracer=tracer)
+            self._store.results[key] = result
+        else:
+            self._store.reused += 1
+        return result
+
+
 class DSEExplorer:
     """Explores variants of one block design with an implementation cache.
 
@@ -143,10 +227,17 @@ class DSEExplorer:
         and the best placement (fewest unplaced, then lowest cost; ties
         break toward the earliest placer) is kept —
         :attr:`DSEPoint.placer` records the winner.  Default: SA only,
-        matching the pre-portfolio behavior exactly.
+        matching the pre-portfolio behavior exactly.  Each member runs
+        once per distinct stitch problem (design, footprints, grid): a
+        step that poses an earlier step's problem again gets back every
+        member's stored result, the same object.  :attr:`placers` holds
+        one wrapper per member that forwards its ``name``; the wrapper's
+        ``member`` is the placer itself.
     tracer:
         Where each :meth:`evaluate` records its ``dse.evaluate`` span
-        (module implementation + the nested ``stitch`` phase breakdown).
+        (module implementation + the nested ``stitch`` phase breakdown
+        of every member that ran; ``placements_reused`` counts the
+        members answered from the store).
         Defaults to the tracer ambient at evaluate time, so one
         ``use_tracer`` block around an exploration captures every step.
     """
@@ -172,9 +263,9 @@ class DSEExplorer:
         self.sa_params = sa_params or SAParams(max_iters=8000, seed=0)
         self.cache = cache if cache is not None else ModuleCache(cache_dir)
         if placers is None:
-            self.placers: tuple[Placer, ...] = (SAPlacer(params=self.sa_params),)
+            members: Sequence[Placer] = (SAPlacer(params=self.sa_params),)
         elif placers == "portfolio":
-            self.placers = default_portfolio(self.sa_params)
+            members = default_portfolio(self.sa_params)
         elif isinstance(placers, str):
             raise ValueError(
                 f"unknown placer portfolio {placers!r}; "
@@ -183,7 +274,11 @@ class DSEExplorer:
         else:
             if not placers:
                 raise ValueError("placers must not be empty")
-            self.placers = tuple(placers)
+            members = placers
+        self._store = _StitchStore()
+        self.placers: tuple[Placer, ...] = tuple(
+            _StoredPlacer(p, slot, self._store) for slot, p in enumerate(members)
+        )
         self.tracer = tracer
         self.points: list[DSEPoint] = []
 
@@ -256,6 +351,7 @@ class DSEExplorer:
                 self.base if not infeasible else self.base.subset(set(impls))
             )
             winner_name = self.placers[0].name
+            reused = self._store.reused
             if stitchable.instances:
                 # Run the whole portfolio and keep the pareto-best
                 # placement: fewest unplaced blocks first, then lowest
@@ -281,6 +377,7 @@ class DSEExplorer:
             )
             sp.incr("cache_hits", hits)
             sp.incr("implemented_effort", effort)
+            sp.incr("placements_reused", self._store.reused - reused)
             sp.set_attr("n_unplaced", n_unplaced)
             sp.set_attr("n_infeasible", len(infeasible))
             sp.set_attr("winner_placer", winner_name)

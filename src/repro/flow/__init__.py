@@ -30,15 +30,12 @@
 * :mod:`repro.flow.monolithic` — the flat "AMD EDA"-style whole-device
   flow used as the paper's baseline (Table I, Fig. 5a);
 * :mod:`repro.flow.rwflow` — the end-to-end RapidWright-style flow;
-* :mod:`repro.flow.bitgen` — bitstream assembly of a stitched placement;
 * :mod:`repro.flow.prflow` — the fixed-partition PR baseline the paper's
   §II argues against;
 * :mod:`repro.flow.design_io` / :mod:`repro.flow.analysis_graph` — design
-  persistence and structural diagnostics;
-* :mod:`repro.flow.results` — cross-policy comparisons.
+  persistence and structural diagnostics.
 """
 
-from repro.flow.bitgen import Bitstream, generate_bitstream
 from repro.flow.analysis_graph import DesignGraphStats, analyze_design
 from repro.flow.blockdesign import BlockDesign, Edge, Instance
 from repro.flow.cache import (
@@ -87,7 +84,6 @@ from repro.flow.prflow import (
     refloorplan,
 )
 from repro.flow.restarts import place_best
-from repro.flow.results import FlowComparison, compare_flows
 from repro.flow.rwflow import RWFlowResult, run_rw_flow
 from repro.flow.stitcher import (
     SAParams,
@@ -98,7 +94,6 @@ from repro.flow.stitcher import (
 from repro.flow.tempering import PTParams, temper
 
 __all__ = [
-    "Bitstream",
     "BlockDesign",
     "CacheStats",
     "DesignGraphStats",
@@ -106,7 +101,6 @@ __all__ = [
     "CFPolicy",
     "Edge",
     "FixedCF",
-    "FlowComparison",
     "FlowInfeasibleError",
     "FlowInfeasibleReport",
     "FlowStats",
@@ -135,11 +129,9 @@ __all__ = [
     "analyze_design",
     "apply_update",
     "cache_key",
-    "compare_flows",
     "dataset_key",
     "default_portfolio",
     "evolve",
-    "generate_bitstream",
     "global_place",
     "grid_fingerprint",
     "implement_design",

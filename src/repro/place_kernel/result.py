@@ -3,7 +3,7 @@
 Both the SA stitcher (:func:`repro.flow.stitcher.stitch`) and the GA
 evolver (:func:`repro.flow.evolve.evolve`) return a
 :class:`StitchResult` carrying a :class:`StitchStats`, so downstream
-consumers (bitgen, congestion maps, DSE, the CLI) never care which
+consumers (congestion maps, DSE, the CLI) never care which
 optimizer produced a placement.
 """
 

@@ -29,8 +29,8 @@ class TestParser:
         names = tuple(p.name for p in default_portfolio())
         assert PLACERS == names
 
-    # A flag ``place`` does not define is reported by the top-level
-    # parser, with its usage; a bad value by ``place``'s own.
+    # A bad value and a flag ``place`` does not define are both
+    # reported with ``place``'s own usage.
     @pytest.mark.parametrize(
         "argv, usage",
         [
@@ -41,8 +41,8 @@ class TestParser:
             (["--restarts", "-3"], "usage: repro place"),
             (["--placer", "tabu"], "usage: repro place"),
             (["--placer", "gp"], "usage: repro place"),
-            (["--congestion-weight", "1"], "usage: repro [-h]"),
-            (["--timing-weight", "1"], "usage: repro [-h]"),
+            (["--congestion-weight", "1"], "usage: repro place"),
+            (["--timing-weight", "1"], "usage: repro place"),
         ],
         ids=["budget-0", "budget-neg", "budget-word", "restarts-0",
              "restarts-neg", "placer-tabu", "placer-gp", "congestion-weight",
@@ -55,6 +55,24 @@ class TestParser:
         err = capsys.readouterr().err
         assert usage in err
         assert argv[0] in err
+
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [
+            (["preimpl", "d.json", "--typo"], "usage: repro preimpl"),
+            (["trace", "summarize", "t.json", "--typo"],
+             "usage: repro trace summarize"),
+        ],
+        ids=["preimpl", "trace-summarize"],
+    )
+    def test_unknown_flag_gets_subcommand_usage(self, argv, usage, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert usage in err
+        assert "usage: repro [-h]" not in err
+        assert "unrecognized arguments: --typo" in err
 
     def test_stitch_cf_and_minimal_exclusive(self):
         with pytest.raises(SystemExit):
