@@ -4,7 +4,7 @@
 runs the quick placement and labels it with its minimal feasible CF
 (upward sweep from 0.9 at 0.02 resolution, or §VI-C's adaptive per-module
 resolution behind ``adaptive_step=True``).  Labeling fans out over
-:class:`~repro.flow.fanout.FanOut` (``workers=N``) with results bitwise
+:func:`~repro.flow.fanout.fan_out` (``workers=N``) with results bitwise
 identical for any worker count, and the flow's content-addressed
 :class:`~repro.flow.cache.ModuleCache` (keyed by
 :func:`~repro.flow.cache.dataset_key`) makes one generation durable

@@ -3,7 +3,7 @@
 Labeling one module — synthesize, opt, quick-place, multi-run minimal-CF
 search — is a pure function of the module's content and the sweep
 parameters, so the ~2,000-module sweep fans out over
-:class:`~repro.flow.fanout.FanOut` in deterministic chunks: results are
+:func:`~repro.flow.fanout.fan_out` in deterministic chunks: results are
 assembled in sweep order and are bitwise identical for any worker count
 (the same discipline as :func:`~repro.flow.preimpl.implement_design`).
 A :class:`~repro.flow.cache.ModuleCache` in front, keyed by
@@ -22,7 +22,7 @@ from repro.device.grid import DeviceGrid
 from repro.device.parts import xc7z020
 from repro.features.registry import ModuleRecord, make_record
 from repro.flow.cache import ModuleCache, dataset_key
-from repro.flow.fanout import FanOut, graft_traces
+from repro.flow.fanout import fan_out, graft_traces
 from repro.netlist.stats import compute_stats
 from repro.obs.tracer import NullTracer, Tracer, current_tracer
 from repro.pblock.cf_search import (
@@ -284,21 +284,21 @@ def generate_dataset(
             sp_sweep.incr("n_generated", len(modules))
 
         with tr.span("dataset.label") as sp_label:
-            with FanOut(workers, len(modules)) as fan:
-                # Several chunks per worker keep the pool busy even when
-                # module sizes (and so labeling costs) are skewed.
-                chunks = _chunked(modules, 4 * fan.n_workers if fan.pooled else 1)
-                jobs = [
-                    (
-                        c, grid, start, step, max_cf, skip_trivial,
-                        adaptive_step, noise, tr.enabled,
-                    )
-                    for c in chunks
-                ]
-                # Chunk order, not completion order: each module labels
-                # deterministically, so the concatenation is independent
-                # of the worker count.
-                parts = fan.run(_label_chunk, jobs)
+            # Several chunks per worker keep the pool busy even when
+            # module sizes (and so labeling costs) are skewed.
+            n_pool = min(workers or 0, len(modules))
+            chunks = _chunked(modules, 4 * n_pool if n_pool > 1 else 1)
+            jobs = [
+                (
+                    c, grid, start, step, max_cf, skip_trivial,
+                    adaptive_step, noise, tr.enabled,
+                )
+                for c in chunks
+            ]
+            # Chunk order, not completion order: each module labels
+            # deterministically, so the concatenation is independent of
+            # the worker count.
+            parts, workers_used = fan_out(_label_chunk, jobs, workers)
             outcomes = [o for part, _traces in parts for o in part]
             graft_traces(tr, [t for _part, traces in parts for t in traces or ()])
 
@@ -319,7 +319,7 @@ def generate_dataset(
         sp_label.incr("n_trivial", n_trivial)
         sp_label.incr("n_infeasible", len(infeasible))
         sp_label.incr("n_runs", n_runs)
-        sp_root.set_attr("n_workers", fan.n_workers)
+        sp_root.set_attr("n_workers", workers_used)
 
         report_ = GenerationReport(
             n_requested=n_modules,
@@ -328,7 +328,7 @@ def generate_dataset(
             n_infeasible=len(infeasible),
             infeasible_names=tuple(infeasible),
             n_runs=n_runs,
-            n_workers=fan.n_workers,
+            n_workers=workers_used,
             cache_hit=False,
         )
         if cache is not None and key is not None:

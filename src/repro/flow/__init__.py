@@ -23,8 +23,8 @@
   warm-started SA, parallel tempering, analytic-warm-started SA) behind
   the :class:`~repro.place_kernel.protocol.Placer` protocol;
 * :mod:`repro.flow.fanout` — the one order-preserving process fan-out
-  (pre-implementation, dataset labeling, restarts, tempering) and pareto
-  winner selection;
+  (pre-implementation, dataset labeling, restarts) and pareto winner
+  selection;
 * :mod:`repro.flow.restarts` — multi-seed restarts of any placer
   (:func:`~repro.flow.restarts.place_best`);
 * :mod:`repro.flow.monolithic` — the flat "AMD EDA"-style whole-device
@@ -81,7 +81,6 @@ from repro.flow.prflow import (
     Partition,
     apply_update,
     plan_partitions,
-    refloorplan,
 )
 from repro.flow.restarts import place_best
 from repro.flow.rwflow import RWFlowResult, run_rw_flow
@@ -142,7 +141,6 @@ __all__ = [
     "place_best",
     "plan_partitions",
     "policy_fingerprint",
-    "refloorplan",
     "run_rw_flow",
     "save_design",
     "stitch",

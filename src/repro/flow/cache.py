@@ -28,7 +28,6 @@ stale entries can never be served.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -107,26 +106,11 @@ def grid_fingerprint(grid: DeviceGrid) -> str:
 def policy_fingerprint(policy: "CFPolicy") -> str:
     """Hash of a CF policy's identity and parameters.
 
-    Prefers the policy's own :meth:`~repro.flow.policy.CFPolicy.fingerprint`
-    (which a learned policy overrides to hash its trained weights); falls
-    back to the class name plus dataclass init fields.
+    Digests the policy's own :meth:`~repro.flow.policy.CFPolicy.fingerprint`
+    (the class name plus dataclass init fields, which a learned policy
+    overrides to hash its trained weights).
     """
-    fp = getattr(policy, "fingerprint", None)
-    if callable(fp):
-        return _digest("policy", fp())
-    return _digest("policy", _default_policy_fields(policy))
-
-
-def _default_policy_fields(policy: object) -> str:
-    name = type(policy).__qualname__
-    if dataclasses.is_dataclass(policy):
-        parts = ",".join(
-            f"{f.name}={getattr(policy, f.name)!r}"
-            for f in dataclasses.fields(policy)
-            if f.init
-        )
-        return f"{name}({parts})"
-    return name
+    return _digest("policy", policy.fingerprint())
 
 
 def cache_key(module: RTLModule, grid: DeviceGrid, policy: "CFPolicy") -> str:

@@ -42,7 +42,7 @@ from repro.obs.tracer import NullTracer, Tracer, current_tracer
 from repro.place.shapes import Footprint
 from repro.place_kernel.kernel import PlacementKernel
 from repro.place_kernel.problem import PlacementProblem
-from repro.place_kernel.result import StitchResult, StitchStats, converge_history
+from repro.place_kernel.result import StitchResult, finish
 from repro.place_kernel.uniform import UniformBuffer
 
 __all__ = ["GAParams", "evolve"]
@@ -242,7 +242,6 @@ def evolve(
         # ---------------------------------------------------------- init
         with tr.span("evolve.init") as sp_init:
             problem = PlacementProblem.from_design(design, footprints, grid)
-            names = problem.names
             st = problem.make_kernel(params.unplaced_weight)
             swappable = problem.swappable
             n = st.n
@@ -352,49 +351,16 @@ def evolve(
                 budget.charge(steps)
                 for off, c in events:
                     history.append((start + off, c))
-            st.first_fit_fill()
-
-            wirelength = st.wirelength()
-            final_cost = st.total_cost()
-            hist, converged_at = converge_history(
-                history, final_cost, budget.used
-            )
-            history = list(hist)
-            occupancy = st.occupancy_array()
-            placements = {names[i]: st.pos[i] for i in range(n)}
-            n_placed = sum(1 for p in st.pos if p is not None)
+            res = finish(st, history, budget.used, seed=params.seed)
             sp_repair.incr("polish_ops", budget.used)
-            sp_repair.incr("n_placed", n_placed)
+            sp_repair.incr("n_placed", res.n_placed)
 
-        sp_gen.incr("move_attempts", st.move_attempts)
-        sp_gen.incr("place_attempts", st.place_attempts)
-        sp_gen.incr("swap_attempts", st.swap_attempts)
-        sp_root.set_attr("n_placed", n_placed)
-        sp_root.set_attr("n_unplaced", n - n_placed)
-        sp_root.set_attr("final_cost", final_cost)
+        sp_gen.incr("move_attempts", res.stats.move_attempts)
+        sp_gen.incr("place_attempts", res.stats.place_attempts)
+        sp_gen.incr("swap_attempts", res.stats.swap_attempts)
+        sp_root.set_attr("n_placed", res.n_placed)
+        sp_root.set_attr("n_unplaced", res.n_unplaced)
+        sp_root.set_attr("final_cost", res.final_cost)
         sp_root.set_attr("generations", generations)
-        sp_root.set_attr("converged_at", converged_at)
-
-    stats = StitchStats(
-        seed=params.seed,
-        move_attempts=st.move_attempts,
-        place_attempts=st.place_attempts,
-        swap_attempts=st.swap_attempts,
-        move_accepts=st.move_accepts,
-        place_accepts=st.place_accepts,
-        swap_accepts=st.swap_accepts,
-        illegal_moves=st.illegal,
-    )
-    return StitchResult(
-        placements=placements,
-        n_placed=n_placed,
-        n_unplaced=n - n_placed,
-        wirelength=wirelength,
-        final_cost=final_cost,
-        iterations=budget.used,
-        converged_at=converged_at,
-        illegal_moves=st.illegal,
-        history=tuple(history),
-        occupancy=occupancy,
-        stats=stats,
-    )
+        sp_root.set_attr("converged_at", res.converged_at)
+    return res

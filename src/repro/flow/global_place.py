@@ -55,7 +55,7 @@ from repro.flow.blockdesign import BlockDesign
 from repro.obs.tracer import NullTracer, Tracer, current_tracer
 from repro.place.shapes import Footprint
 from repro.place_kernel.problem import PlacementProblem
-from repro.place_kernel.result import StitchResult, StitchStats, converge_history
+from repro.place_kernel.result import StitchResult, finish
 from repro.place_kernel.sites import column_capacities
 from repro.utils.rng import stream
 
@@ -138,7 +138,6 @@ def global_place(
     with tr.span("gplace", seed=params.seed) as sp_root:
         with tr.span("gplace.init") as sp_init:
             problem = PlacementProblem.from_design(design, footprints, grid)
-            names = problem.names
             st = problem.make_kernel(params.unplaced_weight)
             n = st.n
             height = float(grid.height_clbs)
@@ -366,43 +365,11 @@ def global_place(
                         st.paint(i, x, y, +1)
                         n_snapped += 1
                         break
-            st.first_fit_fill()
-            wirelength = st.wirelength()
-            final_cost = st.total_cost()
-            occupancy = st.occupancy_array()
-            placements = {names[i]: st.pos[i] for i in range(n)}
-            n_placed = sum(1 for p in st.pos if p is not None)
-            history, converged_at = converge_history(
-                [(0, final_cost)], final_cost, 0
-            )
+            res = finish(st, (), 0, seed=params.seed, objective_trace=traj)
             sp_leg.incr("n_snapped", n_snapped)
-            sp_leg.incr("n_placed", n_placed)
+            sp_leg.incr("n_placed", res.n_placed)
 
-        sp_root.set_attr("n_placed", n_placed)
-        sp_root.set_attr("n_unplaced", n - n_placed)
-        sp_root.set_attr("final_cost", final_cost)
-
-    stats = StitchStats(
-        seed=params.seed,
-        move_attempts=0,
-        place_attempts=0,
-        swap_attempts=0,
-        move_accepts=0,
-        place_accepts=0,
-        swap_accepts=0,
-        illegal_moves=0,
-        objective_trace=tuple(traj),
-    )
-    return StitchResult(
-        placements=placements,
-        n_placed=n_placed,
-        n_unplaced=n - n_placed,
-        wirelength=wirelength,
-        final_cost=final_cost,
-        iterations=0,
-        converged_at=converged_at,
-        illegal_moves=0,
-        history=history,
-        occupancy=occupancy,
-        stats=stats,
-    )
+        sp_root.set_attr("n_placed", res.n_placed)
+        sp_root.set_attr("n_unplaced", res.n_unplaced)
+        sp_root.set_attr("final_cost", res.final_cost)
+    return res

@@ -180,10 +180,10 @@ class WarmStartedSAPlacer:
 class TemperedSAPlacer:
     """Cooperative parallel tempering as a portfolio member.
 
-    Runs :func:`~repro.flow.tempering.temper`'s replica-exchange ladder
-    with its chains in-process (``n_workers=None``) — the DSE explorer
-    already fans variants out over processes, and the result is bitwise
-    identical either way.
+    Runs :func:`~repro.flow.tempering.temper`'s replica-exchange ladder,
+    whose chains take turns on one in-process kernel;
+    :func:`~repro.flow.restarts.place_best` fans restarts of it out over
+    processes.
     """
 
     params: PTParams = field(default_factory=PTParams)

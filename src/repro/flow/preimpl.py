@@ -13,7 +13,7 @@ loop, upgraded in three ways over the naive sequential version:
   most 74 implementations, and zero on a warm cache.
 * **Process-pool fan-out** — cache misses are independent (every module's
   implementation is a pure function of its content), so they fan out over
-  ``n_workers`` processes through :class:`~repro.flow.fanout.FanOut`.
+  ``n_workers`` processes through :func:`~repro.flow.fanout.fan_out`.
   Results are collected per-module and assembled in design order, making
   the output bitwise identical for any worker count (the same discipline
   as :func:`~repro.flow.restarts.place_best`).
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from repro.device.grid import DeviceGrid
 from repro.flow.blockdesign import BlockDesign
 from repro.flow.cache import ModuleCache
-from repro.flow.fanout import FanOut, graft_traces
+from repro.flow.fanout import fan_out, graft_traces
 from repro.flow.policy import CFOutcome, CFPolicy, FlowInfeasibleError
 from repro.netlist.stats import NetlistStats, compute_stats
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer, current_tracer
@@ -433,8 +433,7 @@ def implement_design(
             # Job order, not completion order: each module's implementation
             # is deterministic, so the assembled result is independent of
             # the worker count.
-            with FanOut(n_workers, len(jobs)) as fan:
-                outcomes = fan.run(_implement_one, jobs)
+            outcomes, workers_used = fan_out(_implement_one, jobs, n_workers)
             graft_traces(tr, [out[5] for out in outcomes])
 
         implemented: dict[str, ImplementedModule] = {}
@@ -480,9 +479,9 @@ def implement_design(
                     )
                 )
 
-        stats = FlowStats(modules=tuple(per_module), n_workers=fan.n_workers)
+        stats = FlowStats(modules=tuple(per_module), n_workers=workers_used)
         sp_impl.incr("new_tool_runs", stats.new_tool_runs)
-        sp_root.set_attr("n_workers", fan.n_workers)
+        sp_root.set_attr("n_workers", workers_used)
         sp_root.incr("total_tool_runs", stats.total_tool_runs)
         sp_root.incr("n_infeasible", stats.n_infeasible)
 

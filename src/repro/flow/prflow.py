@@ -19,10 +19,6 @@ from dataclasses import dataclass
 
 from repro.device.grid import DeviceGrid
 from repro.flow.blockdesign import BlockDesign
-from repro.flow.cache import ModuleCache
-from repro.flow.policy import CFPolicy
-from repro.flow.rwflow import RWFlowResult, run_rw_flow
-from repro.flow.stitcher import SAParams
 from repro.netlist.stats import NetlistStats, compute_stats
 from repro.place.packer import slice_demand
 from repro.synth.mapper import opt_design, synthesize
@@ -33,7 +29,6 @@ __all__ = [
     "PRPlan",
     "plan_partitions",
     "apply_update",
-    "refloorplan",
 ]
 
 
@@ -140,40 +135,4 @@ def apply_update(plan: PRPlan, module_stats: NetlistStats) -> UpdateOutcome:
         demand=demand,
         fits=fits,
         wasted_slices=max(0, partition.capacity_slices - demand) if fits else 0,
-    )
-
-
-def refloorplan(
-    design: BlockDesign,
-    grid: DeviceGrid,
-    policy: CFPolicy,
-    *,
-    sa_params: SAParams | None = None,
-    n_seeds: int = 1,
-    n_workers: int | None = None,
-    preimpl_workers: int | None = None,
-    cache: "ModuleCache | None" = None,
-    cache_dir: str | None = None,
-) -> RWFlowResult:
-    """Full re-floorplan after an unfeasible update (the PR failure path).
-
-    When :func:`apply_update` reports ``requires_refloorplan``, the only
-    recovery in a fixed-partition system is a complete recompile of the
-    updated design — exactly the cost the paper's RW-style flow avoids.
-    This delegates to :func:`~repro.flow.rwflow.run_rw_flow`, exposing
-    the multi-seed restart knobs so the expensive recovery can at least
-    use the best placement of several seeds, and the pre-implementation
-    cache/worker knobs so the recompile reuses every module the update
-    did not touch.
-    """
-    return run_rw_flow(
-        design,
-        grid,
-        policy,
-        sa_params=sa_params,
-        n_seeds=n_seeds,
-        n_workers=n_workers,
-        preimpl_workers=preimpl_workers,
-        cache=cache,
-        cache_dir=cache_dir,
     )

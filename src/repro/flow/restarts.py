@@ -5,7 +5,7 @@ with the seed, so the classic quality lever (RapidLayout-style
 stochastic placement) is to run several independent seeds and keep the
 best run.  :func:`place_best` does that for every placer in
 :mod:`repro.flow.placers`, fanning the seeds out over worker processes
-through the shared :class:`~repro.flow.fanout.FanOut`.
+through the shared :func:`~repro.flow.fanout.fan_out`.
 
 Winner selection is the shared pareto path
 (:func:`~repro.flow.fanout.best_result`): fewest unplaced blocks first,
@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 from repro.device.grid import DeviceGrid
 from repro.flow.blockdesign import BlockDesign
-from repro.flow.fanout import FanOut, best_result, graft_traces
+from repro.flow.fanout import best_result, fan_out, graft_traces
 from repro.obs.tracer import NullTracer, Tracer, current_tracer
 from repro.place.shapes import Footprint
 from repro.place_kernel.protocol import Placer
@@ -114,8 +114,7 @@ def place_best(
     ]
     with ambient.span("place.restarts", placer=placer.name,
                       n_seeds=len(jobs)) as sp:
-        with FanOut(n_workers, len(jobs)) as fan:
-            outcomes = fan.run(_place_one, jobs)
+        outcomes, _workers = fan_out(_place_one, jobs, n_workers)
         graft_traces(ambient, [t for _result, traces in outcomes for t in traces])
 
         best = best_result([result for result, _traces in outcomes])

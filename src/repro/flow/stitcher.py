@@ -31,7 +31,7 @@ from repro.flow.blockdesign import BlockDesign
 from repro.obs.tracer import NullTracer, Tracer, current_tracer
 from repro.place.shapes import Footprint
 from repro.place_kernel.problem import PlacementProblem
-from repro.place_kernel.result import StitchResult, StitchStats, converge_history
+from repro.place_kernel.result import StitchResult, StitchStats, finish
 from repro.place_kernel.uniform import UniformBuffer
 
 __all__ = ["SAParams", "StitchResult", "StitchStats", "stitch"]
@@ -150,63 +150,30 @@ def stitch(
                     break
 
         with tr.span("stitch.fill") as sp_fill:
-            st.first_fit_fill()
-            # Finalization is charged to the fill phase so the phases
-            # keep tiling the run: the convergence scan and the final
-            # cost/occupancy extraction used to fall outside every
-            # phase, making the recorded phases sum short of the wall
-            # time.  The convergence threshold is anchored at the true
-            # post-fill final cost (converge_history appends a terminal
-            # history event when the fill changed the cost).
-            wirelength = st.wirelength()
-            final_cost = st.total_cost()
-            history, converged_at = converge_history(
-                improvements, final_cost, it
+            # The fill phase also extracts the result, so the phases
+            # keep tiling the run.
+            res = finish(
+                st, improvements, it,
+                seed=params.seed, temperature_trace=temp_trace,
             )
-            occupancy = st.occupancy_array()
-            placements = {names[i]: st.pos[i] for i in range(st.n)}
-            n_placed = sum(1 for p in st.pos if p is not None)
 
         # Move-mix counters mirror StitchStats exactly; attrs record the
         # run's deterministic outcome for `repro trace summarize`.
+        stats = res.stats
         sp_anneal.incr("iterations", it)
-        sp_anneal.incr("move_attempts", st.move_attempts)
-        sp_anneal.incr("place_attempts", st.place_attempts)
-        sp_anneal.incr("swap_attempts", st.swap_attempts)
-        sp_anneal.incr("move_accepts", st.move_accepts)
-        sp_anneal.incr("place_accepts", st.place_accepts)
-        sp_anneal.incr("swap_accepts", st.swap_accepts)
-        sp_anneal.incr("illegal_moves", st.illegal)
+        sp_anneal.incr("move_attempts", stats.move_attempts)
+        sp_anneal.incr("place_attempts", stats.place_attempts)
+        sp_anneal.incr("swap_attempts", stats.swap_attempts)
+        sp_anneal.incr("move_accepts", stats.move_accepts)
+        sp_anneal.incr("place_accepts", stats.place_accepts)
+        sp_anneal.incr("swap_accepts", stats.swap_accepts)
+        sp_anneal.incr("illegal_moves", stats.illegal_moves)
         sp_initial.incr("n_placed_initial", len(placed_list))
         sp_setup.incr("n_instances", st.n)
         sp_setup.incr("n_edges", len(edges))
-        sp_fill.incr("n_placed", n_placed)
-        sp_root.set_attr("n_placed", n_placed)
-        sp_root.set_attr("n_unplaced", st.n - n_placed)
-        sp_root.set_attr("final_cost", final_cost)
-        sp_root.set_attr("converged_at", converged_at)
-
-    stats = StitchStats(
-        seed=params.seed,
-        move_attempts=st.move_attempts,
-        place_attempts=st.place_attempts,
-        swap_attempts=st.swap_attempts,
-        move_accepts=st.move_accepts,
-        place_accepts=st.place_accepts,
-        swap_accepts=st.swap_accepts,
-        illegal_moves=st.illegal,
-        temperature_trace=tuple(temp_trace),
-    )
-    return StitchResult(
-        placements=placements,
-        n_placed=n_placed,
-        n_unplaced=st.n - n_placed,
-        wirelength=wirelength,
-        final_cost=final_cost,
-        iterations=it,
-        converged_at=converged_at,
-        illegal_moves=st.illegal,
-        history=history,
-        occupancy=occupancy,
-        stats=stats,
-    )
+        sp_fill.incr("n_placed", res.n_placed)
+        sp_root.set_attr("n_placed", res.n_placed)
+        sp_root.set_attr("n_unplaced", res.n_unplaced)
+        sp_root.set_attr("final_cost", res.final_cost)
+        sp_root.set_attr("converged_at", res.converged_at)
+    return res

@@ -25,13 +25,11 @@ its moves from a dedicated
 :class:`~repro.place_kernel.uniform.UniformBuffer` seeded by
 ``stream(seed, "tempering", "chain", k)``; every exchange decision
 draws from one dedicated exchange stream in fixed pair order — one
-draw per considered pair, accepted or not — and never from worker
-timing.  Chain segments are dispatched through
-:class:`~repro.flow.fanout.FanOut` and merged in deterministic global
-operation order, so the returned
-:class:`~repro.place_kernel.result.StitchResult` is bitwise identical
-for any ``n_workers`` (``tests/test_tempering.py``,
-``tests/test_determinism_cross_process.py``).
+draw per considered pair, accepted or not.  The chains take turns, in
+ladder order, on the one kernel the run builds, and their best-cost
+events merge in global operation order, so a fixed configuration
+reproduces bit for bit in any process
+(``tests/test_determinism_cross_process.py``).
 
 Budget contract: the chains together execute exactly
 ``PTParams.max_iters`` kernel move operations (the round plan deals
@@ -62,12 +60,11 @@ from typing import Mapping
 
 from repro.device.grid import DeviceGrid
 from repro.flow.blockdesign import BlockDesign
-from repro.flow.fanout import FanOut
 from repro.obs.tracer import NullTracer, Tracer, current_tracer
 from repro.place.shapes import Footprint
 from repro.place_kernel.kernel import PlacementKernel
 from repro.place_kernel.problem import PlacementProblem
-from repro.place_kernel.result import StitchResult, StitchStats, converge_history
+from repro.place_kernel.result import StitchResult, finish
 from repro.place_kernel.uniform import UniformBuffer
 from repro.utils.rng import stream
 
@@ -111,10 +108,9 @@ class PTParams:
 class _ChainState:
     """One replica's placement, cost and private move stream.
 
-    Plain attributes only, so the state pickles across the FanOut
-    boundary; exchange swaps ``pos``/``cost`` between ladder slots while
-    each slot keeps its own stream (chain identity follows the
-    temperature, not the configuration).
+    Exchange swaps ``pos``/``cost`` between ladder slots while each slot
+    keeps its own stream (chain identity follows the temperature, not
+    the configuration).
     """
 
     __slots__ = ("pos", "cost", "u")
@@ -130,70 +126,28 @@ class _ChainState:
         self.u = u
 
 
-#: Per-process kernel context, built once by the FanOut initializer and
-#: reused across every round batch (the initializer runs before any task
-#: is dispatched, so tasks only ever read this).
-_WORKER: dict[str, object] = {}
-
-
-def _build_kernel(
-    design: BlockDesign,
-    footprints: dict[str, Footprint],
-    grid: DeviceGrid,
-    unplaced_weight: float,
-) -> tuple[PlacementKernel, tuple[tuple[int, ...], ...], int]:
-    problem = PlacementProblem.from_design(design, footprints, grid)
-    st = problem.make_kernel(unplaced_weight)
-    return st, problem.swappable, len(problem.edges)
-
-
-def _init_worker(
-    design: BlockDesign,
-    footprints: dict[str, Footprint],
-    grid: DeviceGrid,
-    unplaced_weight: float,
-) -> None:
-    """FanOut initializer: build this process's kernel exactly once."""
-    _WORKER["ctx"] = _build_kernel(design, footprints, grid, unplaced_weight)
-
-
-_COUNTER_FIELDS = (
-    "move_attempts",
-    "place_attempts",
-    "swap_attempts",
-    "move_accepts",
-    "place_accepts",
-    "swap_accepts",
-    "illegal",
-)
-
-
-def _counters(st: PlacementKernel) -> tuple[int, ...]:
-    return tuple(getattr(st, f) for f in _COUNTER_FIELDS)
-
-
-def _chain_task(
-    args: tuple[_ChainState, list[tuple[int, float]], float, float],
-) -> tuple[_ChainState, float, list | None, list[tuple[int, float]], tuple[int, ...]]:
+def _run_chain(
+    st: PlacementKernel,
+    swappable: tuple[tuple[int, ...], ...],
+    state: _ChainState,
+    specs: list[tuple[int, float]],
+    p_place: float,
+    p_swap: float,
+) -> tuple[list | None, list[tuple[int, float]]]:
     """Advance one chain through the rounds of an exchange block.
 
-    Restores the chain's placement into the per-process kernel, runs the
-    planned ``(steps, temp)`` rounds through the shared batch runner,
-    and returns the updated chain plus everything the parent merges at
-    the block barrier: the block-best cost, the block-best placement
-    snapshot, per-round best events and the move-counter deltas.  A pure
-    function of its arguments (plus the per-process kernel), so serial
-    and pooled execution are bitwise identical.
+    Restores the chain's placement into the kernel, runs the planned
+    ``(steps, temp)`` rounds through the shared batch runner and saves
+    the end state back into ``state``.  Returns what the caller merges
+    at the block barrier: the block-best placement snapshot and the
+    per-round best events.
     """
-    state, specs, p_place, p_swap = args
-    st, swappable, _n_edges = _WORKER["ctx"]  # type: ignore[misc]
     if not any(steps for steps, _temp in specs):
-        return state, state.cost, None, [], (0,) * len(_COUNTER_FIELDS)
+        return None, []
     st.restore(state.pos)
     cost = st.total_cost()
     placed_list = [i for i in range(st.n) if st.pos[i] is not None]
     unplaced_list = [i for i in range(st.n) if st.pos[i] is None]
-    before = _counters(st)
     best = cost
     snap: list = []
     events: list[tuple[int, float]] = []
@@ -210,10 +164,7 @@ def _chain_task(
             events.append((r, best))
     state.pos = list(st.pos)
     state.cost = cost
-    after = _counters(st)
-    delta = tuple(a - b for a, b in zip(after, before))
-    best_pos = snap[0] if snap else None
-    return state, best, best_pos, events, delta
+    return snap[0] if snap else None, events
 
 
 def _round_plan(
@@ -243,7 +194,6 @@ def temper(
     grid: DeviceGrid,
     params: PTParams | None = None,
     *,
-    n_workers: int | None = None,
     initial_placements: Mapping[str, tuple[int, int] | None] | None = None,
     tracer: Tracer | NullTracer | None = None,
 ) -> StitchResult:
@@ -262,12 +212,6 @@ def temper(
         :func:`~repro.flow.stitcher.stitch`: anchors apply in instance
         order, non-fitting anchors stay unplaced).  Without it the
         ladder starts from the greedy tallest-first packing.
-    n_workers:
-        Worker processes to fan the chains over per exchange block.
-        ``None``, 0 or 1 runs serially in-process; the result is
-        bitwise identical for any value (rounds are the synchronization
-        unit, and chain segments merge in deterministic operation
-        order, never completion order).
     tracer:
         Where the run's ``tempering`` span tree is recorded
         (``tempering.init`` / ``tempering.rounds`` /
@@ -317,218 +261,171 @@ def temper(
         n_chains=n_chains,
         max_iters=params.max_iters,
     ) as sp_root:
-        fan: FanOut | None = None
-        try:
-            with tr.span("tempering.init") as sp_init:
-                fan = FanOut(
-                    n_workers,
-                    n_chains,
-                    initializer=_init_worker,
-                    initargs=(design, footprints, grid, params.unplaced_weight),
+        with tr.span("tempering.init") as sp_init:
+            problem = PlacementProblem.from_design(design, footprints, grid)
+            st = problem.make_kernel(params.unplaced_weight)
+            swappable = problem.swappable
+            if initial_placements is None:
+                st.greedy_initial()
+            else:
+                st.load_placements(st.names, initial_placements)
+            cost0 = st.total_cost()
+            g_best_cost = cost0
+            g_best_pos: list[tuple[int, int] | None] = list(st.pos)
+            history: list[tuple[int, float]] = [(0, cost0)]
+            # Same base temperature heuristic as the SA stitcher:
+            # accept about half of typical uphill deltas.
+            t_base = max(1.0, 0.05 * cost0 / max(1, len(problem.edges)))
+            block = max(256, min(8192, 4 * params.steps_per_round))
+            chains = [
+                _ChainState(
+                    pos=list(st.pos),
+                    cost=cost0,
+                    u=UniformBuffer(
+                        stream(params.seed, "tempering", "chain", k),
+                        block=block,
+                    ),
                 )
-                if fan.pooled:
-                    st, swappable, n_edges = _build_kernel(
-                        design, footprints, grid, params.unplaced_weight
+                for k in range(n_chains)
+            ]
+            u_ex = UniformBuffer(
+                stream(params.seed, "tempering", "exchange"), block=256
+            )
+            rows = _round_plan(
+                params.max_iters, n_chains, params.steps_per_round
+            )
+            # Global op index before each round, for attributing
+            # chain events to an absolute budget position.
+            row_start: list[int] = []
+            acc = 0
+            for row in rows:
+                row_start.append(acc)
+                acc += sum(row)
+            blocks = [
+                rows[b : b + params.swap_period]
+                for b in range(0, len(rows), params.swap_period)
+            ]
+            sp_init.incr("n_instances", st.n)
+            sp_init.incr("n_rounds", len(rows))
+            sp_init.incr("n_blocks", len(blocks))
+
+        temp_trace: list[tuple[int, float]] = []
+        n_exchanges = 0
+        n_swaps = 0
+        n_migrations = 0
+        round_idx = 0
+        for bi, blk in enumerate(blocks):
+            with tr.span(
+                "tempering.rounds", phase="rounds", n_rounds=len(blk)
+            ) as sp_r:
+                outs = []
+                for k in range(n_chains):
+                    specs = [
+                        (
+                            row[k],
+                            t_base
+                            * params.hot_ratio**k
+                            * params.alpha ** (round_idx + j),
+                        )
+                        for j, row in enumerate(blk)
+                    ]
+                    outs.append(
+                        _run_chain(
+                            st, swappable, chains[k], specs,
+                            params.p_place, params.p_swap,
+                        )
                     )
-                else:
-                    # Serial: the parent shares the single in-process
-                    # kernel with the chain tasks.
-                    fan.prepare()
-                    st, swappable, n_edges = _WORKER["ctx"]  # type: ignore[misc]
-                names = st.names
-                if initial_placements is None:
-                    st.greedy_initial()
-                else:
-                    st.load_placements(names, initial_placements)
-                cost0 = st.total_cost()
-                g_best_cost = cost0
-                g_best_pos: list[tuple[int, int] | None] = list(st.pos)
-                history: list[tuple[int, float]] = [(0, cost0)]
-                # Same base temperature heuristic as the SA stitcher:
-                # accept about half of typical uphill deltas.
-                t_base = max(1.0, 0.05 * cost0 / max(1, n_edges))
-                block = max(256, min(8192, 4 * params.steps_per_round))
-                chains = [
-                    _ChainState(
-                        pos=list(st.pos),
-                        cost=cost0,
-                        u=UniformBuffer(
-                            stream(params.seed, "tempering", "chain", k),
-                            block=block,
-                        ),
+                # Merge in deterministic global-op order: every chain
+                # event is stamped with the op index ending its round
+                # segment, then scanned lowest-first (ties are
+                # impossible — segments are disjoint).
+                candidates: list[tuple[int, float, int]] = []
+                for k, (_snap, events) in enumerate(outs):
+                    for r_local, c in events:
+                        r_glob = round_idx + r_local
+                        op = row_start[r_glob] + sum(rows[r_glob][: k + 1])
+                        candidates.append((op, c, k))
+                candidates.sort(key=lambda e: (e[0], e[2]))
+                for op, c, k in candidates:
+                    if c < g_best_cost - 1e-9:
+                        g_best_cost = c
+                        g_best_pos = outs[k][0]
+                        history.append((op, c))
+                for j, row in enumerate(blk):
+                    temp_trace.append(
+                        (
+                            row_start[round_idx + j] + sum(row),
+                            t_base * params.alpha ** (round_idx + j),
+                        )
                     )
-                    for k in range(n_chains)
-                ]
-                u_ex = UniformBuffer(
-                    stream(params.seed, "tempering", "exchange"), block=256
-                )
-                rows = _round_plan(
-                    params.max_iters, n_chains, params.steps_per_round
-                )
-                # Global op index before each round, for attributing
-                # chain events to an absolute budget position.
-                row_start: list[int] = []
-                acc = 0
-                for row in rows:
-                    row_start.append(acc)
-                    acc += sum(row)
-                blocks = [
-                    rows[b : b + params.swap_period]
-                    for b in range(0, len(rows), params.swap_period)
-                ]
-                sp_init.incr("n_instances", st.n)
-                sp_init.incr("n_rounds", len(rows))
-                sp_init.incr("n_blocks", len(blocks))
+                round_idx += len(blk)
+                sp_r.incr("ops", sum(sum(row) for row in blk))
 
-            counters = [0] * len(_COUNTER_FIELDS)
-            temp_trace: list[tuple[int, float]] = []
-            n_exchanges = 0
-            n_swaps = 0
-            n_migrations = 0
-            round_idx = 0
-            for bi, blk in enumerate(blocks):
-                with tr.span(
-                    "tempering.rounds", phase="rounds", n_rounds=len(blk)
-                ) as sp_r:
-                    payloads = []
-                    for k in range(n_chains):
-                        specs = [
-                            (
-                                row[k],
-                                t_base
-                                * params.hot_ratio**k
-                                * params.alpha ** (round_idx + j),
-                            )
-                            for j, row in enumerate(blk)
-                        ]
-                        payloads.append(
-                            (chains[k], specs, params.p_place, params.p_swap)
+            if bi == len(blocks) - 1:
+                break
+            with tr.span("tempering.exchange", phase="exchange") as sp_x:
+                n_exchanges += 1
+                # Adjacent-pair Metropolis exchange; the considered
+                # parity alternates per event.  Temperatures are the
+                # ladder values entering the next round.  One stream
+                # draw per considered pair, accepted or not, keeps the
+                # schedule independent of outcomes.
+                decay = params.alpha**round_idx
+                start = (n_exchanges - 1) % 2
+                for a in range(start, n_chains - 1, 2):
+                    b = a + 1
+                    ta = t_base * params.hot_ratio**a * decay
+                    tb = t_base * params.hot_ratio**b * decay
+                    x = u_ex.next()
+                    d = (1.0 / max(ta, 1e-9) - 1.0 / max(tb, 1e-9)) * (
+                        chains[a].cost - chains[b].cost
+                    )
+                    if d >= 0.0 or x < math.exp(d):
+                        chains[a].pos, chains[b].pos = (
+                            chains[b].pos,
+                            chains[a].pos,
                         )
-                    outs = fan.run(_chain_task, payloads)
-                    # Merge in deterministic global-op order: every
-                    # chain event is stamped with the op index ending
-                    # its round segment, then scanned lowest-first
-                    # (ties are impossible — segments are disjoint).
-                    candidates: list[tuple[int, float, int]] = []
-                    for k, (state, _bb, _bp, events, delta) in enumerate(outs):
-                        chains[k] = state
-                        counters = [c + d for c, d in zip(counters, delta)]
-                        for r_local, c in events:
-                            r_glob = round_idx + r_local
-                            op = row_start[r_glob] + sum(
-                                rows[r_glob][: k + 1]
-                            )
-                            candidates.append((op, c, k))
-                    candidates.sort(key=lambda e: (e[0], e[2]))
-                    for op, c, k in candidates:
-                        if c < g_best_cost - 1e-9:
-                            g_best_cost = c
-                            g_best_pos = outs[k][2]
-                            history.append((op, c))
-                    for j, row in enumerate(blk):
-                        temp_trace.append(
-                            (
-                                row_start[round_idx + j] + sum(row),
-                                t_base * params.alpha ** (round_idx + j),
-                            )
+                        chains[a].cost, chains[b].cost = (
+                            chains[b].cost,
+                            chains[a].cost,
                         )
-                    round_idx += len(blk)
-                    sp_r.incr("ops", sum(sum(row) for row in blk))
+                        n_swaps += 1
+                    sp_x.incr("exchange_attempts", 1)
+                if (
+                    params.migrate_every > 0
+                    and n_exchanges % params.migrate_every == 0
+                    and g_best_cost < chains[-1].cost - 1e-9
+                ):
+                    chains[-1].pos = list(g_best_pos)
+                    chains[-1].cost = g_best_cost
+                    n_migrations += 1
+                    sp_x.incr("migrations", 1)
 
-                if bi == len(blocks) - 1:
-                    break
-                with tr.span("tempering.exchange", phase="exchange") as sp_x:
-                    n_exchanges += 1
-                    # Adjacent-pair Metropolis exchange; the considered
-                    # parity alternates per event.  Temperatures are the
-                    # ladder values entering the next round.  One stream
-                    # draw per considered pair, accepted or not, keeps
-                    # the schedule independent of outcomes.
-                    decay = params.alpha**round_idx
-                    start = (n_exchanges - 1) % 2
-                    for a in range(start, n_chains - 1, 2):
-                        b = a + 1
-                        ta = t_base * params.hot_ratio**a * decay
-                        tb = t_base * params.hot_ratio**b * decay
-                        x = u_ex.next()
-                        d = (1.0 / max(ta, 1e-9) - 1.0 / max(tb, 1e-9)) * (
-                            chains[a].cost - chains[b].cost
-                        )
-                        if d >= 0.0 or x < math.exp(d):
-                            chains[a].pos, chains[b].pos = (
-                                chains[b].pos,
-                                chains[a].pos,
-                            )
-                            chains[a].cost, chains[b].cost = (
-                                chains[b].cost,
-                                chains[a].cost,
-                            )
-                            n_swaps += 1
-                        sp_x.incr("exchange_attempts", 1)
-                    if (
-                        params.migrate_every > 0
-                        and n_exchanges % params.migrate_every == 0
-                        and g_best_cost < chains[-1].cost - 1e-9
-                    ):
-                        chains[-1].pos = list(g_best_pos)
-                        chains[-1].cost = g_best_cost
-                        n_migrations += 1
-                        sp_x.incr("migrations", 1)
+        # Terminal exchange event: the global best migrates into the
+        # result (restore + deterministic fill + extraction).  The
+        # kernel's move counters are the chains' alone: restores, the
+        # greedy start and the fill count nothing.
+        with tr.span("tempering.exchange", phase="final") as sp_fin:
+            st.restore(g_best_pos)
+            res = finish(
+                st, history, params.max_iters,
+                seed=params.seed, temperature_trace=temp_trace,
+            )
+            sp_fin.incr("n_placed", res.n_placed)
 
-            # Terminal exchange event: the global best migrates into the
-            # result (restore + deterministic fill + extraction).
-            with tr.span("tempering.exchange", phase="final") as sp_fin:
-                st.restore(g_best_pos)
-                st.first_fit_fill()
-                wirelength = st.wirelength()
-                final_cost = st.total_cost()
-                occupancy = st.occupancy_array()
-                placements = {names[i]: st.pos[i] for i in range(st.n)}
-                n_placed = sum(1 for p in st.pos if p is not None)
-                hist, converged_at = converge_history(
-                    history, final_cost, params.max_iters
-                )
-                sp_fin.incr("n_placed", n_placed)
-        finally:
-            if fan is not None:
-                fan.close()
-
-        for name, value in zip(_COUNTER_FIELDS, counters):
-            key = "illegal_moves" if name == "illegal" else name
-            sp_root.incr(key, value)
-        sp_root.set_attr("n_placed", n_placed)
-        sp_root.set_attr("n_unplaced", st.n - n_placed)
-        sp_root.set_attr("final_cost", final_cost)
-        sp_root.set_attr("converged_at", converged_at)
+        stats = res.stats
+        sp_root.incr("move_attempts", stats.move_attempts)
+        sp_root.incr("place_attempts", stats.place_attempts)
+        sp_root.incr("swap_attempts", stats.swap_attempts)
+        sp_root.incr("move_accepts", stats.move_accepts)
+        sp_root.incr("place_accepts", stats.place_accepts)
+        sp_root.incr("swap_accepts", stats.swap_accepts)
+        sp_root.incr("illegal_moves", stats.illegal_moves)
+        sp_root.set_attr("n_placed", res.n_placed)
+        sp_root.set_attr("n_unplaced", res.n_unplaced)
+        sp_root.set_attr("final_cost", res.final_cost)
+        sp_root.set_attr("converged_at", res.converged_at)
         sp_root.set_attr("n_exchanges", n_exchanges)
         sp_root.set_attr("n_exchange_accepts", n_swaps)
         sp_root.set_attr("n_migrations", n_migrations)
-
-    # Counters come from the aggregated per-task deltas, never from raw
-    # parent-kernel counters, so serial and pooled runs report the same
-    # numbers (the parent kernel only sees greedy-initial + restore).
-    cdict = dict(zip(_COUNTER_FIELDS, counters))
-    stats = StitchStats(
-        seed=params.seed,
-        move_attempts=cdict["move_attempts"],
-        place_attempts=cdict["place_attempts"],
-        swap_attempts=cdict["swap_attempts"],
-        move_accepts=cdict["move_accepts"],
-        place_accepts=cdict["place_accepts"],
-        swap_accepts=cdict["swap_accepts"],
-        illegal_moves=cdict["illegal"],
-        temperature_trace=tuple(temp_trace),
-    )
-    return StitchResult(
-        placements=placements,
-        n_placed=n_placed,
-        n_unplaced=st.n - n_placed,
-        wirelength=wirelength,
-        final_cost=final_cost,
-        iterations=params.max_iters,
-        converged_at=converged_at,
-        illegal_moves=cdict["illegal"],
-        history=hist,
-        occupancy=occupancy,
-        stats=stats,
-    )
+    return res

@@ -15,7 +15,9 @@ drives the *same* primitives:
 * :mod:`repro.place_kernel.problem` — the flattened
   :class:`PlacementProblem` instance both optimizers score;
 * :mod:`repro.place_kernel.result` — the shared
-  :class:`StitchResult`/:class:`StitchStats` outcome shape;
+  :class:`StitchResult`/:class:`StitchStats` outcome shape, and
+  :func:`~repro.place_kernel.result.finish`, which every placer ends
+  its run through;
 * :mod:`repro.place_kernel.protocol` — the :class:`Placer` protocol the
   optimizer portfolio is built on.
 

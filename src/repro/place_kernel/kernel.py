@@ -25,20 +25,23 @@ meet a column freed since it was recorded.  A verdict is exact: it
 stands only when every anchor row a place attempt can draw fails
 ``fits``.
 
-:class:`PlacementKernel` holds the per-call moves (``try_move``,
-``try_place``, ``try_swap``) and the packers, which draw, decide and
-count on top of abstract primitives.  :meth:`FastKernel.run_batch` is
-the one batch loop that ships: the SA anneal, the GA's repair phase
-and every tempering chain run it.  It reads its draws straight off the
-:class:`~repro.place_kernel.uniform.UniformBuffer` list and inlines the
-three moves and their probes, cost deltas and position updates, so its
-draws, decisions and counters must stay exactly those of the per-call
-moves driven by the generic loop.  ``tests/kernel_oracle.py`` is the
-executable specification both are tested against: a subclass with the
-original straightforward primitives (numpy occupancy slicing,
-lift/probe/put-back relocation probes, per-edge Python sums), no
-verdicts, so it probes every attempt the fast kernel skips, and the
-generic batch loop that calls ``try_move``/``try_place``/``try_swap``
+:class:`PlacementKernel` holds the packers and the one per-call move
+``src/`` uses (``try_move``, the GA's memetic polish), which draw,
+decide and count on top of abstract primitives.
+:meth:`FastKernel.run_batch` is the one batch loop that ships: the SA
+anneal, the GA's repair phase and every tempering chain run it, and it
+is where ``src/`` writes the place and swap moves.  It reads its draws
+straight off the :class:`~repro.place_kernel.uniform.UniformBuffer`
+list and inlines the three moves and their probes, cost deltas and
+position updates, so its draws, decisions and counters must stay
+exactly those of the per-call moves the generic loop drives.
+``tests/kernel_oracle.py`` is the executable specification both are
+tested against: a subclass with the original straightforward
+primitives (numpy occupancy slicing, lift/probe/put-back relocation
+probes, per-edge Python sums), no verdicts, so it probes every attempt
+the fast kernel skips, the per-call place and swap moves
+(``try_place``/``try_swap``, functions over the kernel primitives) and
+the generic batch loop that calls ``try_move``/``try_place``/``try_swap``
 once per operation.  Both draw from the same batched uniform stream, so
 a fixed seed produces identical placements, costs and history on
 either — enforced by ``tests/test_stitcher_equivalence.py``.  With the
@@ -82,11 +85,12 @@ class PlacementKernel:
     ``occupancy_array``), the batch loop (``run_batch``) and may keep
     per-footprint verdicts (``fits_nowhere``, ``note_fits_nowhere``,
     ``check_fits_nowhere``).
-    The per-call moves and the packers that draw and decide live here,
-    once.  :meth:`FastKernel.run_batch` repeats the moves' draws and
-    decisions inline; the reference kernel in ``tests/kernel_oracle.py``
-    runs the generic loop over the moves defined here, and the two must
-    agree bit for bit whichever optimizer drives them.  A primitive
+    The packers and the relocation move ``try_move`` draw and decide
+    here, once.  :meth:`FastKernel.run_batch` writes the three moves'
+    draws and decisions inline; the reference kernel in
+    ``tests/kernel_oracle.py`` runs the generic loop over ``try_move``
+    and the oracle's place and swap moves, and the two must agree bit
+    for bit whichever optimizer drives them.  A primitive
     answers a geometry or cost question and nothing else: it never
     draws, decides or counts.
     """
@@ -209,11 +213,13 @@ class PlacementKernel:
         one GA budget unit).
 
         Each operation draws ``r``: below ``p_place`` (with an unplaced
-        instance left) it is ``try_place`` on a drawn unplaced
-        instance, below ``p_place + p_swap`` (with a swap group) a
-        ``try_swap`` of two drawn members of a drawn group, otherwise a
+        instance left) it is a place attempt on a drawn unplaced
+        instance (up to :data:`PLACE_PROBES` random sites, the first
+        that fits), below ``p_place + p_swap`` (with a swap group) a
+        swap of two drawn members of a drawn group, otherwise a
         ``try_move`` of a drawn placed instance (none placed: the
-        operation does nothing).
+        operation does nothing).  ``tests/kernel_oracle.py`` writes the
+        place and swap moves out as ``try_place`` and ``try_swap``.
 
         ``placed_list`` / ``unplaced_list`` are mutated in place
         (membership changes on successful place moves).  Returns
@@ -398,58 +404,6 @@ class PlacementKernel:
             self.move_accepts += 1
             return delta
         self.set_pos(i, old)
-        return 0.0
-
-    def try_place(self, i: int, u: UniformBuffer) -> float:
-        """Attempt to place an unplaced instance (always beneficial).
-
-        Probes :data:`PLACE_PROBES` random sites and takes the first
-        that fits.  When ``i``'s footprint is known to fit nowhere, the
-        attempt skips the probes' draws and counts their misses instead
-        of probing: the stream and the counters end as the probes would
-        leave them.
-        """
-        self.place_attempts += 1
-        xs = self.anchors_x[i]
-        if not xs or self.y_max[i] < 0:
-            return 0.0
-        if self.fits_nowhere(i):
-            u.skip(2 * PLACE_PROBES)
-            self.illegal += PLACE_PROBES
-            return 0.0
-        n_x = len(xs)
-        n_y = self.n_y[i]
-        step = self.y_step[i]
-        index = u.index
-        fits = self.fits
-        for _ in range(PLACE_PROBES):
-            x = xs[index(n_x)]
-            y = index(n_y) * step
-            if fits(i, x, y):
-                self.set_pos(i, (x, y))
-                self.paint(i, x, y, +1)
-                self.place_accepts += 1
-                return self.incident_cost(i) - self.unplaced_weight * self.areas[i]
-            self.illegal += 1
-        self.check_fits_nowhere(i)
-        return 0.0
-
-    def try_swap(self, i: int, j: int, temp: float, u: UniformBuffer) -> float:
-        """Swap two placed instances with identical footprints."""
-        self.swap_attempts += 1
-        pi, pj = self.pos[i], self.pos[j]
-        if pi is None or pj is None or pi == pj:
-            return 0.0
-        before = self.incident_cost(i) + self.incident_cost(j)
-        self.set_pos(i, pj)
-        self.set_pos(j, pi)
-        after = self.incident_cost(i) + self.incident_cost(j)
-        delta = after - before
-        if delta <= 0 or u.next() < math.exp(-delta / max(temp, 1e-9)):
-            self.swap_accepts += 1
-            return delta  # identical footprints: occupancy is unchanged
-        self.set_pos(i, pi)
-        self.set_pos(j, pj)
         return 0.0
 
 
@@ -719,8 +673,8 @@ class FastKernel(PlacementKernel):
         # One loop, no per-operation calls on the common paths: the
         # draws come straight off the buffer's list (refilled exactly
         # where ``UniformBuffer.next`` refills), and the moves, probes,
-        # cost deltas and paints of ``try_move``/``try_place``/
-        # ``try_swap`` are written out in their order.
+        # cost deltas and paints of ``try_move`` and the oracle's
+        # ``try_place``/``try_swap`` are written out in their order.
         events: list[tuple[int, float]] = []
         p_either = p_place + p_swap
         t_eff = max(temp, 1e-9)

@@ -1,20 +1,30 @@
 """Result and instrumentation types shared by every placement optimizer.
 
-Both the SA stitcher (:func:`repro.flow.stitcher.stitch`) and the GA
-evolver (:func:`repro.flow.evolve.evolve`) return a
-:class:`StitchResult` carrying a :class:`StitchStats`, so downstream
-consumers (congestion maps, DSE, the CLI) never care which
-optimizer produced a placement.
+Every placer (the SA stitcher, the GA evolver, parallel tempering and
+the analytic placer) ends its run through :func:`finish`, which fills
+and reads its kernel into a :class:`StitchResult` carrying a
+:class:`StitchStats`, so downstream consumers (congestion maps, DSE,
+the CLI) never care which optimizer produced a placement.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-__all__ = ["StitchResult", "StitchStats", "converge_history", "pareto_key"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.place_kernel.kernel import PlacementKernel
+
+__all__ = [
+    "StitchResult",
+    "StitchStats",
+    "converge_history",
+    "finish",
+    "pareto_key",
+]
 
 
 def pareto_key(result: "StitchResult") -> tuple[int, float]:
@@ -182,3 +192,55 @@ class StitchResult:
             )
             lines.append(line)
         return "\n".join(lines)
+
+
+def finish(
+    st: "PlacementKernel",
+    history: Sequence[tuple[int, float]],
+    iterations: int,
+    *,
+    seed: int,
+    temperature_trace: Sequence[tuple[int, float]] = (),
+    objective_trace: Sequence[tuple[int, float]] = (),
+) -> StitchResult:
+    """End a placement run on ``st``: fill, then read the kernel out.
+
+    Runs the deterministic first-fit fill of every block the optimizer
+    left unplaced, then reads the wirelength, cost, placements,
+    occupancy and the seven move counters off the kernel.  ``history``
+    is the run's best-cost trajectory and ``iterations`` the kernel
+    operations it spent, where a fill that lowers the cost lands its
+    terminal event (:func:`converge_history`); a run with no trajectory
+    (the analytic placer) reports its final cost there.
+    """
+    st.first_fit_fill()
+    final_cost = st.total_cost()
+    hist, converged_at = converge_history(
+        history or [(iterations, final_cost)], final_cost, iterations
+    )
+    n_placed = sum(1 for p in st.pos if p is not None)
+    stats = StitchStats(
+        seed=seed,
+        move_attempts=st.move_attempts,
+        place_attempts=st.place_attempts,
+        swap_attempts=st.swap_attempts,
+        move_accepts=st.move_accepts,
+        place_accepts=st.place_accepts,
+        swap_accepts=st.swap_accepts,
+        illegal_moves=st.illegal,
+        temperature_trace=tuple(temperature_trace),
+        objective_trace=tuple(objective_trace),
+    )
+    return StitchResult(
+        placements=dict(zip(st.names, st.pos)),
+        n_placed=n_placed,
+        n_unplaced=st.n - n_placed,
+        wirelength=st.wirelength(),
+        final_cost=final_cost,
+        iterations=iterations,
+        converged_at=converged_at,
+        illegal_moves=st.illegal,
+        history=hist,
+        occupancy=st.occupancy_array(),
+        stats=stats,
+    )

@@ -5,9 +5,11 @@
 way: numpy occupancy slicing, a lift/probe/put-back relocation probe, a
 row walk for the legalizer's nearest fit and per-edge Python sums for
 the wirelength.
-Its batch loop is the generic one, a ``try_move``/``try_place``/
-``try_swap`` call of the shared base class per operation, which the
-fast kernel's fused loop inlines.  For a fixed seed the fast kernel
+Its batch loop is the generic one, one per-call move per operation:
+the shared base class's ``try_move``, or this module's :func:`try_place`
+and :func:`try_swap`, functions over the kernel primitives that any
+kernel (the fast one included) can run.  The fast kernel's fused loop
+inlines all three.  For a fixed seed the fast kernel
 must reproduce this one bit for bit: the same placements, costs,
 history, counters and stream position.  The
 equivalence tests, the ``[reference-*]`` goldens and the fast-versus-
@@ -24,19 +26,84 @@ patch reaches only this process: run oracle placements serially.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager, nullcontext
 from typing import ContextManager, Iterator
 from unittest import mock
 
 import numpy as np
 
-from repro.place_kernel.kernel import PlacementKernel
+from repro.place_kernel.kernel import PLACE_PROBES, PlacementKernel
 from repro.place_kernel.problem import PlacementProblem
+from repro.place_kernel.uniform import UniformBuffer
 
-__all__ = ["KERNELS", "ReferenceKernel", "build", "kernel", "reference_kernel"]
+__all__ = [
+    "KERNELS",
+    "ReferenceKernel",
+    "build",
+    "kernel",
+    "reference_kernel",
+    "try_place",
+    "try_swap",
+]
 
 #: Kernel names the equivalence tests parametrize over.
 KERNELS = ("fast", "reference")
+
+
+def try_place(k: PlacementKernel, i: int, u: UniformBuffer) -> float:
+    """Attempt to place the unplaced instance ``i`` (always beneficial).
+
+    Probes :data:`PLACE_PROBES` random sites and takes the first that
+    fits; returns the accepted cost delta.  When ``i``'s footprint is
+    known to fit nowhere, the attempt skips the probes' draws and counts
+    their misses instead of probing: the stream and the counters end as
+    the probes would leave them.
+    """
+    k.place_attempts += 1
+    xs = k.anchors_x[i]
+    if not xs or k.y_max[i] < 0:
+        return 0.0
+    if k.fits_nowhere(i):
+        u.skip(2 * PLACE_PROBES)
+        k.illegal += PLACE_PROBES
+        return 0.0
+    n_x = len(xs)
+    n_y = k.n_y[i]
+    step = k.y_step[i]
+    for _ in range(PLACE_PROBES):
+        x = xs[u.index(n_x)]
+        y = u.index(n_y) * step
+        if k.fits(i, x, y):
+            k.set_pos(i, (x, y))
+            k.paint(i, x, y, +1)
+            k.place_accepts += 1
+            return k.incident_cost(i) - k.unplaced_weight * k.areas[i]
+        k.illegal += 1
+    k.check_fits_nowhere(i)
+    return 0.0
+
+
+def try_swap(
+    k: PlacementKernel, i: int, j: int, temp: float, u: UniformBuffer
+) -> float:
+    """Swap two placed instances with identical footprints; returns the
+    accepted cost delta."""
+    k.swap_attempts += 1
+    pi, pj = k.pos[i], k.pos[j]
+    if pi is None or pj is None or pi == pj:
+        return 0.0
+    before = k.incident_cost(i) + k.incident_cost(j)
+    k.set_pos(i, pj)
+    k.set_pos(j, pi)
+    after = k.incident_cost(i) + k.incident_cost(j)
+    delta = after - before
+    if delta <= 0 or u.next() < math.exp(-delta / max(temp, 1e-9)):
+        k.swap_accepts += 1
+        return delta  # identical footprints: occupancy is unchanged
+    k.set_pos(i, pi)
+    k.set_pos(j, pj)
+    return 0.0
 
 
 class ReferenceKernel(PlacementKernel):
@@ -164,8 +231,6 @@ class ReferenceKernel(PlacementKernel):
         p_either = p_place + p_swap
         draw = u.next
         index = u.index
-        try_place = self.try_place
-        try_swap = self.try_swap
         try_move = self.try_move
         pos = self.pos
         for op in range(1, steps + 1):
@@ -173,7 +238,7 @@ class ReferenceKernel(PlacementKernel):
             if unplaced_list and r < p_place:
                 k = index(len(unplaced_list))
                 i = unplaced_list[k]
-                cost += try_place(i, u)
+                cost += try_place(self, i, u)
                 if pos[i] is not None:
                     unplaced_list[k] = unplaced_list[-1]
                     unplaced_list.pop()
@@ -184,7 +249,7 @@ class ReferenceKernel(PlacementKernel):
                 j = index(len(g) - 1)
                 if j >= i:
                     j += 1
-                cost += try_swap(g[i], g[j], temp, u)
+                cost += try_swap(self, g[i], g[j], temp, u)
             else:
                 if not placed_list:
                     continue

@@ -116,10 +116,9 @@ print(hashlib.sha256(payload.encode()).hexdigest())
 """
 
 
-# Parallel tempering must be bitwise identical in any interpreter and
-# with any worker count — n_workers here fans the *chains* out inside
-# one temper() run, the tightest determinism contract in the flow;
-# __N_WORKERS__ is substituted before running.
+# Parallel tempering must be bitwise identical in any interpreter: the
+# chains take turns on one kernel and merge their best-cost events in
+# global operation order.
 _TEMPER_SNIPPET = """
 import hashlib, json
 from repro.device import xc7z020
@@ -139,8 +138,7 @@ for i in range(7):
     d.connect(f"i{i}", f"i{i+1}", width=4)
 res = temper(d, {"m": fp}, xc7z020(),
              PTParams(max_iters=2000, n_chains=4, steps_per_round=100,
-                      seed=2),
-             n_workers=__N_WORKERS__)
+                      seed=2))
 placement = sorted((k, v) for k, v in res.placements.items())
 payload = json.dumps([placement, res.final_cost, list(res.history),
                       res.stats.move_attempts, res.stats.illegal_moves])
@@ -219,12 +217,10 @@ class TestCrossProcessDeterminism:
         assert serial == serial_again == parallel
 
     def test_temper_worker_independent(self):
-        """One temper() run is bitwise identical across processes and
-        for any chain-level worker count."""
-        serial = _run(_TEMPER_SNIPPET.replace("__N_WORKERS__", "0"), 0)
-        serial_again = _run(_TEMPER_SNIPPET.replace("__N_WORKERS__", "0"), 1)
-        parallel = _run(_TEMPER_SNIPPET.replace("__N_WORKERS__", "4"), 2)
-        assert serial == serial_again == parallel
+        """One temper() run is bitwise identical in three fresh
+        interpreters, each under its own hash seed."""
+        runs = [_run(_TEMPER_SNIPPET, hash_seed) for hash_seed in (0, 1, 2)]
+        assert runs[0] == runs[1] == runs[2]
 
     def test_gplace_warm_start_worker_independent(self):
         """The analytic warm start and its polish restarts are bitwise

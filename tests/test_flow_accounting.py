@@ -2,7 +2,7 @@
 
 ``FlowStats`` and ``GenerationReport`` must report identical tool-run
 and cache counters whether the work ran sequentially, over a process
-pool, or through either of :class:`~repro.flow.fanout.FanOut`'s OSError
+pool, or through either of :func:`~repro.flow.fanout.fan_out`'s OSError
 fallbacks: pool construction refused, or a pool that constructs but
 fails on its first dispatch (``ProcessPoolExecutor`` starts its worker
 processes there, so that is where a refused fork surfaces).  In
@@ -17,7 +17,7 @@ import repro.flow.fanout as fanout_mod
 from repro.dataset.generate import generate_dataset
 from repro.flow.blockdesign import BlockDesign
 from repro.flow.cache import ModuleCache
-from repro.flow.fanout import FanOut
+from repro.flow.fanout import fan_out
 from repro.flow.policy import FixedCF
 from repro.flow.preimpl import implement_design
 from repro.rtlgen.base import RTLModule
@@ -59,13 +59,6 @@ class _ForkFailingPool:
 #: Both ways a pool can fail over to the serial path.
 _FAILING_POOLS = (_RefusingPool, _ForkFailingPool)
 
-_INIT_CALLS = []
-
-
-def _record_init(tag):
-    _INIT_CALLS.append(tag)
-
-
 def _square(x):
     return x * x
 
@@ -75,15 +68,14 @@ def _square(x):
 )
 def test_fanout_fallback_runs_serially_in_job_order(pool, monkeypatch):
     monkeypatch.setattr(fanout_mod, "ProcessPoolExecutor", pool)
-    _INIT_CALLS.clear()
-    with FanOut(2, 3, initializer=_record_init, initargs=("init",)) as fan:
-        assert fan.n_workers == (2 if fan.pooled else 1)
-        assert fan.run(_square, [3, 1, 2]) == [9, 1, 4]
-        assert fan.run(_square, [5]) == [25]
-        assert not fan.pooled
-        assert fan.n_workers == 1
-    # The initializer ran exactly once, in this process.
-    assert _INIT_CALLS == ["init"]
+    # Job order, and one worker reported after either fallback.
+    assert fan_out(_square, [3, 1, 2], 2) == ([9, 1, 4], 1)
+    assert fan_out(_square, [5], 2) == ([25], 1)
+
+
+def test_fanout_pool_reports_its_size():
+    assert fan_out(_square, [3, 1, 2], 2) == ([9, 1, 4], 2)
+    assert fan_out(_square, [3, 1, 2], 8) == ([9, 1, 4], 3)
 
 
 def _flow_counters(stats):

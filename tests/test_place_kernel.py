@@ -4,8 +4,9 @@ The kernel is the one component every optimizer trusts blindly: SA
 anneals through it and the GA decodes/polishes through it, so a legality
 hole here corrupts *every* placer at once.  These tests drive random
 move/repair sequences straight through the kernel API — the exact ops
-SA and GA compose (``greedy_initial``, ``try_move``/``try_place``/
-``try_swap``, ``clear`` + genome-order re-decode, ``first_fit_fill``) —
+SA and GA compose (``greedy_initial``, ``try_move`` and the oracle's
+``try_place``/``try_swap``, ``clear`` + genome-order re-decode,
+``first_fit_fill``) —
 and assert the geometric contract after every sequence, on both the
 fast kernel and the reference kernel in ``tests/kernel_oracle.py``:
 
@@ -37,7 +38,7 @@ from repro.place_kernel import (
 )
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import RandomLogicCloud
-from tests.kernel_oracle import KERNELS, ReferenceKernel, build
+from tests.kernel_oracle import KERNELS, ReferenceKernel, build, try_place, try_swap
 
 _LL = ColumnKind.CLBLL
 _LM = ColumnKind.CLBLM
@@ -118,13 +119,13 @@ def _run_program(kernel, fp_specs, ops, seed):
                 kb.try_move(i, float(raw % 7), u)
         elif op == "place":
             if kb.pos[i] is None:
-                kb.try_place(i, u)
+                try_place(kb, i, u)
         elif op == "swap":
             if problem.swappable:
                 g = problem.swappable[raw % len(problem.swappable)]
                 a, b = g[raw % len(g)], g[(raw + 1) % len(g)]
                 if a != b:
-                    kb.try_swap(a, b, float(raw % 5), u)
+                    try_swap(kb, a, b, float(raw % 5), u)
         elif op == "redecode":
             # The GA's decode step: clear and re-pack in genome order,
             # repairing to legality by scanning compatible columns.
@@ -457,7 +458,7 @@ class TestVerdicts:
             before = kb.occupancy_array()
             if op == "place":
                 if kb.pos[i] is None:
-                    kb.try_place(i, u)
+                    try_place(kb, i, u)
             elif op == "move":
                 if kb.pos[i] is not None:
                     kb.try_move(i, float(raw % 7), u)
@@ -520,7 +521,7 @@ class TestVerdicts:
         u_fast = UniformBuffer(np.random.default_rng(4), block=5)
         u_ref = UniformBuffer(np.random.default_rng(4), block=5)
         for _ in range(7):
-            assert fast.try_place(i, u_fast) == ref.try_place(i, u_ref) == 0.0
+            assert try_place(fast, i, u_fast) == try_place(ref, i, u_ref) == 0.0
             assert fast.illegal == ref.illegal
             assert fast.place_attempts == ref.place_attempts
         assert fast.illegal == 7 * PLACE_PROBES
@@ -573,7 +574,7 @@ class TestVerdicts:
         fast.fits = lambda *a: probes.append(a) or fits(*a)
         u_fast = UniformBuffer(np.random.default_rng(2), block=7)
         u_ref = UniformBuffer(np.random.default_rng(2), block=7)
-        assert fast.try_place(out, u_fast) == ref.try_place(out, u_ref) == 0.0
+        assert try_place(fast, out, u_fast) == try_place(ref, out, u_ref) == 0.0
         assert probes == [] and scanned == []
         assert fast.illegal == ref.illegal == PLACE_PROBES
         skipped = UniformBuffer(np.random.default_rng(2), block=7)

@@ -9,6 +9,9 @@ every HPWL term is a dyadic rational that float64 evaluates exactly in
 any summation order.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from repro.flow.global_place import GPParams, global_place
 from repro.flow.stitcher import SAParams, stitch
 from repro.flow.tempering import PTParams, temper
 from repro.place.shapes import Footprint
+from repro.place_kernel.problem import PlacementProblem
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import RandomLogicCloud
 from tests.kernel_oracle import ReferenceKernel, reference_kernel
@@ -163,17 +167,21 @@ class TestGridShapeEquivalence:
             assert 0 <= y <= grid.height_clbs - fp.max_height
 
 
+#: Every placer that builds its own kernel, at a tiny budget.
+_EACH_PLACER = pytest.mark.parametrize(
+    "place",
+    [
+        lambda d, fps, g: stitch(d, fps, g, SAParams(max_iters=100)),
+        lambda d, fps, g: evolve(d, fps, g, GAParams(move_budget=100)),
+        lambda d, fps, g: temper(d, fps, g, PTParams(max_iters=100)),
+        lambda d, fps, g: global_place(d, fps, g, GPParams(n_iters=5)),
+    ],
+    ids=["stitch", "evolve", "temper", "global_place"],
+)
+
+
 class TestKernelSelection:
-    @pytest.mark.parametrize(
-        "place",
-        [
-            lambda d, fps, g: stitch(d, fps, g, SAParams(max_iters=100)),
-            lambda d, fps, g: evolve(d, fps, g, GAParams(move_budget=100)),
-            lambda d, fps, g: temper(d, fps, g, PTParams(max_iters=100)),
-            lambda d, fps, g: global_place(d, fps, g, GPParams(n_iters=5)),
-        ],
-        ids=["stitch", "evolve", "temper", "global_place"],
-    )
+    @_EACH_PLACER
     def test_oracle_reaches_placer(self, z020, place):
         """Inside ``reference_kernel()`` every placer runs on the oracle,
         so the equivalence tests really compare two kernels."""
@@ -181,6 +189,25 @@ class TestKernelSelection:
         with reference_kernel() as built:
             place(d, fps, z020)
         assert built and all(type(k) is ReferenceKernel for k in built)
+
+    @_EACH_PLACER
+    def test_run_keeps_no_kernel_alive(self, z020, place, monkeypatch):
+        """Once a placer returns, no kernel it built is reachable: not
+        from its result, nor from module state kept for the next run."""
+        d, fps = _mixed_design(4)
+        refs = []
+        make_kernel = PlacementProblem.make_kernel
+
+        def recording(problem, unplaced_weight):
+            k = make_kernel(problem, unplaced_weight)
+            refs.append(weakref.ref(k))
+            return k
+
+        monkeypatch.setattr(PlacementProblem, "make_kernel", recording)
+        result = place(d, fps, z020)
+        gc.collect()
+        assert refs and all(ref() is None for ref in refs)
+        assert result.n_placed + result.n_unplaced == len(d.instances)
 
     def test_crowded_device_equivalence(self, tiny_grid):
         """Equivalence holds when most moves are illegal (full device)."""

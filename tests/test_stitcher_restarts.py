@@ -139,22 +139,6 @@ class TestFlowIntegration:
             run_rw_flow(self._small_design(), z020, FixedCF(1.6),
                         sa_params=SAParams(), placer=SAPlacer())
 
-    def test_prflow_refloorplan(self, z020):
-        from repro.flow.policy import FixedCF
-        from repro.flow.prflow import refloorplan
-
-        d = BlockDesign(name="pr-recover")
-        d.add_module(RTLModule.make("m", [RandomLogicCloud(n_luts=120)]))
-        d.add_instance("i0", "m")
-        d.add_instance("i1", "m")
-        d.connect("i0", "i1")
-        res = refloorplan(
-            d, z020, FixedCF(1.6),
-            sa_params=SAParams(max_iters=800, seed=0), n_seeds=2,
-        )
-        assert res.stitch.n_unplaced == 0
-        assert res.stitch.stats.seed in (0, 1)
-
 
 class TestParetoWinner:
     """Regression: the restart winner used to be crowned by ``final_cost``
