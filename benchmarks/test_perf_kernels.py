@@ -15,14 +15,16 @@ from repro.flow.stitcher import SAParams, stitch
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import DecisionTreeRegressor
 from repro.netlist.stats import compute_stats
-from repro.pblock.cf_search import minimal_cf
+from repro.pblock.cf_search import InfeasibleModuleError, minimal_cf
 from repro.pblock.generator import build_pblock
 from repro.place.packer import pack
 from repro.place.quick import quick_place
 from repro.place.shapes import Footprint
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import RandomLogicCloud, SumOfSquares
+from repro.rtlgen.sweep import generate_sweep
 from repro.synth.mapper import synthesize
+from tests.cf_oracle import reference_minimal_cf
 from tests.kernel_oracle import kernel
 from tests.tree_oracle import fit_reference_forest
 
@@ -56,6 +58,70 @@ def test_perf_minimal_cf(benchmark, grid, module_stats):
         minimal_cf, module_stats, grid, report=report
     )
     assert result.cf >= 0.9
+
+
+def test_perf_cf_sweep_vs_reference():
+    """The minimal-CF sweep at the label-train shape must find the
+    reference sweep's results bit for bit, at least 1.4x as fast.
+
+    ``generate_sweep(200)`` on xc7z020 at the paper's sweep (start 0.9,
+    step 0.02, max 2.5), as ``generate_dataset`` labels it in the
+    benchmark's ``label-train`` workload.  The reference
+    (``tests/cf_oracle.py``) snaps a PBlock and packs from scratch at
+    every step.  Every round sweeps a fresh grid, so neither side finds
+    the other's window memo warm.
+    """
+    import time
+
+    stats = [compute_stats(synthesize(m)) for m in generate_sweep(200)]
+    reports = [quick_place(s) for s in stats]
+
+    def key(found):
+        pb = found.pblock
+        return (
+            found.cf, found.n_runs, pb.x0, pb.width, pb.y0, pb.height,
+            found.result, found.result.footprint,
+        )
+
+    def sweep() -> list:
+        grid = xc7z020()
+        out = []
+        for s, r in zip(stats, reports):
+            try:
+                out.append(key(minimal_cf(s, grid, report=r)))
+            except InfeasibleModuleError as exc:
+                out.append(exc.n_runs)
+        return out
+
+    def reference() -> list:
+        grid = xc7z020()
+        out = []
+        for s, r in zip(stats, reports):
+            found, n_steps, _ = reference_minimal_cf(s, grid, r, search_down=False)
+            out.append(n_steps if found is None else key(found))
+        return out
+
+    def best_of(run, results: list) -> float:
+        elapsed = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            results.append(run())
+            elapsed.append(time.perf_counter() - t0)
+        return min(elapsed)
+
+    swept: list = []
+    refs: list = []
+    t_sweep = best_of(sweep, swept)
+    t_ref = best_of(reference, refs)
+    assert all(out == refs[0] for out in swept + refs)
+    print(
+        f"cf sweep: {t_sweep * 1e3:.1f} ms vs reference {t_ref * 1e3:.1f} ms "
+        f"({t_ref / t_sweep:.2f}x, {len(stats)} modules)"
+    )
+    assert 1.4 * t_sweep <= t_ref, (
+        f"minimal-CF sweep ({t_sweep * 1e3:.1f} ms) less than 1.4x faster "
+        f"than the reference sweep ({t_ref * 1e3:.1f} ms)"
+    )
 
 
 def test_perf_synthesize(benchmark):

@@ -35,8 +35,9 @@ CLB_PER_REGION = 50
 
 
 class _ColumnTables(NamedTuple):
-    """Per-grid tables behind :meth:`DeviceGrid.find_window` and
-    :meth:`DeviceGrid.caps_in_rect`, indexed by column class ``k`` in the
+    """Per-grid tables behind :meth:`DeviceGrid.find_window`,
+    :meth:`DeviceGrid.caps_in_rect`, :meth:`DeviceGrid.clb_cols` and
+    :meth:`DeviceGrid.spans_clock`, indexed by column class ``k`` in the
     order of ``find_window``'s minima: CLB (LL or LM), CLB-LM, BRAM, DSP."""
 
     #: ``counts[k][x]``: columns of class ``k`` in ``[0, x)``.
@@ -192,12 +193,17 @@ class DeviceGrid:
         """Capacities of the full device."""
         return self.caps_in_rect(0, self.n_cols, 0, self.height_clbs)
 
-    def clb_column_xs(self, x0: int = 0, width: int | None = None) -> list[int]:
-        """Absolute x of every CLB column in the window."""
-        if width is None:
-            width = self.n_cols - x0
+    def clb_cols(self, x0: int, width: int) -> int:
+        """Number of CLB columns (LL or LM) in the window ``[x0, x0+width)``,
+        from the grid's prefix tables."""
         self._check_window(x0, width)
-        return [c.x for c in self.columns[x0 : x0 + width] if c.kind.is_clb]
+        counts = self._tables.counts[0]
+        return counts[x0 + width] - counts[x0]
+
+    def spans_clock(self, x0: int, width: int) -> bool:
+        """True if the window ``[x0, x0+width)`` contains a clock spine."""
+        self._check_window(x0, width)
+        return self._tables.next_clock[x0] < x0 + width
 
     def crosses_region_boundary(self, y0: int, height: int) -> bool:
         """True if the row window spans more than one clock region.

@@ -77,10 +77,13 @@ class ResourceCaps:
     dsp48: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v < 0:
-                raise ValueError(f"ResourceCaps.{f.name} must be >= 0, got {v}")
+        # The eight fields by name, not through ``fields``: every packed
+        # PBlock builds one, and the lookup would cost more than the check.
+        values = (self.slices, self.m_slices, self.luts, self.ffs,
+                  self.carry4, self.lutram_sites, self.bram36, self.dsp48)
+        if min(values) < 0:
+            name, v = next((f.name, v) for f, v in zip(fields(self), values) if v < 0)
+            raise ValueError(f"ResourceCaps.{name} must be >= 0, got {v}")
         if self.m_slices > self.slices:
             raise ValueError(
                 f"m_slices ({self.m_slices}) cannot exceed slices ({self.slices})"
@@ -92,12 +95,6 @@ class ResourceCaps:
                 f.name: getattr(self, f.name) + getattr(other, f.name)
                 for f in fields(self)
             }
-        )
-
-    def covers(self, demand: "ResourceCaps") -> bool:
-        """True if every capacity field is >= the corresponding demand."""
-        return all(
-            getattr(self, f.name) >= getattr(demand, f.name) for f in fields(self)
         )
 
     @staticmethod

@@ -16,6 +16,7 @@ from repro.estimator.cf_estimator import CFEstimator
 from repro.features.registry import make_record
 from repro.flow.policy import CFOutcome, CFPolicy, FlowInfeasibleError
 from repro.netlist.stats import NetlistStats
+from repro.place.packer import pack_demand
 from repro.place.quick import ShapeReport
 from repro.pblock.cf_search import _attempt
 
@@ -78,7 +79,8 @@ class EstimatedCF(CFPolicy):
 
         n_runs = 1
         attempted = [cf0]
-        pb, res = _attempt(stats, report, cf0, grid)
+        demand = pack_demand(stats)
+        pb, res = _attempt(stats, report, cf0, grid, demand=demand)
         if pb is not None and res.feasible:
             return CFOutcome(
                 cf=cf0, n_runs=n_runs, pblock=pb, result=res, predicted_cf=cf0
@@ -90,7 +92,7 @@ class EstimatedCF(CFPolicy):
         while cf <= _MAX_CF + 1e-9:
             n_runs += 1
             attempted.append(cf)
-            pb, res = _attempt(stats, report, cf, grid)
+            pb, res = _attempt(stats, report, cf, grid, demand=demand)
             if pb is not None and res.feasible:
                 break
             prev = cf
@@ -107,7 +109,7 @@ class EstimatedCF(CFPolicy):
         fine = round(prev + _FINE, 10)
         while fine < cf - 1e-9:
             n_runs += 1
-            pb_f, res_f = _attempt(stats, report, fine, grid)
+            pb_f, res_f = _attempt(stats, report, fine, grid, demand=demand)
             if pb_f is not None and res_f.feasible:
                 cf, pb, res = fine, pb_f, res_f
                 break

@@ -129,6 +129,8 @@ def stitch(
             # moves, so the candidate lists are maintained incrementally.
             placed_list = [i for i in range(st.n) if st.pos[i] is not None]
             unplaced_list = [i for i in range(st.n) if st.pos[i] is None]
+            # Counted now: the anneal's place moves grow placed_list.
+            sp_initial.incr("n_placed_initial", len(placed_list))
 
         with tr.span("stitch.anneal") as sp_anneal:
             temp_trace: list[tuple[int, float]] = []
@@ -168,7 +170,6 @@ def stitch(
         sp_anneal.incr("place_accepts", stats.place_accepts)
         sp_anneal.incr("swap_accepts", stats.swap_accepts)
         sp_anneal.incr("illegal_moves", stats.illegal_moves)
-        sp_initial.incr("n_placed_initial", len(placed_list))
         sp_setup.incr("n_instances", st.n)
         sp_setup.incr("n_edges", len(edges))
         sp_fill.incr("n_placed", res.n_placed)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro.device.grid import DeviceGrid
 from repro.netlist.stats import NetlistStats
-from repro.place.packer import PackResult, pack
+from repro.place.packer import PackDemand, PackResult, pack, pack_demand
 from repro.place.quick import ShapeReport, quick_place
 from repro.pblock.generator import PBlockGenerationError, build_pblock
 from repro.pblock.pblock import PBlock
@@ -89,6 +89,7 @@ def _attempt(
     cf: float,
     grid: DeviceGrid,
     previous: tuple[PBlock | None, PackResult] | None = None,
+    demand: PackDemand | None = None,
 ) -> tuple[PBlock | None, PackResult]:
     """One tool run at ``cf``: snap a PBlock and pack the module into it.
 
@@ -96,7 +97,9 @@ def _attempt(
     snaps to the same PBlock, that attempt is returned instead of packing
     again.  Small CF steps often cannot change the snapped rectangle
     (paper §VI-C), and packing one module into one PBlock gives the same
-    result at every step.
+    result at every step.  ``demand`` is the module's
+    :func:`~repro.place.packer.pack_demand`, derived once by a caller
+    that attempts several CFs.
     """
     try:
         pb = build_pblock(stats, report, cf, grid)
@@ -104,7 +107,7 @@ def _attempt(
         return None, PackResult(False, reason="no_pblock")
     if previous is not None and previous[0] == pb:
         return previous
-    return pb, pack(stats, pb)
+    return pb, pack(stats, pb, demand)
 
 
 def minimal_cf(
@@ -136,7 +139,8 @@ def minimal_cf(
 
     Every step counts as a tool run.  A step whose snapped PBlock repeats
     the previous step's reuses that step's packing instead of packing
-    again; the result is the same either way.
+    again, and the module's PBlock-independent packing demand is derived
+    once for the whole sweep; the result is the same either way.
 
     Raises
     ------
@@ -149,13 +153,14 @@ def minimal_cf(
     if report is None:
         report = quick_place(stats)
 
+    demand = pack_demand(stats)
     n_runs = 0
     attempt: tuple[PBlock | None, PackResult] | None = None
     # Upward sweep.
     cf = start
     best: tuple[float, PBlock, PackResult] | None = None
     while cf <= max_cf + 1e-9:
-        attempt = _attempt(stats, report, cf, grid, attempt)
+        attempt = _attempt(stats, report, cf, grid, attempt, demand)
         pb, res = attempt
         n_runs += 1
         if res.feasible and pb is not None:
@@ -172,7 +177,7 @@ def minimal_cf(
         # Start was feasible: walk down until the first failure.
         cf = round(start - step, 10)
         while cf >= DOWN_LIMIT - 1e-9:
-            attempt = _attempt(stats, report, cf, grid, attempt)
+            attempt = _attempt(stats, report, cf, grid, attempt, demand)
             pb, res = attempt
             n_runs += 1
             if not (res.feasible and pb is not None):

@@ -34,14 +34,16 @@ class PBlock:
     height: int
 
     def __post_init__(self) -> None:
-        # Delegate bounds checks to the grid.
-        self.grid.kinds(self.x0, self.width)
+        # The grid checks the column window and reads the clock spine off
+        # its prefix tables: O(1) at any width, as a CF sweep builds a
+        # PBlock at every step.
+        has_clock = self.grid.spans_clock(self.x0, self.width)
         if self.y0 < 0 or self.height <= 0 or self.y0 + self.height > self.grid.height_clbs:
             raise ValueError(
                 f"rows [{self.y0}, {self.y0 + self.height}) outside device "
                 f"of {self.grid.height_clbs} CLB rows"
             )
-        if ColumnKind.CLOCK in self.kinds:
+        if has_clock:
             raise ValueError("a PBlock cannot contain the clock spine column")
 
     @cached_property
@@ -57,26 +59,12 @@ class PBlock:
     @property
     def n_clb_cols(self) -> int:
         """Number of CLB columns inside."""
-        return sum(1 for k in self.kinds if k.is_clb)
+        return self.grid.clb_cols(self.x0, self.width)
 
     @property
     def n_slice_cols(self) -> int:
         """Number of slice columns (two per CLB column)."""
         return 2 * self.n_clb_cols
-
-    def slice_col_is_m(self) -> list[bool]:
-        """M-ness of each slice column, left to right.
-
-        A CLB-LM column contributes one M slice column (position 0) and
-        one L slice column (position 1), like the real CLBLM tile.
-        """
-        flags: list[bool] = []
-        for k in self.kinds:
-            if k is ColumnKind.CLBLM:
-                flags.extend((True, False))
-            elif k is ColumnKind.CLBLL:
-                flags.extend((False, False))
-        return flags
 
     @property
     def area_clbs(self) -> int:

@@ -12,16 +12,18 @@ Three pieces, mirroring the paper's Fig. 1 pipeline:
 """
 
 from repro.place.congestion import routable_utilization
-from repro.place.packer import PackResult, pack
+from repro.place.packer import PackDemand, PackResult, pack, pack_demand
 from repro.place.quick import ShapeReport, quick_place
 from repro.place.render import render_footprint, render_side_by_side
 from repro.place.shapes import Footprint
 
 __all__ = [
     "Footprint",
+    "PackDemand",
     "PackResult",
     "ShapeReport",
     "pack",
+    "pack_demand",
     "quick_place",
     "render_footprint",
     "render_side_by_side",

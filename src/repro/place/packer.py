@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from repro.device.resources import LUTS_PER_SLICE, LUTRAM_PER_MSLICE
 from repro.netlist.stats import NetlistStats
@@ -38,7 +38,14 @@ from repro.utils.rng import module_noise, stream
 if TYPE_CHECKING:  # import only for annotations: pblock imports place
     from repro.pblock.pblock import PBlock
 
-__all__ = ["PackResult", "pack", "pack_chains", "placer_noise_amplitude"]
+__all__ = [
+    "PackDemand",
+    "PackResult",
+    "pack",
+    "pack_chains",
+    "pack_demand",
+    "placer_noise_amplitude",
+]
 
 #: Amplitude of the deterministic per-module demand noise.
 _NOISE_HI = 0.07
@@ -140,8 +147,50 @@ def slice_demand(stats: NetlistStats) -> int:
     return max(1, math.ceil(total))
 
 
-def pack(stats: NetlistStats, pblock: PBlock) -> PackResult:
-    """Attempt a detailed placement of ``stats`` inside ``pblock``."""
+class PackDemand(NamedTuple):
+    """What a module asks of any PBlock :func:`pack` tries it in.
+
+    None of it depends on the PBlock, so a CF sweep derives it once per
+    module with :func:`pack_demand` and hands it to every step's
+    :func:`pack`.  It does depend on the placer-noise amplitude in force
+    (:class:`placer_noise_amplitude`), so it is derived afresh per sweep
+    and kept by no one after it.
+    """
+
+    #: M slices the module's LUTRAM/SRL sites need.
+    m_slices: int
+    #: Carry-chain length (slices) -> number of chains of that length.
+    chains: Counter[int]
+    #: The longest chain (0 without chains).
+    max_chain: int
+    #: Slices of all chains together.
+    chain_slices: int
+    #: :func:`slice_demand` of the module.
+    slices: int
+
+
+def pack_demand(stats: NetlistStats) -> PackDemand:
+    """The PBlock-independent demand :func:`pack` checks ``stats`` by."""
+    chains = stats.carry_chain_slices
+    return PackDemand(
+        m_slices=math.ceil(stats.n_m_lut_sites / LUTRAM_PER_MSLICE),
+        chains=Counter(chains),
+        max_chain=max(chains, default=0),
+        chain_slices=sum(chains),
+        slices=slice_demand(stats),
+    )
+
+
+def pack(
+    stats: NetlistStats, pblock: PBlock, demand: PackDemand | None = None
+) -> PackResult:
+    """Attempt a detailed placement of ``stats`` inside ``pblock``.
+
+    ``demand`` is ``pack_demand(stats)`` precomputed by a caller that
+    packs one module into many PBlocks; without it ``pack`` derives it.
+    """
+    if demand is None:
+        demand = pack_demand(stats)
     caps = pblock.caps
 
     # Hard blocks first: no amount of CF slack fixes a missing BRAM column.
@@ -150,48 +199,48 @@ def pack(stats: NetlistStats, pblock: PBlock) -> PackResult:
     if stats.n_dsp > caps.dsp48:
         return PackResult(False, reason="dsp")
 
-    m_slice_demand = math.ceil(stats.n_m_lut_sites / LUTRAM_PER_MSLICE)
-    if m_slice_demand > caps.m_slices:
+    if demand.m_slices > caps.m_slices:
         return PackResult(False, reason="m_slices")
 
     # Carry-chain geometry (paper §V-C): first-fit-decreasing into the
     # PBlock's slice columns.
     height = pblock.height  # slices per slice column
-    chains = stats.carry_chain_slices
-    if chains:
-        if max(chains) > height:
+    if demand.chains:
+        if demand.max_chain > height:
             return PackResult(False, reason="chain_height")
-        if pack_chains(Counter(chains), height, pblock.n_slice_cols) is None:
-            return PackResult(False, reason="chain_packing", demand_slices=sum(chains))
+        if pack_chains(demand.chains, height, pblock.n_slice_cols) is None:
+            return PackResult(
+                False, reason="chain_packing", demand_slices=demand.chain_slices
+            )
 
-    demand = slice_demand(stats)
+    need = demand.slices
 
     ceiling = routable_utilization(stats, caps)
     # A handful of slices routes trivially; the utilization ceiling only
     # makes sense once the region is large enough to congest.
     limit = caps.slices if caps.slices <= 8 else caps.slices * ceiling
-    if demand > limit:
+    if need > limit:
         return PackResult(
             False,
             reason="congestion",
-            demand_slices=demand,
-            utilization=demand / caps.slices if caps.slices else 0.0,
+            demand_slices=need,
+            utilization=need / caps.slices if caps.slices else 0.0,
         )
 
     # Loose PBlocks waste slices: an unconstrained placer spreads logic
     # instead of packing it (Table I: the same module uses more slices at
     # CF 1.5 than at CF 1.0).  No waste above ~85% utilization — a tightly
     # constrained placement packs at least as well as a flat flow.
-    u_raw = demand / caps.slices if caps.slices else 1.0
+    u_raw = need / caps.slices if caps.slices else 1.0
     spread = 1.0 + _SPREAD_WASTE * max(0.0, 1.0 - u_raw - 0.15)
-    used = min(math.ceil(demand * spread), math.floor(caps.slices * ceiling))
-    used = max(used, demand)
+    used = min(math.ceil(need * spread), math.floor(caps.slices * ceiling))
+    used = max(used, need)
 
     footprint = _build_footprint(stats, pblock, used)
     return PackResult(
         True,
         used_slices=used,
-        demand_slices=demand,
+        demand_slices=need,
         utilization=used / caps.slices if caps.slices else 0.0,
         footprint=footprint,
     )

@@ -15,6 +15,7 @@ from repro.device.resources import (
     SLICES_PER_CLB,
     ResourceCaps,
 )
+from repro.pblock.pblock import PBlock
 
 
 def _reference_find_window(
@@ -186,8 +187,9 @@ class TestFindWindow:
 
 
 class TestTablesMatchColumnLoops:
-    """``find_window`` and ``caps_in_rect`` answer from per-grid tables;
-    they must agree with the column loops they replaced on every query."""
+    """``find_window``, ``caps_in_rect`` and a PBlock's CLB-column count
+    and clock-spine check answer from per-grid tables; they must agree
+    with the column loops they replaced on every query."""
 
     @pytest.mark.parametrize("part", list_parts())
     def test_find_window_on_parts(self, part):
@@ -233,6 +235,31 @@ class TestTablesMatchColumnLoops:
                         assert grid.caps_in_rect(x0, width, 0, height) == (
                             _reference_caps_in_rect(grid, x0, width, 0, height)
                         ), (grid.kinds(), x0, width, height)
+
+    @staticmethod
+    def _check_pblocks(grid):
+        # Every window, against a scan of its column kinds.
+        for x0 in range(grid.n_cols):
+            for width in range(1, grid.n_cols - x0 + 1):
+                kinds = grid.kinds(x0, width)
+                if ColumnKind.CLOCK in kinds:
+                    with pytest.raises(ValueError, match="clock"):
+                        PBlock(grid=grid, x0=x0, width=width, y0=0, height=1)
+                    continue
+                pb = PBlock(grid=grid, x0=x0, width=width, y0=0, height=1)
+                assert pb.n_clb_cols == sum(1 for k in kinds if k.is_clb), (
+                    kinds, x0, width,
+                )
+
+    @pytest.mark.parametrize("part", list_parts())
+    def test_pblock_columns_on_parts(self, part):
+        self._check_pblocks(make_part(part))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pblock_columns_on_random_columns(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        for n_cols in rng.integers(1, 28, size=8):
+            self._check_pblocks(_random_grid(rng, int(n_cols)))
 
 
 class TestDerivedState:
@@ -291,15 +318,14 @@ class TestResourceCaps:
         c = a + b
         assert c.slices == 15 and c.m_slices == 3 and c.luts == 60
 
-    def test_covers(self):
-        big = ResourceCaps.for_slices(10, 4)
-        small = ResourceCaps.for_slices(5, 2)
-        assert big.covers(small)
-        assert not small.covers(big)
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ResourceCaps(slices=-1)
+
+    def test_every_field_checked(self):
+        for f in dataclasses.fields(ResourceCaps):
+            with pytest.raises(ValueError, match=rf"ResourceCaps\.{f.name} must be >= 0, got -1"):
+                ResourceCaps(**{f.name: -1})
 
     def test_m_exceeding_total_rejected(self):
         with pytest.raises(ValueError):

@@ -86,6 +86,18 @@ class TestStitchTrace:
         assert anneal.counters["illegal_moves"] == st.illegal_moves
         assert anneal.counters["iterations"] == res.iterations
 
+    def test_initial_count_is_taken_before_the_anneal(self, z020):
+        # A warm start with no anchors leaves every block to the anneal's
+        # place moves, which must not count as initially placed.
+        d, fps = _stitch_case()
+        tr = Tracer()
+        res = stitch(
+            d, fps, z020, SAParams(max_iters=3000, seed=0),
+            initial_placements={}, tracer=tr,
+        )
+        assert tr.find("stitch.initial").counters["n_placed_initial"] == 0
+        assert tr.find("stitch.anneal").counters["place_accepts"] == res.n_placed == 8
+
     def test_ambient_tracer_used_when_no_explicit(self, z020):
         d, fps = _stitch_case()
         tr = Tracer()

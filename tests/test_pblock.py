@@ -1,20 +1,19 @@
 """Tests for PBlock geometry, the Fig. 1 generator and the CF search."""
 
+import contextlib
+
 import pytest
 
-from repro.device.column import ColumnKind
 from repro.netlist.stats import compute_stats
 from repro.pblock import cf_search
 from repro.pblock.cf_search import (
-    DOWN_LIMIT,
-    CFSearchResult,
     InfeasibleModuleError,
     minimal_cf,
     recommended_step,
 )
 from repro.pblock.generator import PBlockGenerationError, build_pblock
 from repro.pblock.pblock import PBlock
-from repro.place.packer import PackResult, pack
+from repro.place.packer import pack, pack_demand, placer_noise_amplitude
 from repro.place.quick import quick_place
 from repro.rtlgen.base import RTLModule
 from repro.rtlgen.constructs import (
@@ -25,57 +24,11 @@ from repro.rtlgen.constructs import (
 )
 from repro.rtlgen.sweep import generate_sweep
 from repro.synth.mapper import synthesize
+from tests.cf_oracle import reference_minimal_cf, reference_pack
 
 
 def _stats(*constructs, name="pb"):
     return compute_stats(synthesize(RTLModule.make(name, list(constructs))))
-
-
-def _reference_minimal_cf(stats, grid, report, *, search_down, start=0.9, step=0.02, max_cf=2.5):
-    """Oracle: the sweep before packings were reused, with ``build_pblock``
-    and ``pack`` at every step.
-
-    Returns the search result (``None`` when no CF fits), the number of
-    steps, and the number of steps whose PBlock differs from the step
-    before's (the packings ``minimal_cf`` still has to run).
-    """
-    steps = []
-
-    def attempt(cf):
-        try:
-            pb = build_pblock(stats, report, cf, grid)
-        except PBlockGenerationError:
-            pb, res = None, PackResult(False, reason="no_pblock")
-        else:
-            res = pack(stats, pb)
-        steps.append(pb)
-        return pb, res
-
-    best = None
-    cf = start
-    while cf <= max_cf + 1e-9:
-        pb, res = attempt(cf)
-        if res.feasible and pb is not None:
-            best = (cf, pb, res)
-            break
-        cf = round(cf + step, 10)
-    if best is not None and search_down and abs(best[0] - start) < step / 2:
-        cf = round(start - step, 10)
-        while cf >= DOWN_LIMIT - 1e-9:
-            pb, res = attempt(cf)
-            if not (res.feasible and pb is not None):
-                break
-            best = (cf, pb, res)
-            cf = round(cf - step, 10)
-    n_packs = sum(
-        1 for before, pb in zip([None, *steps], steps) if pb is not None and pb != before
-    )
-    if best is None:
-        return None, len(steps), n_packs
-    found = CFSearchResult(
-        cf=best[0], n_runs=len(steps), pblock=best[1], result=best[2], report=report
-    )
-    return found, len(steps), n_packs
 
 
 class TestPBlock:
@@ -96,13 +49,6 @@ class TestPBlock:
         pb = PBlock(grid=z020, x0=0, width=2, y0=0, height=10)
         n_clb = pb.n_clb_cols
         assert pb.n_slice_cols == 2 * n_clb
-        flags = pb.slice_col_is_m()
-        assert len(flags) == pb.n_slice_cols
-
-    def test_m_slice_columns_match_kinds(self, z020):
-        pb = PBlock(grid=z020, x0=0, width=4, y0=0, height=10)
-        n_lm = sum(1 for k in pb.kinds if k is ColumnKind.CLBLM)
-        assert sum(pb.slice_col_is_m()) == n_lm
 
     def test_region_crossing(self, z020):
         assert PBlock(grid=z020, x0=0, width=2, y0=45, height=10).crosses_region_boundary()
@@ -205,9 +151,25 @@ def sweep_stats():
     return [compute_stats(synthesize(m)) for m in generate_sweep(30, seed=5)]
 
 
+#: The sweeps the reuse is checked on, as ``(minimal_cf keywords,
+#: placer-noise amplitude)``: the paper's (start 0.9, step 0.02, max 2.5),
+#: two others, and the paper's and one other without placer noise
+#: (``None`` keeps the packer's amplitude).  Up to CF 1.3 about a third
+#: of the modules are infeasible on z020 too.
+_SWEEPS = [
+    ({}, None),
+    ({"start": 0.6, "step": 0.05, "max_cf": 1.3}, None),
+    ({"start": 1.05, "step": 0.03, "max_cf": 3.0}, None),
+    ({}, 0.0),
+    ({"start": 0.6, "step": 0.05, "max_cf": 1.3}, 0.0),
+]
+
+
 class TestPackReuse:
     """A sweep step that snaps to the previous step's PBlock reuses its
-    packing: same result as packing at every step, fewer ``pack`` calls."""
+    packing, and every packing of a sweep gets the module's demand derived
+    once: same result as :mod:`tests.cf_oracle`'s sweep, which packs from
+    scratch at every step, with fewer ``pack`` calls."""
 
     @pytest.mark.parametrize("search_down", [False, True])
     @pytest.mark.parametrize("grid_name", ["z020", "tiny_grid"])
@@ -218,36 +180,77 @@ class TestPackReuse:
         grid = request.getfixturevalue(grid_name)
         packed = []
 
-        def counting_pack(stats, pb):
-            packed.append(pb)
-            return pack(stats, pb)
+        def counting_pack(stats, pb, demand):
+            # Every packing the sweep makes, infeasible steps included,
+            # must be the one the oracle derives from scratch.
+            packed.append(demand)
+            res = pack(stats, pb, demand)
+            ref = reference_pack(stats, pb)
+            assert (res, res.footprint) == (ref, ref.footprint)
+            return res
 
         monkeypatch.setattr(cf_search, "pack", counting_pack)
-        n_reused = 0
-        for stats in sweep_stats:
-            report = quick_place(stats)
-            expected, n_steps, n_packs = _reference_minimal_cf(
-                stats, grid, report, search_down=search_down
+        for sweep, amplitude in _SWEEPS:
+            noise = (
+                contextlib.nullcontext()
+                if amplitude is None
+                else placer_noise_amplitude(amplitude)
             )
-            packed.clear()
-            if expected is None:
-                with pytest.raises(InfeasibleModuleError) as err:
-                    minimal_cf(stats, grid, search_down=search_down, report=report)
-                assert err.value.n_runs == n_steps
-            else:
-                found = minimal_cf(stats, grid, search_down=search_down, report=report)
-                assert (found.cf, found.n_runs, found.pblock, found.result) == (
-                    expected.cf,
-                    expected.n_runs,
-                    expected.pblock,
-                    expected.result,
-                )
-                assert found.result.footprint == expected.result.footprint
-            assert len(packed) == n_packs
-            if n_packs < n_steps:
-                n_reused += 1
-                assert len(packed) < n_steps
-        assert n_reused > 0  # some modules' steps repeat a PBlock
+            n_reused = 0
+            with noise:
+                for stats in sweep_stats:
+                    report = quick_place(stats)
+                    expected, n_steps, n_packs = reference_minimal_cf(
+                        stats, grid, report, search_down=search_down, **sweep
+                    )
+                    packed.clear()
+                    if expected is None:
+                        with pytest.raises(InfeasibleModuleError) as err:
+                            minimal_cf(
+                                stats, grid, search_down=search_down, report=report, **sweep
+                            )
+                        assert err.value.n_runs == n_steps
+                    else:
+                        found = minimal_cf(
+                            stats, grid, search_down=search_down, report=report, **sweep
+                        )
+                        assert (found.cf, found.n_runs, found.pblock, found.result) == (
+                            expected.cf,
+                            expected.n_runs,
+                            expected.pblock,
+                            expected.result,
+                        )
+                        assert found.result.footprint == expected.result.footprint
+                    assert len(packed) == n_packs
+                    if packed:
+                        assert packed[0] == pack_demand(stats)
+                        assert all(d is packed[0] for d in packed)
+                    if n_packs < n_steps:
+                        n_reused += 1
+                        assert len(packed) < n_steps
+            assert n_reused > 0, sweep  # some modules' steps repeat a PBlock
+
+    def test_pack_matches_reference_on_any_pblock(self, z020, sweep_stats):
+        # Shapes no sweep snaps to (shorter than the longest chain, no
+        # CLB-LM or hard-block column) reach every outcome, with the demand
+        # precomputed and without.
+        reasons = set()
+        for stats in sweep_stats:
+            demand = pack_demand(stats)
+            for x0 in (0, 3, 11):
+                for width in (1, 2, 5, 9):
+                    for height in (2, 9, 30, 80):
+                        try:
+                            pb = PBlock(grid=z020, x0=x0, width=width, y0=0, height=height)
+                        except ValueError:  # holds the clock spine
+                            continue
+                        ref = reference_pack(stats, pb)
+                        for res in (pack(stats, pb), pack(stats, pb, demand)):
+                            assert (res, res.footprint) == (ref, ref.footprint)
+                        reasons.add(ref.reason)
+        assert reasons == {
+            "", "bram", "dsp", "m_slices", "chain_height", "chain_packing", "congestion"
+        }
 
 
 class TestRecommendedStep:
